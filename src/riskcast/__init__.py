@@ -28,7 +28,6 @@ from .calibration import (
     boundary_search,
     budget_scale_calibrate,
     budget_scale_search,
-    evaluate_candidate,
     lin_space,
     run_selection,
     select_from_grid,

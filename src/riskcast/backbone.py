@@ -12,7 +12,7 @@ the residuals that landed in it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,9 +92,6 @@ class BackboneParams:
             raise ValueError("subsample must lie in (0, 1]")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
-
-    def with_seed(self, seed: int) -> "BackboneParams":
-        return replace(self, seed=seed)
 
     def to_dict(self) -> dict:
         return {
@@ -446,13 +443,10 @@ class QuantileModel:
         out = np.column_stack([m.predict(X) for m in self.horizon_models])
         return np.maximum(out, 0.0)
 
-    def predict_vector(self, fv: FeatureVector) -> np.ndarray:
-        return self.predict(fv.values.reshape(1, -1), fv.layout)[0]
-
 
 def predict(model: QuantileModel, fv: FeatureVector) -> np.ndarray:
     """Length-H forecast for a single feature vector."""
-    return model.predict_vector(fv)
+    return model.predict(fv.values.reshape(1, -1), fv.layout)[0]
 
 
 def _train(train: Samples, tau: float | None, objective: str, params: BackboneParams) -> QuantileModel:
@@ -517,7 +511,12 @@ def load_model(path: str) -> QuantileModel:
     if doc.get("format") != _FORMAT:
         raise ValueError(f"{path} is not a saved model")
     loaders = {"boosted_trees": BoostedTreesRegressor.from_payload, "linear": LinearRegressor.from_payload}
-    models = [loaders[p["type"]](p) for p in doc["horizon_models"]]
+    models = []
+    for payload in doc["horizon_models"]:
+        kind = payload.get("type")
+        if kind not in loaders:
+            raise ValueError(f"{path} has a horizon model of unknown type {kind!r}")
+        models.append(loaders[kind](payload))
     return QuantileModel(
         tau=float(doc["tau"]),
         objective=doc["objective"],

@@ -12,14 +12,14 @@ predictor under the same constraint, by exhaustive search over a factor grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .backbone import BackboneParams, QuantileModel, train_quantile_model
 from .data import Samples
-from .errors import EmptyBatch, EmptyGrid, EvaluatorFailure, InvalidGrid, RiskcastError
+from .errors import EmptyGrid, EvaluatorFailure, InvalidGrid, RiskcastError
 from .metrics import PredictionBatch, mae, over_rate
 
 DEFAULT_SCALE_GRID = np.linspace(0.50, 1.00, 51)
@@ -32,8 +32,8 @@ class RiskBudgetConfig:
     epsilon is the maximum acceptable calibration over_rate; the search runs
     over [tau_min, tau_max] with bisection tolerance delta and a fine grid of
     grid_size candidates. penalty weighs budget violations in the fallback
-    objective; None defers it to the caller (the pipeline uses 1000x the mean
-    training throughput so any violation dominates accuracy differences).
+    objective; None defers to resolve_penalty, the one default, which is large
+    enough that any violation dominates accuracy differences.
     """
 
     epsilon: float
@@ -56,8 +56,6 @@ class RiskBudgetConfig:
             raise ValueError("penalty must be non-negative")
 
     def with_epsilon(self, epsilon: float) -> "RiskBudgetConfig":
-        from dataclasses import replace
-
         return replace(self, epsilon=epsilon)
 
     def to_dict(self) -> dict:
@@ -118,13 +116,6 @@ class QuantileEvaluator:
         return ev
 
 
-def evaluate_candidate(
-    tau: float, train: Samples, cal: Samples, params: BackboneParams
-) -> CandidateEvaluation:
-    """Train at one level and score calibration accuracy (MAE) and risk."""
-    return QuantileEvaluator(train, cal, params)(tau)
-
-
 def lin_space(a: float, b: float, m: int) -> np.ndarray:
     """m evenly spaced levels including both endpoints."""
     if a > b:
@@ -144,7 +135,6 @@ class BoundaryResult:
     tau_hi: float
     evaluations: list[CandidateEvaluation] = field(default_factory=list)
     bisection_log: list[tuple[float, float, float]] = field(default_factory=list)
-    aborted: bool = False
 
 
 def boundary_search(config: RiskBudgetConfig, evaluator: Evaluator) -> BoundaryResult:
@@ -153,10 +143,8 @@ def boundary_search(config: RiskBudgetConfig, evaluator: Evaluator) -> BoundaryR
     If the whole interval is safe the bracket collapses to tau_max; if even
     tau_min violates the budget it collapses to tau_min. Otherwise bisection
     keeps risk(tau_lo) <= epsilon < risk(tau_hi) and stops once the bracket
-    is narrower than delta. A fresh re-check of tau_lo after every update
-    guards against unstable evaluators: if the bracket invariant breaks, the
-    search aborts so the caller can fall back to an exhaustive grid. The
-    re-check is free for deterministic or caching evaluators.
+    is narrower than delta. Each bisection step evaluates one new level;
+    run_selection memoises the evaluator so the fine grid reuses them.
     """
     log: list[CandidateEvaluation] = []
 
@@ -187,9 +175,6 @@ def boundary_search(config: RiskBudgetConfig, evaluator: Evaluator) -> BoundaryR
             tau_lo, r_lo = tau_mid, mid_eval.over_rate
         else:
             tau_hi = tau_mid
-        recheck = evaluator(tau_lo)
-        if recheck.over_rate > config.epsilon:
-            return BoundaryResult(tau_lo, tau_hi, log, bisection_log, aborted=True)
         bisection_log.append((tau_lo, tau_hi, r_lo))
     return BoundaryResult(tau_lo, tau_hi, log, bisection_log)
 
@@ -264,17 +249,8 @@ def run_selection(
 
     trainings_before = getattr(evaluator, "n_trainings", None)
     boundary = boundary_search(config, memo_ev)
-    if boundary.aborted:
-        # bracket invariant broke; fall back to an exhaustive (denser) grid
-        interval = (config.tau_min, config.tau_max)
-        grid_taus = lin_space(*interval, 4 * config.grid_size)
-    elif boundary.tau_lo == boundary.tau_hi:
-        interval = (boundary.tau_lo, boundary.tau_hi)
-        grid_taus = np.asarray([boundary.tau_lo])
-    else:
-        interval = (boundary.tau_lo, boundary.tau_hi)
-        grid_taus = lin_space(boundary.tau_lo, boundary.tau_hi, config.grid_size)
-    fine = [memo_ev(t) for t in grid_taus]
+    lo, hi = boundary.tau_lo, boundary.tau_hi
+    fine = [memo_ev(t) for t in lin_space(lo, hi, 1 if lo == hi else config.grid_size)]
     best, is_feasible = select_from_grid(fine, config.epsilon, lam)
     fallback_used = not is_feasible
 
@@ -288,7 +264,7 @@ def run_selection(
         ordered.setdefault(round(ev.tau, 12), ev)
     return SelectionResult(
         tau_star=best.tau,
-        boundary=interval,
+        boundary=(lo, hi),
         fine_grid=fine,
         feasible=is_feasible,
         fallback_used=fallback_used,
@@ -298,15 +274,19 @@ def run_selection(
     )
 
 
+def resolve_penalty(config: RiskBudgetConfig, train: Samples) -> float:
+    """The configured penalty, or 1000x the mean training throughput."""
+    if config.penalty is not None:
+        return config.penalty
+    return 1000.0 * float(np.mean(train.Y))
+
+
 def select_quantile(
     config: RiskBudgetConfig, train: Samples, cal: Samples, params: BackboneParams
 ) -> SelectionResult:
     """Train/evaluate candidates on real splits and select the operating level."""
     evaluator = QuantileEvaluator(train, cal, params)
-    penalty = config.penalty
-    if penalty is None:
-        penalty = 1000.0 * float(np.mean(train.Y))
-    return run_selection(config, evaluator, penalty=penalty)
+    return run_selection(config, evaluator, penalty=resolve_penalty(config, train))
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +334,6 @@ def budget_scale_search(
         raise EmptyGrid("scale-factor grid is empty")
     if np.any(factors <= 0):
         raise ValueError("scale factors must be positive")
-    if cal_batch.n_elements == 0:  # pragma: no cover - PredictionBatch already rejects
-        raise EmptyBatch("calibration batch is empty")
 
     rows = []
     for c in factors:

@@ -15,10 +15,9 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import admission as admission_mod
@@ -31,6 +30,7 @@ from .calibration import (
     RiskBudgetConfig,
     SelectionResult,
     budget_scale_search,
+    resolve_penalty,
     run_selection,
 )
 from .errors import ConfigError, EmptySweep, RiskcastError
@@ -141,6 +141,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         penalty=None if risk_raw.get("lambda") is None else float(risk_raw["lambda"]),
     )
     backbone_raw = dict(raw.get("backbone") or {})
+    unknown = set(backbone_raw) - {f.name for f in fields(BackboneParams)}
+    if unknown:
+        raise ConfigError(f"unknown backbone keys: {sorted(unknown)}")
     backbone_raw.setdefault("seed", stage_seed(seed, "backbone"))
     backbone = BackboneParams(**backbone_raw)
     ratios = raw.get("split_ratios", (0.7, 0.15, 0.15))
@@ -211,53 +214,67 @@ class ExperimentBundle:
     output_dir: Path
 
 
-def _calibrate(config: ExperimentConfig, dataset: data_mod.WindowedDataset):
-    """Everything that may look at train+calibration data, and nothing else."""
-    train, cal = dataset.train, dataset.calibration
-    evaluator = QuantileEvaluator(train, cal, config.backbone)
-    penalty = config.risk.penalty
-    if penalty is None:
-        penalty = 1000.0 * float(np.mean(train.Y))
-    selection = run_selection(config.risk, evaluator, penalty=penalty)
+@dataclass
+class BudgetOutcome:
+    """One budget's calibrated risk controls and the test batches they give."""
 
-    point_model = None
-    scale_result = None
+    epsilon: float
+    selection: SelectionResult
+    budget_scale: BudgetScaleResult | None
+    batches: dict[str, PredictionBatch]
+
+
+def calibrate_budgets(
+    config: ExperimentConfig, dataset: data_mod.WindowedDataset, epsilons: list[float]
+) -> list[BudgetOutcome]:
+    """Calibrate both risk controls at each budget, then predict the test split.
+
+    One evaluator serves every budget, so a level shared between budgets is
+    trained once; the point model is trained once and predicted once per split.
+    """
+    train, cal, test = dataset.train, dataset.calibration, dataset.test
+    evaluator = QuantileEvaluator(train, cal, config.backbone)
+    penalty = resolve_penalty(config.risk, train)
+    point_model = cal_point = None
     if METHOD_POINT in config.baselines or METHOD_BUDGET_SCALE in config.baselines:
         point_model = train_point_model(train, config.backbone)
     if METHOD_BUDGET_SCALE in config.baselines:
-        cal_batch = PredictionBatch(point_model.predict(cal.X, cal.layout), cal.Y)
-        scale_result = budget_scale_search(cal_batch, config.risk.epsilon)
-    return selection, point_model, scale_result, evaluator, penalty
+        cal_point = PredictionBatch(point_model.predict(cal.X, cal.layout), cal.Y)
+    controls = [
+        (
+            e,
+            run_selection(config.risk.with_epsilon(e), evaluator, penalty=penalty),
+            budget_scale_search(cal_point, e) if cal_point is not None else None,
+        )
+        for e in epsilons
+    ]
+
+    # Test predictions are made only after every calibration decision: the
+    # protocol guard that keeps test data out of risk control.
+    test_point = point_model.predict(test.X, test.layout) if point_model is not None else None
+    outcomes: list[BudgetOutcome] = []
+    for e, selection, scale in controls:
+        batches: dict[str, PredictionBatch] = {}
+        if METHOD_POINT in config.baselines:
+            batches[METHOD_POINT] = PredictionBatch(test_point, test.Y)
+        if scale is not None:
+            batches[METHOD_BUDGET_SCALE] = PredictionBatch(test_point * scale.c_star, test.Y)
+        batches[METHOD_SAFE_QUANTILE] = PredictionBatch(
+            selection.model.predict(test.X, test.layout), test.Y
+        )
+        outcomes.append(BudgetOutcome(e, selection, scale, batches))
+    return outcomes
 
 
-def _test_batches(
-    config: ExperimentConfig,
-    dataset: data_mod.WindowedDataset,
-    selection: SelectionResult,
-    point_model,
-    scale_result,
-) -> dict[str, PredictionBatch]:
-    # Built only after calibration is complete: the protocol guard that keeps
-    # test data out of every risk-control decision.
-    test = dataset.test
-    batches: dict[str, PredictionBatch] = {}
-    if point_model is not None and METHOD_POINT in config.baselines:
-        batches[METHOD_POINT] = PredictionBatch(point_model.predict(test.X, test.layout), test.Y)
-    if scale_result is not None:
-        point_preds = point_model.predict(test.X, test.layout)
-        batches[METHOD_BUDGET_SCALE] = PredictionBatch(point_preds * scale_result.c_star, test.Y)
-    batches[METHOD_SAFE_QUANTILE] = PredictionBatch(
-        selection.model.predict(test.X, test.layout), test.Y
-    )
-    return batches
+def _windows(config: ExperimentConfig) -> data_mod.WindowedDataset:
+    trace = load_trace(config)
+    return data_mod.make_windows(trace, config.history, config.horizon, config.split_ratios)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     """Full pipeline; writes the report bundle under config.output_dir."""
-    trace = load_trace(config)
-    dataset = data_mod.make_windows(trace, config.history, config.horizon, config.split_ratios)
-    selection, point_model, scale_result, _, _ = _calibrate(config, dataset)
-    batches = _test_batches(config, dataset, selection, point_model, scale_result)
+    [outcome] = calibrate_budgets(config, _windows(config), [config.risk.epsilon])
+    selection, scale_result, batches = outcome.selection, outcome.budget_scale, outcome.batches
 
     safety = {m: safety_report(b, with_subsets=True) for m, b in batches.items()}
     adm = {
@@ -321,38 +338,15 @@ def run_frontier(config: ExperimentConfig, epsilons) -> list[FrontierRow]:
     if sorted(eps) != eps:
         raise ValueError("budget values must be sorted ascending")
 
-    trace = load_trace(config)
-    dataset = data_mod.make_windows(trace, config.history, config.horizon, config.split_ratios)
-    train, cal, test = dataset.train, dataset.calibration, dataset.test
-
-    evaluator = QuantileEvaluator(train, cal, config.backbone)
-    penalty = config.risk.penalty
-    if penalty is None:
-        penalty = 1000.0 * float(np.mean(train.Y))
-
-    point_model = None
-    cal_point = test_point = None
-    if METHOD_POINT in config.baselines or METHOD_BUDGET_SCALE in config.baselines:
-        point_model = train_point_model(train, config.backbone)
-        cal_point = PredictionBatch(point_model.predict(cal.X, cal.layout), cal.Y)
-        test_point = point_model.predict(test.X, test.layout)
-
     rows: list[FrontierRow] = []
-    for e in eps:
-        risk = config.risk.with_epsilon(e)
-        selection = run_selection(risk, evaluator, penalty=penalty)
-        if point_model is not None and METHOD_POINT in config.baselines:
-            rows.append(_frontier_row(METHOD_POINT, e, 1.0, PredictionBatch(test_point, test.Y)))
-        if METHOD_BUDGET_SCALE in config.baselines and cal_point is not None:
-            scale = budget_scale_search(cal_point, e)
-            rows.append(_frontier_row(
-                METHOD_BUDGET_SCALE, e, scale.c_star,
-                PredictionBatch(test_point * scale.c_star, test.Y),
-            ))
-        rows.append(_frontier_row(
-            METHOD_SAFE_QUANTILE, e, selection.tau_star,
-            PredictionBatch(selection.model.predict(test.X, test.layout), test.Y),
-        ))
+    for outcome in calibrate_budgets(config, _windows(config), eps):
+        controls = {METHOD_POINT: 1.0, METHOD_SAFE_QUANTILE: outcome.selection.tau_star}
+        if outcome.budget_scale is not None:
+            controls[METHOD_BUDGET_SCALE] = outcome.budget_scale.c_star
+        rows.extend(
+            _frontier_row(method, outcome.epsilon, controls[method], batch)
+            for method, batch in outcome.batches.items()
+        )
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -487,7 +481,6 @@ def _cmd_synth(args) -> int:
 def _cmd_run(args) -> int:
     config = load_config(args.config, seed=args.seed, output_dir=args.output, epsilon=args.epsilon)
     bundle = run_experiment(config)
-    emit_report(bundle.output_dir, args.format)
     sel = bundle.selection
     print(f"selected quantile {sel.tau_star:.4f} "
           f"(feasible={sel.feasible}, trainings={sel.n_trainings})")
@@ -521,18 +514,24 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    with open(Path(args.bundle) / "selection.json", encoding="utf-8") as fh:
+    path = Path(args.bundle) / "selection.json"
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    sel = doc["quantile_selection"]
-    print(f"boundary: [{sel['boundary'][0]:.4f}, {sel['boundary'][1]:.4f}]")
-    print(f"tau_star: {sel['tau_star']:.4f}  feasible: {sel['feasible']}  "
-          f"fallback: {sel['fallback_used']}  trainings: {sel['n_trainings']}")
-    print("evaluations (tau, mae, over_rate):")
-    for ev in sel["evaluations"]:
-        print(f"  {ev['tau']:.4f}  {ev['mae']:.4f}  {ev['over_rate']:.4f}")
-    scale = doc.get("budget_scale")
-    if scale:
-        print(f"budget-scale factor: {scale['c_star']:.3f}  feasible: {scale['feasible']}")
+    try:
+        sel = doc["quantile_selection"]
+        lines = [
+            f"boundary: [{sel['boundary'][0]:.4f}, {sel['boundary'][1]:.4f}]",
+            f"tau_star: {sel['tau_star']:.4f}  feasible: {sel['feasible']}  "
+            f"fallback: {sel['fallback_used']}  trainings: {sel['n_trainings']}",
+            "evaluations (tau, mae, over_rate):",
+        ]
+        lines.extend(f"  {ev['tau']:.4f}  {ev['mae']:.4f}  {ev['over_rate']:.4f}" for ev in sel["evaluations"])
+        scale = doc.get("budget_scale")
+        if scale:
+            lines.append(f"budget-scale factor: {scale['c_star']:.3f}  feasible: {scale['feasible']}")
+    except KeyError as exc:
+        raise ConfigError(f"{path} lacks key {exc}") from exc
+    print("\n".join(lines))
     return 0
 
 
@@ -560,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--output", default=None, help="override the output directory")
     p.add_argument("--epsilon", type=float, default=None, help="override the risk budget")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_run, stage="run")
 
     p = sub.add_parser("frontier", help="sweep the risk budget and tabulate the frontier")

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+import statistics
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import (
     InvalidSpec,
@@ -320,7 +320,7 @@ class GaussianNoise:
         return rng.normal(0.0, self.sigma, size=len(timestamps)) if self.sigma else np.zeros(len(timestamps))
 
     def quantile(self, tau: float, timestamps: np.ndarray | None = None):
-        return float(self.sigma * norm.ppf(tau))
+        return float(self.sigma * statistics.NormalDist().inv_cdf(tau))
 
     def to_dict(self) -> dict:
         return {"kind": "gaussian", "sigma": self.sigma}
@@ -368,14 +368,20 @@ class CyclicScaleNoise:
 
 def noise_from_dict(d: dict) -> NoNoise | UniformNoise | GaussianNoise | CyclicScaleNoise:
     kind = d.get("kind", "none")
+
+    def required(key: str):
+        if key not in d:
+            raise InvalidSpec(f"{kind} noise needs key {key!r}")
+        return d[key]
+
     if kind == "none":
         return NoNoise()
     if kind == "uniform":
-        return UniformNoise(float(d["half_width"]))
+        return UniformNoise(float(required("half_width")))
     if kind == "gaussian":
-        return GaussianNoise(float(d["sigma"]))
+        return GaussianNoise(float(required("sigma")))
     if kind == "cyclic_scale":
-        base = noise_from_dict(d["base"])
+        base = noise_from_dict(required("base"))
         if isinstance(base, (NoNoise, CyclicScaleNoise)):
             raise InvalidSpec("cyclic_scale base must be uniform or gaussian")
         return CyclicScaleNoise(base, float(d.get("period", 3600.0)), float(d.get("depth", 0.5)))
@@ -407,9 +413,6 @@ class SyntheticSpec:
             raise InvalidSpec("length must be >= 1")
         if self.handover_period < 1:
             raise InvalidSpec("handover_period must be >= 1")
-
-    def with_seed(self, seed: int) -> "SyntheticSpec":
-        return replace(self, seed=seed)
 
     def to_dict(self) -> dict:
         return {

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -276,4 +278,15 @@ class TestSerialization:
         path = tmp_path / "junk.json"
         path.write_text('{"something": 1}')
         with pytest.raises(ValueError):
+            load_model(str(path))
+
+    def test_rejects_unknown_payload_type(self, rng, tmp_path):
+        train = iid_samples(rng, n=200)
+        model = train_quantile_model(train, 0.35, BackboneParams(n_trees=2, max_depth=2, seed=4))
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        doc["horizon_models"][0]["type"] = "forest"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="forest"):
             load_model(str(path))

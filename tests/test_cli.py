@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,15 +189,30 @@ class TestDeterminism:
 
 
 class TestFrontier:
-    def test_rows_and_consistency_with_run(self, tmp_path):
-        config = load_config(write_config(tmp_path), output_dir=str(tmp_path / "out"))
+    @pytest.mark.parametrize("baselines", [
+        [],
+        ["point"],
+        ["budget_scale"],
+        ["point", "budget_scale"],
+    ], ids=["none", "point", "budget_scale", "point+budget_scale"])
+    def test_rows_and_consistency_with_run(self, tmp_path, baselines):
+        path = write_config(tmp_path, {"baselines": baselines})
+        config = load_config(path, output_dir=str(tmp_path / "out"))
         rows = run_frontier(config, [0.35])
-        assert [r.method for r in rows] == ["point", "budget_scale", "safe_quantile"]
+        assert [r.method for r in rows] == [*baselines, "safe_quantile"]
         bundle = run_experiment(config)
         by_method = {r.method: r for r in rows}
+        assert set(by_method) == set(bundle.safety)
         for method, report in bundle.safety.items():
             assert by_method[method].over_rate == report.over_rate
             assert by_method[method].mae == report.mae
+        assert by_method["safe_quantile"].control == bundle.selection.tau_star
+        if "budget_scale" in baselines:
+            assert by_method["budget_scale"].control == bundle.budget_scale.c_star
+        else:
+            assert bundle.budget_scale is None
+        if "point" in baselines:
+            assert by_method["point"].control == 1.0
 
     def test_sweep_files(self, tmp_path):
         config = load_config(write_config(tmp_path), output_dir=str(tmp_path / "out"))
@@ -233,12 +252,36 @@ class TestCommands:
         assert main(["ingest", "--csv", str(trace_csv)]) == 0
         assert "rows" in capsys.readouterr().out
 
-    def test_run_with_bad_config_fails_with_stage(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, key", [
+        ("dataset: {kind: nope}", "nope"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0}\nbackbone: {n_tree: 3}", "n_tree"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0, noise: {kind: gaussian}}", "sigma"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0, noise: {kind: uniform}}", "half_width"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0, noise: {kind: cyclic_scale}}", "base"),
+    ], ids=["dataset-kind", "backbone-key", "gaussian-sigma", "uniform-half-width", "cyclic-base"])
+    def test_run_with_bad_config_fails_with_stage(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("dataset: {kind: nope}\n")
+        bad.write_text(text + "\n")
         code = main(["run", "--config", str(bad)])
-        assert code != 0
-        assert "error [run]" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [run]" in err
+        assert key in err
+
+    def test_run_has_no_format_option(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["run", "--config", write_config(tmp_path), "--format", "json"])
+
+    def test_inspect_malformed_selection_fails_with_stage(self, tmp_path, capsys):
+        (tmp_path / "selection.json").write_text(json.dumps(
+            {"quantile_selection": {"tau_star": 0.3}, "budget_scale": None}
+        ))
+        code = main(["inspect", "--bundle", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error [inspect]" in captured.err
+        assert "boundary" in captured.err
+        assert captured.out == ""
 
     def test_missing_file_fails(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.yaml")])
@@ -294,3 +337,16 @@ class TestEmitReport:
 
         with pytest.raises(ConfigError):
             emit_report(config.output_dir, "xml")
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; import riskcast.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

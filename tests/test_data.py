@@ -245,6 +245,12 @@ class TestSynthetic:
             expected = noise.quantile(tau)
             assert abs(np.quantile(draws, tau) - expected) <= 0.01 * value_range
 
+    def test_gaussian_quantile_closed_form(self):
+        sigma = 25.0
+        noise = GaussianNoise(sigma)
+        assert noise.quantile(0.5) == 0.0
+        assert abs(noise.quantile(0.975) - 1.959963984540054 * sigma) <= 1e-12
+
     def test_cyclic_noise_conditional_quantile(self):
         noise = CyclicScaleNoise(UniformNoise(30.0), period=100.0, depth=0.5)
         rng = np.random.default_rng(7)
