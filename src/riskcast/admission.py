@@ -70,17 +70,6 @@ class AdmissionReport:
             out["subsets"] = {k: v.to_dict() for k, v in self.subsets.items()}
         return out
 
-    @staticmethod
-    def from_dict(d: dict) -> "AdmissionReport":
-        subsets = {k: AdmissionReport.from_dict(v) for k, v in d.get("subsets", {}).items()}
-        return AdmissionReport(
-            mean_dropped=d["mean_dropped"],
-            violation_rate=d["violation_rate"],
-            p95_dropped=d["p95_dropped"],
-            n_slots=d["n_slots"],
-            subsets=subsets,
-        )
-
 
 def _drops(preds: np.ndarray, truths: np.ndarray, b: float) -> np.ndarray:
     n_admit = np.floor(preds / b)

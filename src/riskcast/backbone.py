@@ -12,7 +12,7 @@ the residuals that landed in it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -92,19 +92,6 @@ class BackboneParams:
             raise ValueError("subsample must lie in (0, 1]")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "min_samples_leaf": self.min_samples_leaf,
-            "subsample": self.subsample,
-            "seed": self.seed,
-            "steps": self.steps,
-            "step_size": self.step_size,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +484,7 @@ def save_model(model: QuantileModel, path: str) -> None:
         "backbone_kind": model.backbone_kind,
         "objective": model.objective,
         "tau": model.tau,
-        "params": model.params.to_dict(),
+        "params": asdict(model.params),
         "feature_layout": list(model.feature_layout),
         "horizon_models": [m.to_payload() for m in model.horizon_models],
     }

@@ -58,16 +58,6 @@ class RiskBudgetConfig:
     def with_epsilon(self, epsilon: float) -> "RiskBudgetConfig":
         return replace(self, epsilon=epsilon)
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "tau_min": self.tau_min,
-            "tau_max": self.tau_max,
-            "delta": self.delta,
-            "grid_size": self.grid_size,
-            "penalty": self.penalty,
-        }
-
 
 @dataclass
 class CandidateEvaluation:
@@ -90,9 +80,7 @@ class QuantileEvaluator:
 
     Repeated requests for the same tau (same data, seed, and params by
     construction) train at most once; n_trainings counts actual fits, so
-    cache hits are visible to training-budget assertions. Distinct levels are
-    independent fits, safe to evaluate concurrently; dict insertion keeps the
-    cache consistent under CPython's GIL.
+    cache hits are visible to training-budget assertions.
     """
 
     def __init__(self, train: Samples, cal: Samples, params: BackboneParams):
@@ -129,11 +117,10 @@ def lin_space(a: float, b: float, m: int) -> np.ndarray:
 
 @dataclass
 class BoundaryResult:
-    """Outcome of the coarse search: a bracket and the evaluation log."""
+    """Outcome of the coarse search: a bracket and the bisection path."""
 
     tau_lo: float
     tau_hi: float
-    evaluations: list[CandidateEvaluation] = field(default_factory=list)
     bisection_log: list[tuple[float, float, float]] = field(default_factory=list)
 
 
@@ -146,24 +133,21 @@ def boundary_search(config: RiskBudgetConfig, evaluator: Evaluator) -> BoundaryR
     is narrower than delta. Each bisection step evaluates one new level;
     run_selection memoises the evaluator so the fine grid reuses them.
     """
-    log: list[CandidateEvaluation] = []
 
     def ev(tau: float) -> CandidateEvaluation:
         try:
-            result = evaluator(tau)
+            return evaluator(tau)
         except RiskcastError:
             raise
         except Exception as exc:  # pragma: no cover - defensive
             raise EvaluatorFailure(f"candidate evaluation failed at tau={tau}") from exc
-        log.append(result)
-        return result
 
     lo_eval = ev(config.tau_min)
     hi_eval = ev(config.tau_max)
     if hi_eval.over_rate <= config.epsilon:
-        return BoundaryResult(config.tau_max, config.tau_max, log)
+        return BoundaryResult(config.tau_max, config.tau_max)
     if lo_eval.over_rate > config.epsilon:
-        return BoundaryResult(config.tau_min, config.tau_min, log)
+        return BoundaryResult(config.tau_min, config.tau_min)
 
     tau_lo, tau_hi = config.tau_min, config.tau_max
     r_lo = lo_eval.over_rate
@@ -176,7 +160,7 @@ def boundary_search(config: RiskBudgetConfig, evaluator: Evaluator) -> BoundaryR
         else:
             tau_hi = tau_mid
         bisection_log.append((tau_lo, tau_hi, r_lo))
-    return BoundaryResult(tau_lo, tau_hi, log, bisection_log)
+    return BoundaryResult(tau_lo, tau_hi, bisection_log)
 
 
 @dataclass
@@ -237,14 +221,11 @@ def run_selection(
     """Coarse-to-fine selection against an arbitrary candidate evaluator."""
     lam = penalty if penalty is not None else config.penalty
     memo: dict[float, CandidateEvaluation] = {}
-    underlying_calls = 0
 
     def memo_ev(tau: float) -> CandidateEvaluation:
-        nonlocal underlying_calls
         key = round(float(tau), 12)
         if key not in memo:
             memo[key] = evaluator(tau)
-            underlying_calls += 1
         return memo[key]
 
     trainings_before = getattr(evaluator, "n_trainings", None)
@@ -252,24 +233,14 @@ def run_selection(
     lo, hi = boundary.tau_lo, boundary.tau_hi
     fine = [memo_ev(t) for t in lin_space(lo, hi, 1 if lo == hi else config.grid_size)]
     best, is_feasible = select_from_grid(fine, config.epsilon, lam)
-    fallback_used = not is_feasible
-
-    if trainings_before is not None:
-        n_trainings = getattr(evaluator, "n_trainings") - trainings_before
-    else:
-        n_trainings = underlying_calls
-
-    ordered: dict[float, CandidateEvaluation] = {}
-    for ev in boundary.evaluations + fine:
-        ordered.setdefault(round(ev.tau, 12), ev)
     return SelectionResult(
         tau_star=best.tau,
         boundary=(lo, hi),
         fine_grid=fine,
         feasible=is_feasible,
-        fallback_used=fallback_used,
-        n_trainings=n_trainings,
-        evaluations=list(ordered.values()),
+        fallback_used=not is_feasible,
+        n_trainings=len(memo) if trainings_before is None else evaluator.n_trainings - trainings_before,
+        evaluations=list(memo.values()),
         model=best.model,
     )
 
@@ -300,22 +271,12 @@ class ScaleEvaluation:
     mae: float
     over_rate: float
 
-    def to_dict(self) -> dict:
-        return {"factor": self.factor, "mae": self.mae, "over_rate": self.over_rate}
-
 
 @dataclass
 class BudgetScaleResult:
     c_star: float
     feasible: bool
     grid: list[ScaleEvaluation]
-
-    def to_dict(self) -> dict:
-        return {
-            "c_star": self.c_star,
-            "feasible": self.feasible,
-            "grid": [g.to_dict() for g in self.grid],
-        }
 
 
 def budget_scale_search(

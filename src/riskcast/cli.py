@@ -15,7 +15,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -83,8 +84,8 @@ class ExperimentConfig:
             "L": self.history,
             "H": self.horizon,
             "split_ratios": list(self.split_ratios),
-            "risk": self.risk.to_dict(),
-            "backbone": self.backbone.to_dict(),
+            "risk": asdict(self.risk),
+            "backbone": asdict(self.backbone),
             "baselines": list(self.baselines),
             "admission_b": self.admission_b,
             "seed": self.seed,
@@ -97,71 +98,116 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"missing key {key!r} in {context}")
-    return mapping[key]
+_TOP_KEYS = ("dataset", "L", "H", "split_ratios", "risk", "backbone", "baselines",
+             "admission_b", "seed", "output_dir")
+_RISK_KEYS = ("epsilon", "tau_min", "tau_max", "delta", "M", "lambda")
+_DATASET_KEYS = {
+    "csv": ("kind", "path", "schema", "name"),
+    "synthetic": ("kind", "length", "seed", "base_level", "diurnal_amplitude", "handover_period",
+                  "handover_drop", "noise", "noise_model", "start_timestamp"),
+}
+_REQUIRED = object()
 
 
-def parse_dataset_config(raw: dict, seed: int) -> DatasetConfig:
-    kind = _require(raw, "kind", "dataset")
+def _section(value, name: str, allowed=None):
+    """get(key, convert, default) over a mapping (null reads as empty) that holds
+    only `allowed` keys; a value that fails to convert is reported as name.key."""
+    raw = {} if value is None else value
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a mapping, got {value!r}")
+    unknown = set(raw) - set(allowed) if allowed is not None else set()
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+
+    def get(key: str, convert, default=_REQUIRED):
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing key {key!r} in {name}")
+            return default
+        try:
+            return convert(raw[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}.{key}: {exc}") from exc
+
+    return get
+
+
+def _build(name: str, cls, **kwargs):
+    """cls(**kwargs), with a rejected value reported against the section."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _exact(value, kind: type):
+    """The value unchanged if it already is a `kind` (an int also passes as a float)."""
+    if not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def parse_dataset_config(raw, seed: int) -> DatasetConfig:
+    kind = _section(raw, "dataset")("kind", str)
+    if kind not in _DATASET_KEYS:
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    get = _section(raw, "dataset", _DATASET_KEYS[kind])
     if kind == "csv":
         return DatasetConfig(
             kind="csv",
-            path=str(_require(raw, "path", "dataset")),
-            schema={str(k): str(v) for k, v in (raw.get("schema") or {}).items()},
+            path=get("path", str),
+            schema=get("schema", lambda s: {str(k): str(v) for k, v in dict(s or {}).items()}, {}),
             name=raw.get("name"),
         )
-    if kind == "synthetic":
-        noise_raw = raw.get("noise_model", raw.get("noise")) or {"kind": "none"}
-        noise = data_mod.noise_from_dict(noise_raw)
-        spec = data_mod.SyntheticSpec(
-            length=int(_require(raw, "length", "dataset")),
-            seed=int(raw["seed"]) if "seed" in raw else stage_seed(seed, "data"),
-            base_level=float(_require(raw, "base_level", "dataset")),
-            diurnal_amplitude=float(raw.get("diurnal_amplitude", 0.0)),
-            handover_period=int(raw.get("handover_period", 15)),
-            handover_drop=float(raw.get("handover_drop", 0.0)),
-            noise=noise,
-            start_timestamp=int(raw.get("start_timestamp", 0)),
-        )
-        return DatasetConfig(kind="synthetic", synthetic=spec)
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+    spec = data_mod.SyntheticSpec(
+        length=get("length", int),
+        seed=get("seed", int, stage_seed(seed, "data")),
+        base_level=get("base_level", float),
+        diurnal_amplitude=get("diurnal_amplitude", float, 0.0),
+        handover_period=get("handover_period", int, 15),
+        handover_drop=get("handover_drop", float, 0.0),
+        noise=get("noise_model" if "noise_model" in raw else "noise",
+                  lambda d: data_mod.noise_from_dict(d or {"kind": "none"}), data_mod.NoNoise()),
+        start_timestamp=get("start_timestamp", int, 0),
+    )
+    return DatasetConfig(kind="synthetic", synthetic=spec)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    seed = int(raw.get("seed", 0))
-    risk_raw = dict(raw.get("risk") or {})
-    risk = RiskBudgetConfig(
-        epsilon=float(risk_raw.get("epsilon", 0.35)),
-        tau_min=float(risk_raw.get("tau_min", 0.15)),
-        tau_max=float(risk_raw.get("tau_max", 0.40)),
-        delta=float(risk_raw.get("delta", 0.05)),
-        grid_size=int(risk_raw.get("M", 5)),
-        penalty=None if risk_raw.get("lambda") is None else float(risk_raw["lambda"]),
+    get = _section(raw, "config", _TOP_KEYS)
+    seed = get("seed", int, 0)
+    risk_get = _section(raw.get("risk"), "risk", _RISK_KEYS)
+    risk = _build(
+        "risk",
+        RiskBudgetConfig,
+        epsilon=risk_get("epsilon", float, 0.35),
+        tau_min=risk_get("tau_min", float, 0.15),
+        tau_max=risk_get("tau_max", float, 0.40),
+        delta=risk_get("delta", float, 0.05),
+        grid_size=risk_get("M", int, 5),
+        penalty=risk_get("lambda", lambda value: None if value is None else float(value), None),
     )
-    backbone_raw = dict(raw.get("backbone") or {})
-    unknown = set(backbone_raw) - {f.name for f in fields(BackboneParams)}
-    if unknown:
-        raise ConfigError(f"unknown backbone keys: {sorted(unknown)}")
-    backbone_raw.setdefault("seed", stage_seed(seed, "backbone"))
-    backbone = BackboneParams(**backbone_raw)
-    ratios = raw.get("split_ratios", (0.7, 0.15, 0.15))
-    baselines = tuple(raw.get("baselines", [METHOD_POINT, METHOD_BUDGET_SCALE]))
+    backbone_get = _section(raw.get("backbone"), "backbone", [f.name for f in fields(BackboneParams)])
+    defaults = replace(BackboneParams(), seed=stage_seed(seed, "backbone"))
+    backbone = _build("backbone", BackboneParams, **{
+        f.name: backbone_get(f.name, partial(_exact, kind=type(f.default)), getattr(defaults, f.name))
+        for f in fields(BackboneParams)
+    })
+    baselines = get("baselines", lambda names: tuple(map(str, names)), (METHOD_POINT, METHOD_BUDGET_SCALE))
     unknown = set(baselines) - {METHOD_POINT, METHOD_BUDGET_SCALE}
     if unknown:
         raise ConfigError(f"unknown baselines: {sorted(unknown)}")
     return ExperimentConfig(
-        dataset=parse_dataset_config(dict(_require(raw, "dataset", "config")), seed),
-        history=int(raw.get("L", 75)),
-        horizon=int(raw.get("H", 15)),
-        split_ratios=(float(ratios[0]), float(ratios[1]), float(ratios[2])),
+        dataset=parse_dataset_config(get("dataset", lambda value: value), seed),
+        history=get("L", int, 75),
+        horizon=get("H", int, 15),
+        split_ratios=get("split_ratios", lambda ratios: tuple(float(r) for r in ratios), (0.7, 0.15, 0.15)),
         risk=risk,
         backbone=backbone,
         baselines=baselines,
-        admission_b=float(raw.get("admission_b", 10.0)),
+        admission_b=get("admission_b", float, 10.0),
         seed=seed,
-        output_dir=str(raw.get("output_dir", "runs/experiment")),
+        output_dir=get("output_dir", str, "runs/experiment"),
     )
 
 
@@ -293,7 +339,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     _write_json(out / "config.json", config.to_dict())
     _write_json(out / "selection.json", {
         "quantile_selection": selection.to_dict(),
-        "budget_scale": scale_result.to_dict() if scale_result else None,
+        "budget_scale": asdict(scale_result) if scale_result else None,
     })
     _write_json(out / "reports.json", {
         "methods": {
@@ -301,8 +347,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
             for m in sorted(safety)
         },
     })
-    emit_report(out, "csv")
-    emit_report(out, "json")
+    emit_report(out, safety, adm)
     return bundle
 
 
@@ -315,17 +360,6 @@ class FrontierRow:
     mae: float
     mpe: float
     p95_pos_err: float
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "epsilon": self.epsilon,
-            "control": self.control,
-            "over_rate": self.over_rate,
-            "mae": self.mae,
-            "mpe": self.mpe,
-            "p95_pos_err": self.p95_pos_err,
-        }
 
 
 def run_frontier(config: ExperimentConfig, epsilons) -> list[FrontierRow]:
@@ -343,29 +377,16 @@ def run_frontier(config: ExperimentConfig, epsilons) -> list[FrontierRow]:
         controls = {METHOD_POINT: 1.0, METHOD_SAFE_QUANTILE: outcome.selection.tau_star}
         if outcome.budget_scale is not None:
             controls[METHOD_BUDGET_SCALE] = outcome.budget_scale.c_star
-        rows.extend(
-            _frontier_row(method, outcome.epsilon, controls[method], batch)
-            for method, batch in outcome.batches.items()
-        )
+        for method, batch in outcome.batches.items():
+            rep = safety_report(batch)
+            rows.append(FrontierRow(method, outcome.epsilon, float(controls[method]),
+                                    rep.over_rate, rep.mae, rep.mpe, rep.p95_pos_err))
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "frontier.json", [r.to_dict() for r in rows])
+    _write_json(out / "frontier.json", [asdict(r) for r in rows])
     _write_frontier_csv(out / "frontier.csv", rows)
     return rows
-
-
-def _frontier_row(method: str, epsilon: float, control: float, batch: PredictionBatch) -> FrontierRow:
-    rep = safety_report(batch)
-    return FrontierRow(
-        method=method,
-        epsilon=epsilon,
-        control=float(control),
-        over_rate=rep.over_rate,
-        mae=rep.mae,
-        mpe=rep.mpe,
-        p95_pos_err=rep.p95_pos_err,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,66 +394,36 @@ def _frontier_row(method: str, epsilon: float, control: float, batch: Prediction
 # ---------------------------------------------------------------------------
 
 _LONG_COLUMNS = ("method", "split", "subset", "metric", "value")
-_FRONTIER_COLUMNS = ("method", "epsilon", "control", "over_rate", "mae", "mpe", "p95_pos_err")
+_FRONTIER_COLUMNS = tuple(f.name for f in fields(FrontierRow))
 
 
-def long_rows(bundle_dir: Path) -> list[tuple]:
-    """(method, split, subset, metric, value) rows from a saved bundle."""
-    with open(bundle_dir / "reports.json", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def long_rows(safety: dict[str, SafetyReport], admission: dict[str, AdmissionReport]) -> list[tuple]:
+    """(method, split, subset, metric, value) rows from per-method test reports."""
     rows: list[tuple] = []
-    methods = doc["methods"]
-    ordered = [m for m in _METHOD_ORDER if m in methods] + sorted(set(methods) - set(_METHOD_ORDER))
-    for method in ordered:
-        entry = methods[method]
-        safety = SafetyReport.from_dict(entry["safety"])
-        adm = AdmissionReport.from_dict(entry["admission"])
+    for method in (m for m in _METHOD_ORDER if m in safety):
         for subset in SUBSET_NAMES:
-            sub = safety.subsets.get(subset)
-            if sub is not None:
-                rows.extend(
-                    (method, "test", subset, metric, sub.metric(metric))
-                    for metric in METRIC_NAMES
-                )
-            sub_adm = adm.subsets.get(subset)
-            if sub_adm is not None:
-                rows.extend(
-                    (method, "test", subset, metric, sub_adm.metric(metric))
-                    for metric in ADMISSION_METRICS
-                )
+            for report, metrics in ((safety[method], METRIC_NAMES), (admission[method], ADMISSION_METRICS)):
+                sub = report.subsets.get(subset)
+                if sub is not None:
+                    rows.extend((method, "test", subset, metric, sub.metric(metric)) for metric in metrics)
     return rows
 
 
-def emit_report(bundle_dir, fmt: str) -> list[Path]:
-    """Write the long-format metric table (and frontier, when present)."""
+def emit_report(
+    bundle_dir, safety: dict[str, SafetyReport], admission: dict[str, AdmissionReport]
+) -> list[Path]:
+    """Write the long-format metric table as CSV and JSON; returns both paths."""
     bundle_dir = Path(bundle_dir)
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown report format {fmt!r}")
-    written: list[Path] = []
-    rows = long_rows(bundle_dir)
-    if fmt == "csv":
-        path = bundle_dir / "metrics_long.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_LONG_COLUMNS)
-            for row in rows:
-                writer.writerow([*row[:4], repr(float(row[4]))])
-    else:
-        path = bundle_dir / "metrics_long.json"
-        _write_json(path, [dict(zip(_LONG_COLUMNS, row)) for row in rows])
-    written.append(path)
-
-    frontier_json = bundle_dir / "frontier.json"
-    if frontier_json.exists():
-        with open(frontier_json, encoding="utf-8") as fh:
-            frontier = json.load(fh)
-        if fmt == "csv":
-            fpath = bundle_dir / "frontier.csv"
-            _write_frontier_csv(fpath, [FrontierRow(**r) for r in frontier])
-            written.append(fpath)
-        else:
-            written.append(frontier_json)
-    return written
+    rows = long_rows(safety, admission)
+    csv_path = bundle_dir / "metrics_long.csv"
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_LONG_COLUMNS)
+        for row in rows:
+            writer.writerow([*row[:4], repr(float(row[4]))])
+    json_path = bundle_dir / "metrics_long.json"
+    _write_json(json_path, [dict(zip(_LONG_COLUMNS, row)) for row in rows])
+    return [csv_path, json_path]
 
 
 def _write_frontier_csv(path: Path, rows: list[FrontierRow]) -> None:
@@ -440,8 +431,7 @@ def _write_frontier_csv(path: Path, rows: list[FrontierRow]) -> None:
         writer = csv.writer(fh)
         writer.writerow(_FRONTIER_COLUMNS)
         for r in rows:
-            d = r.to_dict()
-            writer.writerow([d["method"], *[repr(float(d[c])) for c in _FRONTIER_COLUMNS[1:]]])
+            writer.writerow([r.method, *[repr(float(getattr(r, c))) for c in _FRONTIER_COLUMNS[1:]]])
 
 
 def _write_json(path: Path, payload) -> None:
@@ -507,12 +497,6 @@ def _cmd_frontier(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    for path in emit_report(Path(args.bundle), args.format):
-        print(f"wrote {path}")
-    return 0
-
-
 def _cmd_inspect(args) -> int:
     path = Path(args.bundle) / "selection.json"
     with open(path, encoding="utf-8") as fh:
@@ -529,8 +513,8 @@ def _cmd_inspect(args) -> int:
         scale = doc.get("budget_scale")
         if scale:
             lines.append(f"budget-scale factor: {scale['c_star']:.3f}  feasible: {scale['feasible']}")
-    except KeyError as exc:
-        raise ConfigError(f"{path} lacks key {exc}") from exc
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ConfigError(f"{path} is malformed: {type(exc).__name__} {exc}") from exc
     print("\n".join(lines))
     return 0
 
@@ -567,11 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--epsilons", default=None, help="comma-separated budgets, ascending")
     p.set_defaults(func=_cmd_frontier, stage="frontier")
-
-    p = sub.add_parser("report", help="emit metric tables from a saved bundle")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_report, stage="report")
 
     p = sub.add_parser("inspect", help="print a saved selection report")
     p.add_argument("--bundle", required=True)

@@ -193,9 +193,6 @@ class WindowedDataset:
         labels[self.cal_end :] = "test"
         return labels
 
-    def feature_vector(self, i: int) -> FeatureVector:
-        return FeatureVector(self.X[i].copy(), self.layout)
-
     def without_test(self) -> "WindowedDataset":
         """Drop the test partition (protocol guard: calibrate before seeing it)."""
         return WindowedDataset(
@@ -366,8 +363,23 @@ class CyclicScaleNoise:
         }
 
 
+_NOISE_KEYS = {
+    "none": ("kind",),
+    "uniform": ("kind", "half_width"),
+    "gaussian": ("kind", "sigma"),
+    "cyclic_scale": ("kind", "base", "period", "depth"),
+}
+
+
 def noise_from_dict(d: dict) -> NoNoise | UniformNoise | GaussianNoise | CyclicScaleNoise:
+    if not isinstance(d, dict):
+        raise InvalidSpec(f"noise spec must be a mapping, got {d!r}")
     kind = d.get("kind", "none")
+    if kind not in _NOISE_KEYS:
+        raise InvalidSpec(f"unknown noise kind {kind!r}")
+    unknown = set(d) - set(_NOISE_KEYS[kind])
+    if unknown:
+        raise InvalidSpec(f"unknown {kind} noise keys: {sorted(unknown)}")
 
     def required(key: str):
         if key not in d:
@@ -380,12 +392,10 @@ def noise_from_dict(d: dict) -> NoNoise | UniformNoise | GaussianNoise | CyclicS
         return UniformNoise(float(required("half_width")))
     if kind == "gaussian":
         return GaussianNoise(float(required("sigma")))
-    if kind == "cyclic_scale":
-        base = noise_from_dict(required("base"))
-        if isinstance(base, (NoNoise, CyclicScaleNoise)):
-            raise InvalidSpec("cyclic_scale base must be uniform or gaussian")
-        return CyclicScaleNoise(base, float(d.get("period", 3600.0)), float(d.get("depth", 0.5)))
-    raise InvalidSpec(f"unknown noise kind {kind!r}")
+    base = noise_from_dict(required("base"))
+    if isinstance(base, (NoNoise, CyclicScaleNoise)):
+        raise InvalidSpec("cyclic_scale base must be uniform or gaussian")
+    return CyclicScaleNoise(base, float(d.get("period", 3600.0)), float(d.get("depth", 0.5)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ overestimation does the most damage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,19 +115,6 @@ class SafetyReport:
             out["subsets"] = {k: v.to_dict() for k, v in self.subsets.items()}
         return out
 
-    @staticmethod
-    def from_dict(d: dict) -> "SafetyReport":
-        subsets = {k: SafetyReport.from_dict(v) for k, v in d.get("subsets", {}).items()}
-        return SafetyReport(
-            mae=d["mae"],
-            rmse=d["rmse"],
-            over_rate=d["over_rate"],
-            mpe=d["mpe"],
-            p95_pos_err=d["p95_pos_err"],
-            n_elements=d["n_elements"],
-            subsets=subsets,
-        )
-
 
 def _report_from_flat(preds: np.ndarray, truths: np.ndarray) -> SafetyReport:
     b = PredictionBatch(preds.reshape(1, -1), truths.reshape(1, -1))
@@ -151,12 +138,4 @@ def safety_report(batch: PredictionBatch, with_subsets: bool = False) -> SafetyR
         mask = subset_mask(batch, pct)
         if mask.any():
             subsets[name] = _report_from_flat(batch.preds[mask], batch.truths[mask])
-    return SafetyReport(
-        mae=top.mae,
-        rmse=top.rmse,
-        over_rate=top.over_rate,
-        mpe=top.mpe,
-        p95_pos_err=top.p95_pos_err,
-        n_elements=top.n_elements,
-        subsets=subsets,
-    )
+    return replace(top, subsets=subsets)

@@ -90,11 +90,6 @@ class TestSimulate:
         with pytest.raises(InvalidBandwidth):
             simulate(PredictionBatch(truths, truths), 0.0)
 
-    def test_round_trip_dict(self, rng):
-        truths = rng.uniform(0, 200, size=(20, 3))
-        report = simulate(PredictionBatch(truths + 9, truths), 10.0, with_subsets=True)
-        assert AdmissionReport.from_dict(report.to_dict()) == report
-
 
 class TestCompare:
     def make(self, mean, viol, p95, n=100):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +19,17 @@ from riskcast.cli import (
     config_hash,
     emit_report,
     load_config,
+    long_rows,
     main,
     run_experiment,
     run_frontier,
     stage_seed,
 )
+from riskcast.admission import AdmissionReport
 from riskcast.calibration import QuantileEvaluator, budget_scale_search, run_selection
 from riskcast.data import make_windows, generate_synthetic
 from riskcast.errors import EmptySweep
+from riskcast.metrics import SafetyReport
 
 BASE_CONFIG = {
     "dataset": {
@@ -44,6 +48,9 @@ BASE_CONFIG = {
     "admission_b": 10.0,
     "seed": 13,
 }
+
+
+SYNTH = "dataset: {kind: synthetic, length: 100, base_level: 10.0}"
 
 
 def write_config(tmp_path, overrides=None, name="config.yaml"):
@@ -236,11 +243,10 @@ class TestFrontier:
 
 
 class TestCommands:
-    def test_run_and_report_and_inspect(self, tmp_path, capsys):
+    def test_run_and_inspect(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["run", "--config", path, "--output", str(out)]) == 0
-        assert main(["report", "--bundle", str(out), "--format", "json"]) == 0
         assert main(["inspect", "--bundle", str(out)]) == 0
         captured = capsys.readouterr().out
         assert "tau_star" in captured
@@ -254,11 +260,26 @@ class TestCommands:
 
     @pytest.mark.parametrize("text, key", [
         ("dataset: {kind: nope}", "nope"),
-        ("dataset: {kind: synthetic, length: 100, base_level: 10.0}\nbackbone: {n_tree: 3}", "n_tree"),
+        (f"{SYNTH}\nbackbone: {{n_tree: 3}}", "n_tree"),
         ("dataset: {kind: synthetic, length: 100, base_level: 10.0, noise: {kind: gaussian}}", "sigma"),
         ("dataset: {kind: synthetic, length: 100, base_level: 10.0, noise: {kind: uniform}}", "half_width"),
         ("dataset: {kind: synthetic, length: 100, base_level: 10.0, noise: {kind: cyclic_scale}}", "base"),
-    ], ids=["dataset-kind", "backbone-key", "gaussian-sigma", "uniform-half-width", "cyclic-base"])
+        (f"{SYNTH}\nrisk: {{epsilom: 0.05}}", "epsilom"),
+        (f"{SYNTH}\nHh: 3", "Hh"),
+        (f"{SYNTH}\nadmision_b: 20", "admision_b"),
+        ("dataset: {kind: synthetic, lenght: 100, length: 100, base_level: 10.0}", "lenght"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0,\n"
+         "          noise: {kind: gaussian, sigma: 3, sigmaa: 3}}", "sigmaa"),
+        (f"{SYNTH}\nbackbone: 5", "backbone"),
+        (f"{SYNTH}\nrisk: 0.3", "risk"),
+        ("dataset: [1, 2]", "dataset"),
+        (f"{SYNTH}\nrisk: {{M: null}}", "M"),
+        (f"{SYNTH}\nbackbone: {{n_trees: '40'}}", "n_trees"),
+        (f"{SYNTH}\nbaselines: [[1]]", "baselines"),
+    ], ids=["dataset-kind", "backbone-key", "gaussian-sigma", "uniform-half-width", "cyclic-base",
+            "risk-key", "top-key", "top-key-admission", "dataset-key", "noise-key",
+            "backbone-not-mapping", "risk-not-mapping", "dataset-not-mapping", "risk-null-value",
+            "backbone-string-value", "baselines-list-value"])
     def test_run_with_bad_config_fails_with_stage(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text + "\n")
@@ -272,15 +293,26 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["run", "--config", write_config(tmp_path), "--format", "json"])
 
+    def test_report_command_is_removed(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["report", "--bundle", str(tmp_path)])
+
     def test_inspect_malformed_selection_fails_with_stage(self, tmp_path, capsys):
+        self.check_inspect_fails(tmp_path, capsys, {"tau_star": 0.3}, "boundary")
+
+    def test_inspect_null_boundary_fails_with_stage(self, tmp_path, capsys):
+        self.check_inspect_fails(tmp_path, capsys, {"tau_star": 0.3, "boundary": None}, "NoneType")
+
+    @staticmethod
+    def check_inspect_fails(tmp_path, capsys, selection, fragment):
         (tmp_path / "selection.json").write_text(json.dumps(
-            {"quantile_selection": {"tau_star": 0.3}, "budget_scale": None}
+            {"quantile_selection": selection, "budget_scale": None}
         ))
         code = main(["inspect", "--bundle", str(tmp_path)])
         assert code == 2
         captured = capsys.readouterr()
         assert "error [inspect]" in captured.err
-        assert "boundary" in captured.err
+        assert fragment in captured.err
         assert captured.out == ""
 
     def test_missing_file_fails(self, tmp_path, capsys):
@@ -298,45 +330,29 @@ class TestCommands:
 
 
 class TestEmitReport:
-    def test_absent_subsets_are_omitted_not_zero_filled(self, tmp_path):
-        report = {
-            "mae": 1.0, "rmse": 1.5, "over_rate": 0.2, "mpe": 0.5,
-            "p95_pos_err": 2.0, "n_elements": 10,
-            "subsets": {
-                "all": {"mae": 1.0, "rmse": 1.5, "over_rate": 0.2, "mpe": 0.5,
-                        "p95_pos_err": 2.0, "n_elements": 10},
-                # no p30/p10 entries
-            },
-        }
-        admission = {"mean_dropped": 0.1, "violation_rate": 0.1, "p95_dropped": 1.0,
-                     "n_slots": 10}
-        (tmp_path / "reports.json").write_text(json.dumps(
-            {"methods": {"safe_quantile": {"safety": report, "admission": admission}}}
-        ))
-        from riskcast.cli import long_rows
-
-        rows = long_rows(tmp_path)
+    def test_absent_subsets_are_omitted_not_zero_filled(self):
+        top = SafetyReport(mae=1.0, rmse=1.5, over_rate=0.2, mpe=0.5, p95_pos_err=2.0, n_elements=10)
+        adm = AdmissionReport(mean_dropped=0.1, violation_rate=0.1, p95_dropped=1.0, n_slots=10)
+        # no p30/p10 entries
+        rows = long_rows({"safe_quantile": replace(top, subsets={"all": top})},
+                         {"safe_quantile": replace(adm, subsets={"all": adm})})
         subsets = {r[2] for r in rows}
         assert subsets == {"all"}
 
     def test_round_trip_values(self, tmp_path):
         config = load_config(write_config(tmp_path), output_dir=str(tmp_path / "out"))
         bundle = run_experiment(config)
-        emit_report(bundle.output_dir, "csv")
-        with open(bundle.output_dir / "metrics_long.csv", newline="") as fh:
+        out = bundle.output_dir
+        before = {name: (out / name).read_bytes() for name in ("metrics_long.csv", "metrics_long.json")}
+        paths = emit_report(out, bundle.safety, bundle.admission)
+        assert paths == [out / "metrics_long.csv", out / "metrics_long.json"]
+        assert {p.name: p.read_bytes() for p in paths} == before
+        with open(out / "metrics_long.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         parsed = {(r[0], r[2], r[3]): float(r[4]) for r in rows[1:]}
         assert parsed[("safe_quantile", "all", "p95_pos_err")] == (
             bundle.safety["safe_quantile"].p95_pos_err
         )
-
-    def test_unknown_format(self, tmp_path):
-        config = load_config(write_config(tmp_path), output_dir=str(tmp_path / "out"))
-        run_experiment(config)
-        from riskcast.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            emit_report(config.output_dir, "xml")
 
 
 def test_cli_import_does_not_load_scipy():

@@ -196,12 +196,3 @@ class TestSafetyReport:
         report = safety_report(batch, with_subsets=True)
         assert report.subsets["all"].mae == report.mae
         assert report.subsets["all"].n_elements == report.n_elements
-
-    def test_round_trip_dict(self, rng):
-        truths = rng.uniform(0, 100, size=(30, 5))
-        preds = truths + rng.normal(0, 10, size=truths.shape)
-        report = safety_report(PredictionBatch(preds, truths), with_subsets=True)
-        from riskcast.metrics import SafetyReport
-
-        back = SafetyReport.from_dict(report.to_dict())
-        assert back == report
