@@ -7,6 +7,10 @@ fitting follows standard quantile boosting: trees are grown on the pinball
 subgradient with a unit curvature surrogate (the true second derivative is
 zero almost everywhere), then each leaf value is refit to the tau-quantile of
 the residuals that landed in it.
+
+Trees are grown exactly, level by level, over (feature, bin) histograms of
+a training split that is binned once (`Samples.binned`); every split and
+leaf equals what a node-at-a-time scan of the same bins would pick.
 """
 
 from __future__ import annotations
@@ -160,88 +164,176 @@ def _bin_features(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return binned, cuts
 
 
+@dataclass(frozen=True)
+class _WidthGroup:
+    """Features whose bin count fits in `width`, a power of two.
+
+    Their histograms lie side by side from cell `start` on, `width` cells
+    per feature; valid[k, b] marks the split candidates, the bins below
+    feature k's cut count.
+    """
+
+    features: np.ndarray
+    width: int
+    start: int
+    valid: np.ndarray
+
+
+@dataclass(frozen=True)
+class BinnedFeatures:
+    """A feature matrix binned once for the tree trainer.
+
+    codes[i, j] is the bin of X[i, j], and a split at bin b of feature j
+    sends x <= cuts[j][b] left, so on the binned rows a tree routes exactly
+    as DecisionTree.predict does on X. Features with at least one cut are
+    grouped by bin width, so a node's histogram is scanned at each group's
+    width instead of padding every feature to the widest. cells[i] holds
+    the histogram cell of each such feature's bin in row i, out of n_cells.
+    """
+
+    codes: np.ndarray
+    cuts: list[np.ndarray]
+    groups: tuple[_WidthGroup, ...]
+    cells: np.ndarray
+    n_cells: int
+
+    @staticmethod
+    def of(X: np.ndarray) -> "BinnedFeatures":
+        codes, cuts = _bin_features(np.asarray(X, dtype=np.float64))
+        n_cuts = np.asarray([c.size for c in cuts], dtype=np.int64)
+        widths = np.asarray([1 << int(c).bit_length() for c in n_cuts], dtype=np.int64)
+        groups, blocks, start = [], [], 0
+        for width in np.unique(widths[n_cuts > 0]).tolist():
+            features = np.flatnonzero((widths == width) & (n_cuts > 0))
+            valid = np.arange(width - 1)[None, :] < n_cuts[features][:, None]
+            groups.append(_WidthGroup(features, width, start, valid))
+            blocks.append(codes[:, features] + (start + np.arange(features.size, dtype=np.int64) * width))
+            start += features.size * width
+        cells = np.hstack(blocks) if blocks else np.empty((len(codes), 0), dtype=np.int64)
+        return BinnedFeatures(codes, cuts, tuple(groups), cells, start)
+
+
+def _best_splits(
+    binned: BinnedFeatures, nodes: list[np.ndarray], grad: np.ndarray, min_samples_leaf: int
+) -> list[tuple[int, int] | None]:
+    """Best (feature, bin) split of each node at one depth, or None for a leaf.
+
+    One bincount covers every node. Each histogram cell sums its node's rows
+    in ascending row order, and cumsum and gain are taken element for
+    element, so every gain is bit-identical to a node-at-a-time scan of a
+    (feature, bin) grid; as that grid's row-major argmax does, ties go to
+    the lowest feature index, then the lowest bin.
+    """
+    k = len(nodes)
+    sizes = np.asarray([idx.size for idx in nodes], dtype=np.int64)
+    total_g = np.asarray([grad[idx].sum() for idx in nodes], dtype=np.float64)
+    base_score = total_g * total_g / sizes
+    rows = np.concatenate(nodes)
+    flat = binned.cells[rows]
+    flat += np.repeat(np.arange(k, dtype=np.int64) * binned.n_cells, sizes)[:, None]
+    flat = flat.ravel()
+    weights = np.repeat(grad[rows], binned.cells.shape[1])
+    hist_g = np.bincount(flat, weights=weights, minlength=k * binned.n_cells).reshape(k, -1)
+    hist_n = np.bincount(flat, minlength=k * binned.n_cells).reshape(k, -1)
+    n = sizes[:, None, None]
+    best_gain = np.full(k, -np.inf)
+    best_feature = np.full(k, binned.codes.shape[1], dtype=np.int64)
+    best_bin = np.zeros(k, dtype=np.int64)
+    any_ok = np.zeros(k, dtype=bool)
+    for group in binned.groups:
+        m, width = group.features.size, group.width
+        cells = slice(group.start, group.start + m * width)
+        cum_g = hist_g[:, cells].reshape(k, m, width).cumsum(axis=2)[:, :, :-1]
+        cum_n = hist_n[:, cells].reshape(k, m, width).cumsum(axis=2)[:, :, :-1]
+        n_right = n - cum_n
+        ok = (cum_n >= min_samples_leaf) & (n_right >= min_samples_leaf) & group.valid
+        any_ok |= ok.any(axis=(1, 2))
+        g_right = total_g[:, None, None] - cum_g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.where(
+                ok,
+                cum_g**2 / np.maximum(cum_n, 1)
+                + g_right**2 / np.maximum(n_right, 1)
+                - base_score[:, None, None],
+                -np.inf,
+            ).reshape(k, -1)
+        pos = gain.argmax(axis=1)
+        gain_at = gain[np.arange(k), pos]
+        feature = group.features[pos // (width - 1)]
+        better = (gain_at > best_gain) | ((gain_at == best_gain) & (feature < best_feature))
+        best_gain = np.where(better, gain_at, best_gain)
+        best_feature = np.where(better, feature, best_feature)
+        best_bin = np.where(better, pos % (width - 1), best_bin)
+    return [
+        (int(best_feature[s]), int(best_bin[s]))
+        if any_ok[s] and best_gain[s] > 1e-9 * max(1.0, abs(base_score[s]))
+        else None
+        for s in range(k)
+    ]
+
+
 def _grow_tree(
-    binned: np.ndarray,
-    cuts: list[np.ndarray],
+    binned: BinnedFeatures,
+    rows: np.ndarray,
     grad: np.ndarray,
     resid: np.ndarray,
     tau: float | None,
     max_depth: int,
     min_samples_leaf: int,
-) -> DecisionTree:
-    n_feat = binned.shape[1]
-    n_cuts = np.asarray([c.size for c in cuts], dtype=np.int64)
-    n_bins = int(n_cuts.max(initial=0)) + 1
-    offsets = np.arange(n_feat, dtype=np.int64) * n_bins
-    bin_ids = np.arange(n_bins - 1, dtype=np.int64)[None, :] if n_bins > 1 else None
+) -> tuple[DecisionTree, np.ndarray]:
+    """Grow one tree level by level over `rows` (ascending row indices).
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+    Nodes are numbered breadth-first. Returns the tree and the leaf of each
+    row in `rows` (other entries are unset).
+    """
+    feature = [-1]
+    threshold = [0.0]
+    left = [-1]
+    right = [-1]
+    value = [0.0]
+    leaf_of = np.empty(len(grad), dtype=np.int64)
 
-    def leaf_value(idx: np.ndarray) -> float:
+    def make_leaf(node: int, idx: np.ndarray) -> None:
         r = resid[idx]
-        return float(np.quantile(r, tau)) if tau is not None else float(r.mean())
+        value[node] = float(np.quantile(r, tau)) if tau is not None else float(r.mean())
+        leaf_of[idx] = node
 
-    def add_leaf(idx: np.ndarray) -> int:
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(leaf_value(idx))
-        return node
+    def add_node() -> int:
+        for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (value, 0.0)):
+            column.append(blank)
+        return len(feature) - 1
 
-    def build(idx: np.ndarray, depth: int) -> int:
-        n = idx.size
-        if depth >= max_depth or n < 2 * min_samples_leaf or bin_ids is None:
-            return add_leaf(idx)
-        g = grad[idx]
-        total_g = g.sum()
-        flat = (binned[idx].astype(np.int64) + offsets).ravel()
-        hist_g = np.bincount(flat, weights=np.repeat(g, n_feat), minlength=n_feat * n_bins)
-        hist_n = np.bincount(flat, minlength=n_feat * n_bins)
-        cum_g = hist_g.reshape(n_feat, n_bins).cumsum(axis=1)[:, :-1]
-        cum_n = hist_n.reshape(n_feat, n_bins).cumsum(axis=1)[:, :-1]
-        n_right = n - cum_n
-        ok = (cum_n >= min_samples_leaf) & (n_right >= min_samples_leaf)
-        ok &= bin_ids < n_cuts[:, None]
-        if not ok.any():
-            return add_leaf(idx)
-        g_right = total_g - cum_g
-        base_score = total_g * total_g / n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = np.where(
-                ok,
-                cum_g**2 / np.maximum(cum_n, 1) + g_right**2 / np.maximum(n_right, 1) - base_score,
-                -np.inf,
-            )
-        best = int(np.argmax(gain))
-        best_gain = gain.ravel()[best]
-        if best_gain <= 1e-9 * max(1.0, abs(base_score)):
-            return add_leaf(idx)
-        f_best, b_best = divmod(best, n_bins - 1)
-        go_left = binned[idx, f_best] <= b_best
-        node = len(feature)
-        feature.append(f_best)
-        threshold.append(float(cuts[f_best][b_best]))
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        left[node] = build(idx[go_left], depth + 1)
-        right[node] = build(idx[~go_left], depth + 1)
-        return node
-
-    build(np.arange(binned.shape[0], dtype=np.int64), 0)
-    return DecisionTree(
+    level = [(0, rows)]
+    for depth in range(max_depth + 1):
+        growing = []
+        for node, idx in level:
+            if depth >= max_depth or idx.size < 2 * min_samples_leaf or not binned.groups:
+                make_leaf(node, idx)
+            else:
+                growing.append((node, idx))
+        if not growing:
+            break
+        splits = _best_splits(binned, [idx for _, idx in growing], grad, min_samples_leaf)
+        level = []
+        for (node, idx), split in zip(growing, splits):
+            if split is None:
+                make_leaf(node, idx)
+                continue
+            f, b = split
+            go_left = binned.codes[idx, f] <= b
+            feature[node] = f
+            threshold[node] = float(binned.cuts[f][b])
+            left[node] = add_node()
+            right[node] = add_node()
+            level += [(left[node], idx[go_left]), (right[node], idx[~go_left])]
+    tree = DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
         value=np.asarray(value, dtype=np.float64),
     )
+    return tree, leaf_of
 
 
 @dataclass
@@ -277,6 +369,7 @@ class BoostedTreesRegressor:
 
 def _fit_boosted_column(
     X: np.ndarray,
+    binned: BinnedFeatures,
     y: np.ndarray,
     tau: float | None,
     params: BackboneParams,
@@ -285,7 +378,7 @@ def _fit_boosted_column(
     n = len(y)
     base = float(np.quantile(y, tau)) if tau is not None else float(y.mean())
     model = BoostedTreesRegressor(base_score=base, learning_rate=params.learning_rate)
-    binned, cuts = _bin_features(X)
+    all_rows = np.arange(n, dtype=np.int64)
     pred = np.full(n, base, dtype=np.float64)
     for _ in range(params.n_trees):
         resid = y - pred
@@ -295,15 +388,14 @@ def _fit_boosted_column(
         if params.subsample < 1.0:
             m = max(1, int(round(params.subsample * n)))
             rows = np.sort(rng.choice(n, size=m, replace=False))
-            tree = _grow_tree(
-                binned[rows], cuts, grad[rows], resid[rows], tau,
-                params.max_depth, params.min_samples_leaf,
-            )
+            tree, _ = _grow_tree(binned, rows, grad, resid, tau, params.max_depth, params.min_samples_leaf)
+            step = tree.predict(X)
         else:
-            tree = _grow_tree(
-                binned, cuts, grad, resid, tau, params.max_depth, params.min_samples_leaf
+            tree, leaf_of = _grow_tree(
+                binned, all_rows, grad, resid, tau, params.max_depth, params.min_samples_leaf
             )
-        pred += params.learning_rate * tree.predict(X)
+            step = tree.value[leaf_of]
+        pred += params.learning_rate * step
         model.trees.append(tree)
     return model
 
@@ -445,7 +537,7 @@ def _train(train: Samples, tau: float | None, objective: str, params: BackbonePa
     for h in range(Y.shape[1]):
         if params.kind == "boosted_trees":
             rng = np.random.default_rng([params.seed, h])
-            models.append(_fit_boosted_column(X, Y[:, h], tau, params, rng))
+            models.append(_fit_boosted_column(X, train.binned, Y[:, h], tau, params, rng))
         else:
             models.append(_fit_linear_column(X, Y[:, h], tau, params))
     return QuantileModel(

@@ -147,6 +147,20 @@ def _exact(value, kind: type):
     return value
 
 
+def _at_least_one(value) -> int:
+    value = int(value)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_finite(value) -> float:
+    value = float(value)
+    if not 0.0 < value < float("inf"):
+        raise ValueError(f"must be a finite number > 0, got {value}")
+    return value
+
+
 def parse_dataset_config(raw, seed: int) -> DatasetConfig:
     kind = _section(raw, "dataset")("kind", str)
     if kind not in _DATASET_KEYS:
@@ -199,13 +213,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown baselines: {sorted(unknown)}")
     return ExperimentConfig(
         dataset=parse_dataset_config(get("dataset", lambda value: value), seed),
-        history=get("L", int, 75),
-        horizon=get("H", int, 15),
-        split_ratios=get("split_ratios", lambda ratios: tuple(float(r) for r in ratios), (0.7, 0.15, 0.15)),
+        history=get("L", _at_least_one, 75),
+        horizon=get("H", _at_least_one, 15),
+        split_ratios=get("split_ratios", data_mod.check_split_ratios, (0.7, 0.15, 0.15)),
         risk=risk,
         backbone=backbone,
         baselines=baselines,
-        admission_b=get("admission_b", float, 10.0),
+        admission_b=get("admission_b", _positive_finite, 10.0),
         seed=seed,
         output_dir=get("output_dir", str, "runs/experiment"),
     )

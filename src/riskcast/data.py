@@ -13,6 +13,7 @@ import csv
 import math
 import statistics
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,8 +133,20 @@ class Samples:
     origin_index: np.ndarray
     layout: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "X", _freeze(self.X))
+        object.__setattr__(self, "Y", _freeze(self.Y))
+        object.__setattr__(self, "origin_index", _freeze(self.origin_index))
+
     def __len__(self) -> int:
         return len(self.X)
+
+    @cached_property
+    def binned(self):
+        """X binned for the tree trainer, once per split; X is frozen, so it stays valid."""
+        from .backbone import BinnedFeatures  # deferred: backbone imports this module
+
+        return BinnedFeatures.of(self.X)
 
 
 @dataclass(frozen=True)
@@ -215,6 +228,14 @@ def build_layout(history: int, aux_keys: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(names)
 
 
+def check_split_ratios(split_ratios) -> tuple[float, float, float]:
+    """The (train, calibration, test) fractions as floats; all three positive, summing to 1."""
+    ratios = tuple(float(r) for r in split_ratios)
+    if len(ratios) != 3 or any(not r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"split_ratios must be three positive fractions summing to 1, got {list(ratios)}")
+    return ratios
+
+
 def make_windows(
     trace: Trace,
     history: int,
@@ -229,9 +250,7 @@ def make_windows(
     """
     if history < 1 or horizon < 1:
         raise ValueError("history and horizon must be >= 1")
-    ratios = tuple(float(r) for r in split_ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split_ratios must be three positive fractions summing to 1")
+    ratios = check_split_ratios(split_ratios)
     n = len(trace) - history - horizon + 1
     if n < 1:
         raise TraceTooShort(

@@ -4,9 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_trainer
 from riskcast.backbone import (
     BackboneParams,
+    BinnedFeatures,
     BoostedTreesRegressor,
     DecisionTree,
     LinearRegressor,
@@ -17,6 +21,8 @@ from riskcast.backbone import (
     pinball_subgradient,
     predict,
     save_model,
+    _fit_boosted_column,
+    _grow_tree,
     train_point_model,
     train_quantile_model,
 )
@@ -245,6 +251,70 @@ class TestTraining:
             preds = model.predict(held.X, held.layout)
             below = np.mean(held.Y < preds)
             assert abs(below - tau) <= 0.05
+
+
+COLUMN_KINDS = ("constant", "two_valued", "tied", "many")
+
+
+def make_column(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
+    if kind == "constant":
+        return np.full(n, 2.5)
+    if kind == "two_valued":
+        return rng.integers(0, 2, size=n) * 3.0
+    if kind == "tied":
+        return rng.integers(0, 9, size=n) * 0.25
+    return rng.normal(size=n)  # more than 256 distinct values once n > 256
+
+
+class TestExactTrainer:
+    """The level-wise trainer against the recursive one it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 600),
+        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5),
+        tau=st.sampled_from([0.1, 0.5, 0.9, None]),
+        subsample=st.sampled_from([1.0, 0.8]),
+        max_depth=st.integers(1, 6),
+        min_samples_leaf=st.sampled_from([1, 7, 40, 10_000]),
+        n_trees=st.integers(1, 4),
+    )
+    @example(seed=1, n=600, kinds=["many", "tied", "two_valued", "constant"], tau=0.1,
+             subsample=0.8, max_depth=6, min_samples_leaf=7, n_trees=3)
+    @example(seed=2, n=400, kinds=["tied", "many"], tau=None,
+             subsample=1.0, max_depth=5, min_samples_leaf=1, n_trees=3)
+    def test_matches_reference_trainer(
+        self, seed, n, kinds, tau, subsample, max_depth, min_samples_leaf, n_trees
+    ):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([make_column(k, rng, n) for k in kinds])
+        held = np.column_stack([make_column(k, rng, 50) for k in kinds])
+        y = np.round(rng.normal(100.0, 20.0, size=n), 1) + 4.0 * X[:, 0]
+        params = BackboneParams(n_trees=n_trees, max_depth=max_depth, learning_rate=0.5,
+                                min_samples_leaf=min_samples_leaf, subsample=subsample)
+        model = _fit_boosted_column(X, BinnedFeatures.of(X), y, tau, params, np.random.default_rng(seed))
+        oracle = reference_trainer.fit_boosted_column(X, y, tau, params, np.random.default_rng(seed))
+        assert [t.feature.size for t in model.trees] == [t.feature.size for t in oracle.trees]
+        assert np.array_equal(model.predict(X), oracle.predict(X))
+        assert np.array_equal(model.predict(held), oracle.predict(held))
+
+    @pytest.mark.parametrize("wide_first", [True, False])
+    def test_equal_gains_across_width_groups_go_to_the_lower_feature(self, wide_first):
+        # Both features split the rows into the same halves at their best bin,
+        # with exact sums, so the two gains are equal; they sit in the width-4
+        # and width-2 groups.
+        level = np.repeat([0.0, 1.0, 2.0, 3.0], 25)
+        flag = (level >= 2.0) * 1.0
+        X = np.column_stack([level, flag] if wide_first else [flag, level])
+        resid = np.where(flag > 0, 5.0, -5.0)
+        binned = BinnedFeatures.of(X)
+        assert sorted(g.width for g in binned.groups) == [2, 4]
+        tree, _ = _grow_tree(binned, np.arange(len(X)), -resid, resid, None, 1, 1)
+        codes, cuts = reference_trainer._bin_features(X)
+        oracle = reference_trainer._grow_tree(codes, cuts, -resid, resid, None, 1, 1)
+        assert tree.feature[0] == oracle.feature[0] == 0
+        assert tree.threshold[0] == oracle.threshold[0] == (1.5 if wide_first else 0.5)
 
 
 class TestParams:

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 import yaml
 
+import riskcast.backbone
 from riskcast.cli import (
     DEFAULT_EPSILONS,
+    calibrate_budgets,
     ExperimentConfig,
     config_from_dict,
     config_hash,
@@ -185,6 +187,21 @@ class TestProtocolSeparation:
         assert results[0] == results[1]
 
 
+class TestCalibrateBudgets:
+    def test_bins_the_training_split_once(self, tmp_path, monkeypatch):
+        shapes = []
+        bin_features = riskcast.backbone._bin_features
+        monkeypatch.setattr(riskcast.backbone, "_bin_features",
+                            lambda X: shapes.append(X.shape) or bin_features(X))
+        config = load_config(write_config(tmp_path))
+        dataset = make_windows(generate_synthetic(config.dataset.synthetic),
+                               config.history, config.horizon, config.split_ratios)
+        outcomes = calibrate_budgets(config, dataset, [0.25, 0.35])
+        quantile_fits = sum(o.selection.n_trainings for o in outcomes)
+        assert quantile_fits >= 2  # plus the point model, all on one training split
+        assert shapes == [dataset.train.X.shape]
+
+
 class TestDeterminism:
     def test_two_runs_are_byte_identical(self, tmp_path):
         path = write_config(tmp_path)
@@ -276,10 +293,21 @@ class TestCommands:
         (f"{SYNTH}\nrisk: {{M: null}}", "M"),
         (f"{SYNTH}\nbackbone: {{n_trees: '40'}}", "n_trees"),
         (f"{SYNTH}\nbaselines: [[1]]", "baselines"),
+        (f"{SYNTH}\nadmission_b: 0", "admission_b"),
+        (f"{SYNTH}\nadmission_b: -2.5", "admission_b"),
+        (f"{SYNTH}\nadmission_b: .nan", "admission_b"),
+        (f"{SYNTH}\nadmission_b: .inf", "admission_b"),
+        (f"{SYNTH}\nL: 0", "config.L"),
+        (f"{SYNTH}\nH: 0", "config.H"),
+        (f"{SYNTH}\nsplit_ratios: [0.5, 0.5]", "split_ratios"),
+        (f"{SYNTH}\nsplit_ratios: [0.8, 0.3, -0.1]", "split_ratios"),
+        (f"{SYNTH}\nsplit_ratios: [0.5, 0.2, 0.2]", "split_ratios"),
     ], ids=["dataset-kind", "backbone-key", "gaussian-sigma", "uniform-half-width", "cyclic-base",
             "risk-key", "top-key", "top-key-admission", "dataset-key", "noise-key",
             "backbone-not-mapping", "risk-not-mapping", "dataset-not-mapping", "risk-null-value",
-            "backbone-string-value", "baselines-list-value"])
+            "backbone-string-value", "baselines-list-value", "admission-b-zero", "admission-b-negative",
+            "admission-b-nan", "admission-b-inf", "history-zero", "horizon-zero",
+            "split-ratios-length", "split-ratios-negative", "split-ratios-sum"])
     def test_run_with_bad_config_fails_with_stage(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text + "\n")

@@ -9,6 +9,7 @@ from riskcast.data import (
     CyclicScaleNoise,
     GaussianNoise,
     NoNoise,
+    Samples,
     SyntheticSpec,
     Trace,
     UniformNoise,
@@ -284,3 +285,13 @@ class TestTraceInvariants:
         trace = constant_trace(10)
         with pytest.raises(ValueError):
             trace.throughput[0] = 5.0
+
+    def test_samples_arrays_are_read_only(self):
+        samples = Samples(np.zeros((4, 2)), np.zeros((4, 1)), np.arange(4), ("a", "b"))
+        for write in (
+            lambda: samples.X.__setitem__((0, 0), 1.0),
+            lambda: samples.Y.__setitem__((0, 0), 1.0),
+            lambda: samples.origin_index.__setitem__(0, 9),
+        ):
+            with pytest.raises(ValueError):
+                write()
