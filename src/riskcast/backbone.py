@@ -10,13 +10,18 @@ the residuals that landed in it.
 
 Trees are grown exactly, level by level, over (feature, bin) histograms of
 a training split that is binned once (`Samples.binned`); every split and
-leaf equals what a node-at-a-time scan of the same bins would pick.
+leaf equals what a node-at-a-time scan of the same bins would pick. Count
+histograms are integers, so they are shared and subtracted without changing
+any sum: the root's is counted once per split, and the larger of two
+growing siblings takes its parent's minus the smaller one's.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -202,39 +207,69 @@ class BinnedFeatures:
         codes, cuts = _bin_features(np.asarray(X, dtype=np.float64))
         n_cuts = np.asarray([c.size for c in cuts], dtype=np.int64)
         widths = np.asarray([1 << int(c).bit_length() for c in n_cuts], dtype=np.int64)
-        groups, blocks, start = [], [], 0
+        # C order, so gathering a node's rows copies whole rows.
+        cells = np.empty((len(codes), int(np.count_nonzero(n_cuts))), dtype=np.int64)
+        groups, start, column = [], 0, 0
         for width in np.unique(widths[n_cuts > 0]).tolist():
             features = np.flatnonzero((widths == width) & (n_cuts > 0))
             valid = np.arange(width - 1)[None, :] < n_cuts[features][:, None]
             groups.append(_WidthGroup(features, width, start, valid))
-            blocks.append(codes[:, features] + (start + np.arange(features.size, dtype=np.int64) * width))
+            offsets = start + np.arange(features.size, dtype=np.int64) * width
+            cells[:, column : column + features.size] = codes[:, features] + offsets
             start += features.size * width
-        cells = np.hstack(blocks) if blocks else np.empty((len(codes), 0), dtype=np.int64)
+            column += features.size
         return BinnedFeatures(codes, cuts, tuple(groups), cells, start)
+
+    @cached_property
+    def root_counts(self) -> np.ndarray:
+        """Rows per histogram cell over all rows: the root of every unsampled tree."""
+        return np.bincount(self.cells.ravel(), minlength=self.n_cells)
 
 
 def _best_splits(
-    binned: BinnedFeatures, nodes: list[np.ndarray], grad: np.ndarray, min_samples_leaf: int
-) -> list[tuple[int, int] | None]:
+    binned: BinnedFeatures,
+    nodes: list[np.ndarray],
+    grad: np.ndarray,
+    min_samples_leaf: int,
+    parents: list[np.ndarray],
+) -> tuple[list[tuple[int, int] | None], np.ndarray]:
     """Best (feature, bin) split of each node at one depth, or None for a leaf.
 
-    One bincount covers every node. Each histogram cell sums its node's rows
-    in ascending row order, and cumsum and gain are taken element for
-    element, so every gain is bit-identical to a node-at-a-time scan of a
-    (feature, bin) grid; as that grid's row-major argmax does, ties go to
-    the lowest feature index, then the lowest bin.
+    One weighted bincount covers every node. Each histogram cell sums its
+    node's rows in ascending row order, and cumsum and gain are taken element
+    for element, so every gain is bit-identical to a node-at-a-time scan of
+    a (feature, bin) grid; as that grid's row-major argmax does, ties go to
+    the lowest feature index, then the lowest bin. The order of `nodes` only
+    decides which histogram row each node uses.
+
+    Count histograms are exact integers, so the last len(parents) nodes are
+    not counted: each takes its parent's counts, parents[j], minus those of
+    its smaller sibling, nodes[j]. The root, whose counts are the split's,
+    is the one such node without a sibling, and is alone at its depth. Also
+    returns every node's count histogram, one row per node.
     """
     k = len(nodes)
+    counted = k - len(parents)
     sizes = np.asarray([idx.size for idx in nodes], dtype=np.int64)
     total_g = np.asarray([grad[idx].sum() for idx in nodes], dtype=np.float64)
     base_score = total_g * total_g / sizes
     rows = np.concatenate(nodes)
-    flat = binned.cells[rows]
-    flat += np.repeat(np.arange(k, dtype=np.int64) * binned.n_cells, sizes)[:, None]
-    flat = flat.ravel()
-    weights = np.repeat(grad[rows], binned.cells.shape[1])
+    per_row = binned.cells.shape[1]
+    if k == 1 and rows.size == len(binned.codes):  # the root, holding every row in order
+        flat = binned.cells.ravel()
+    else:
+        flat = binned.cells[rows]
+        flat += np.repeat(np.arange(k, dtype=np.int64) * binned.n_cells, sizes)[:, None]
+        flat = flat.ravel()
+    weights = np.repeat(grad[rows], per_row)
     hist_g = np.bincount(flat, weights=weights, minlength=k * binned.n_cells).reshape(k, -1)
-    hist_n = np.bincount(flat, minlength=k * binned.n_cells).reshape(k, -1)
+    hist_n = np.empty((k, binned.n_cells), dtype=np.int64)
+    prefix = flat[: int(sizes[:counted].sum()) * per_row]  # the counted nodes' rows
+    hist_n[:counted] = np.bincount(prefix, minlength=counted * binned.n_cells).reshape(-1, binned.n_cells)
+    if parents:
+        hist_n[counted:] = parents
+        if counted:
+            hist_n[counted:] -= hist_n[: len(parents)]
     n = sizes[:, None, None]
     best_gain = np.full(k, -np.inf)
     best_feature = np.full(k, binned.codes.shape[1], dtype=np.int64)
@@ -264,12 +299,31 @@ def _best_splits(
         best_gain = np.where(better, gain_at, best_gain)
         best_feature = np.where(better, feature, best_feature)
         best_bin = np.where(better, pos % (width - 1), best_bin)
-    return [
+    splits = [
         (int(best_feature[s]), int(best_bin[s]))
         if any_ok[s] and best_gain[s] > 1e-9 * max(1.0, abs(base_score[s]))
         else None
         for s in range(k)
     ]
+    return splits, hist_n
+
+
+def _leaf_quantile(r: np.ndarray, tau: float) -> float:
+    """float(np.quantile(r, tau)), bit for bit, from one in-place partition of r.
+
+    This is numpy's 'linear' method as written. The partition takes numpy's
+    own kth set, so ties between -0.0 and 0.0 land as numpy's do.
+    """
+    n = r.size
+    v = (n - 1) * tau
+    lo = math.floor(v)
+    if lo >= n - 1:
+        r.partition([-1, 0])
+        return float(r[-1])
+    r.partition(sorted({-1, 0, lo, lo + 1}))
+    a, b = float(r[lo]), float(r[lo + 1])
+    t = v - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _grow_tree(
@@ -295,7 +349,7 @@ def _grow_tree(
 
     def make_leaf(node: int, idx: np.ndarray) -> None:
         r = resid[idx]
-        value[node] = float(np.quantile(r, tau)) if tau is not None else float(r.mean())
+        value[node] = _leaf_quantile(r, tau) if tau is not None else float(r.mean())
         leaf_of[idx] = node
 
     def add_node() -> int:
@@ -303,19 +357,38 @@ def _grow_tree(
             column.append(blank)
         return len(feature) - 1
 
-    level = [(0, rows)]
+    # A level holds sets of siblings with their parent's count histogram,
+    # None for the root of a subsampled tree. Where the parent's counts are
+    # known and every sibling grows, the largest takes its counts by
+    # subtraction and the smaller is counted; the rest are counted alone.
+    # Node ids follow `growing`, whatever order _best_splits sees them in.
+    root_counts = binned.root_counts if rows.size == len(binned.codes) else None
+    level = [(root_counts, [(0, rows)])]
     for depth in range(max_depth + 1):
-        growing = []
-        for node, idx in level:
-            if depth >= max_depth or idx.size < 2 * min_samples_leaf or not binned.groups:
-                make_leaf(node, idx)
+        growing, smaller, lone, larger, parents = [], [], [], [], []
+        for counts, siblings in level:
+            grows = []
+            for node, idx in siblings:
+                if depth >= max_depth or idx.size < 2 * min_samples_leaf or not binned.groups:
+                    make_leaf(node, idx)
+                else:
+                    grows.append(len(growing))
+                    growing.append((node, idx))
+            if counts is None or len(grows) < len(siblings):
+                lone += grows
             else:
-                growing.append((node, idx))
+                *rest, largest = sorted(grows, key=lambda g: growing[g][1].size)
+                smaller += rest
+                larger.append(largest)
+                parents.append(counts)
         if not growing:
             break
-        splits = _best_splits(binned, [idx for _, idx in growing], grad, min_samples_leaf)
+        order = smaller + lone + larger
+        splits, hist_n = _best_splits(binned, [growing[g][1] for g in order], grad, min_samples_leaf, parents)
+        at = {g: s for s, g in enumerate(order)}
         level = []
-        for (node, idx), split in zip(growing, splits):
+        for g, (node, idx) in enumerate(growing):
+            split = splits[at[g]]
             if split is None:
                 make_leaf(node, idx)
                 continue
@@ -325,7 +398,7 @@ def _grow_tree(
             threshold[node] = float(binned.cuts[f][b])
             left[node] = add_node()
             right[node] = add_node()
-            level += [(left[node], idx[go_left]), (right[node], idx[~go_left])]
+            level.append((hist_n[at[g]], [(left[node], idx[go_left]), (right[node], idx[~go_left])]))
     tree = DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),

@@ -181,7 +181,8 @@ def parse_dataset_config(raw, seed: int) -> DatasetConfig:
         handover_period=get("handover_period", int, 15),
         handover_drop=get("handover_drop", float, 0.0),
         noise=get("noise_model" if "noise_model" in raw else "noise",
-                  lambda d: data_mod.noise_from_dict(d or {"kind": "none"}), data_mod.NoNoise()),
+                  lambda d: data_mod.noise_from_dict({"kind": "none"} if d is None else d),
+                  data_mod.NoNoise()),
         start_timestamp=get("start_timestamp", int, 0),
     )
     return DatasetConfig(kind="synthetic", synthetic=spec)
@@ -527,7 +528,7 @@ def _cmd_inspect(args) -> int:
         scale = doc.get("budget_scale")
         if scale:
             lines.append(f"budget-scale factor: {scale['c_star']:.3f}  feasible: {scale['feasible']}")
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path} is malformed: {type(exc).__name__} {exc}") from exc
     print("\n".join(lines))
     return 0

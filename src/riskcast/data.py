@@ -23,6 +23,7 @@ from .errors import (
     NegativeThroughput,
     NonMonotoneTimestamps,
     ParseError,
+    TimestampGap,
     TraceTooShort,
 )
 
@@ -245,8 +246,10 @@ def make_windows(
     """Slide a length-`history` window over the trace and split chronologically.
 
     One sample per valid origin index; sample counts per split match the
-    ratios within one sample. Raises TraceTooShort when the trace cannot fit
-    a single window plus horizon.
+    ratios within one sample. Raises TraceTooShort when a split would be
+    empty, and TimestampGap when a step between consecutive timestamps
+    exceeds the trace's usual (median) step: windows slide over rows, so
+    they would span the gap.
     """
     if history < 1 or horizon < 1:
         raise ValueError("history and horizon must be >= 1")
@@ -255,6 +258,22 @@ def make_windows(
     if n < 1:
         raise TraceTooShort(
             f"trace of length {len(trace)} cannot fit history {history} + horizon {horizon}"
+        )
+    train_end = int(math.floor(ratios[0] * n + 0.5))
+    cal_end = int(math.floor((ratios[0] + ratios[1]) * n + 0.5))
+    if not 0 < train_end < cal_end < n:
+        raise TraceTooShort(
+            f"trace of length {len(trace)} gives {n} windows, split {train_end}/{cal_end - train_end}/"
+            f"{n - cal_end}; train, calibration and test each need at least one"
+        )
+    steps = np.diff(trace.timestamps)
+    usual = float(np.median(steps))
+    gaps = np.flatnonzero(steps > usual)
+    if gaps.size:
+        row = int(gaps[0]) + 1
+        raise TimestampGap(
+            f"timestamp gap before row {row}: step {steps[row - 1]} against the trace's usual step "
+            f"{usual:g}; windows would span it"
         )
 
     series: list[np.ndarray] = [trace.throughput]
@@ -269,9 +288,6 @@ def make_windows(
         history : history + n
     ].astype(np.float64)
     origins = np.arange(history - 1, history - 1 + n, dtype=np.int64)
-
-    train_end = int(math.floor(ratios[0] * n + 0.5))
-    cal_end = int(math.floor((ratios[0] + ratios[1]) * n + 0.5))
     return WindowedDataset(
         X=X,
         Y=Y,

@@ -34,8 +34,12 @@ class NegativeThroughput(RiskcastError):
     """A throughput value is negative."""
 
 
+class TimestampGap(RiskcastError):
+    """Two consecutive timestamps lie further apart than the trace's usual step."""
+
+
 class TraceTooShort(RiskcastError):
-    """The trace is shorter than one history window plus one horizon."""
+    """The trace is too short for one window (history plus horizon) in each split."""
 
 
 class InvalidSpec(RiskcastError):

@@ -23,6 +23,7 @@ from riskcast.backbone import (
     save_model,
     _fit_boosted_column,
     _grow_tree,
+    _leaf_quantile,
     train_point_model,
     train_quantile_model,
 )
@@ -284,6 +285,18 @@ class TestExactTrainer:
              subsample=0.8, max_depth=6, min_samples_leaf=7, n_trees=3)
     @example(seed=2, n=400, kinds=["tied", "many"], tau=None,
              subsample=1.0, max_depth=5, min_samples_leaf=1, n_trees=3)
+    # Both siblings grow at depths 1-4, so the larger takes its counts by
+    # subtraction at depth >= 3.
+    @example(seed=3, n=600, kinds=["many", "tied", "two_valued"], tau=0.5,
+             subsample=1.0, max_depth=5, min_samples_leaf=1, n_trees=2)
+    # min_samples_leaf makes one child a leaf at depths 2 and 3 while its
+    # sibling grows, so that sibling is counted.
+    @example(seed=4, n=500, kinds=["many", "tied"], tau=0.9,
+             subsample=1.0, max_depth=4, min_samples_leaf=40, n_trees=2)
+    # A subsampled root covers only some rows: the split's root counts do not
+    # apply, and its children still subtract at depths 1-3.
+    @example(seed=5, n=500, kinds=["many", "two_valued", "tied"], tau=0.1,
+             subsample=0.8, max_depth=4, min_samples_leaf=7, n_trees=2)
     def test_matches_reference_trainer(
         self, seed, n, kinds, tau, subsample, max_depth, min_samples_leaf, n_trees
     ):
@@ -315,6 +328,38 @@ class TestExactTrainer:
         oracle = reference_trainer._grow_tree(codes, cuts, -resid, resid, None, 1, 1)
         assert tree.feature[0] == oracle.feature[0] == 0
         assert tree.threshold[0] == oracle.threshold[0] == (1.5 if wide_first else 0.5)
+
+
+@st.composite
+def quantile_cases(draw):
+    """Tied, rounded residuals (signed zeros too) and a level whose virtual
+    index (n - 1) * tau is arbitrary, whole, or a half."""
+    element = draw(st.sampled_from([
+        st.sampled_from([-0.0, 0.0, 1.0, -1.0]),
+        st.floats(-1e3, 1e3).map(lambda v: round(v, 1)),
+    ]))
+    values = draw(st.lists(element, min_size=1, max_size=300))
+    steps = 2 * (len(values) - 1)
+    if steps and draw(st.booleans()):
+        tau = draw(st.integers(1, steps - 1)) / steps
+    else:
+        tau = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return values, tau
+
+
+class TestLeafQuantile:
+    @settings(max_examples=300, deadline=None)
+    @given(case=quantile_cases())
+    @example(case=([4.0, 1.0, 3.0, 2.0, 5.0], 0.25))  # virtual index 1.0
+    @example(case=([4.0, 1.0, 2.0], 0.25))  # virtual index 0.5
+    # Ties of -0.0 and 0.0: which one lands at a kth position depends on the kth set.
+    @example(case=([-0.0, -1.0, 1.0, -1.0, 0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0], 0.9))
+    @example(case=([-0.0], 0.9))  # one value: lo == n - 1 takes the max
+    def test_matches_numpy_quantile_bit_for_bit(self, case):
+        values, tau = case
+        r = np.asarray(values, dtype=np.float64)
+        expected = float(np.quantile(r, tau))
+        assert _leaf_quantile(r.copy(), tau).hex() == expected.hex()
 
 
 class TestParams:

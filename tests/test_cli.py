@@ -5,15 +5,23 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import cached_property
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import riskcast.backbone
+from riskcast.backbone import BackboneParams, BinnedFeatures
 from riskcast.cli import (
+    _DATASET_KEYS,
+    _RISK_KEYS,
+    _TOP_KEYS,
     DEFAULT_EPSILONS,
     calibrate_budgets,
     ExperimentConfig,
@@ -189,10 +197,14 @@ class TestProtocolSeparation:
 
 class TestCalibrateBudgets:
     def test_bins_the_training_split_once(self, tmp_path, monkeypatch):
-        shapes = []
+        shapes, root_rows = [], []
         bin_features = riskcast.backbone._bin_features
         monkeypatch.setattr(riskcast.backbone, "_bin_features",
                             lambda X: shapes.append(X.shape) or bin_features(X))
+        root_counts = BinnedFeatures.root_counts.func
+        counting = cached_property(lambda binned: root_rows.append(len(binned.codes)) or root_counts(binned))
+        counting.__set_name__(BinnedFeatures, "root_counts")
+        monkeypatch.setattr(BinnedFeatures, "root_counts", counting)
         config = load_config(write_config(tmp_path))
         dataset = make_windows(generate_synthetic(config.dataset.synthetic),
                                config.history, config.horizon, config.split_ratios)
@@ -200,6 +212,8 @@ class TestCalibrateBudgets:
         quantile_fits = sum(o.selection.n_trainings for o in outcomes)
         assert quantile_fits >= 2  # plus the point model, all on one training split
         assert shapes == [dataset.train.X.shape]
+        # Every tree of every fit starts from the same root count histogram.
+        assert root_rows == [len(dataset.train)]
 
 
 class TestDeterminism:
@@ -317,6 +331,19 @@ class TestCommands:
         assert "error [run]" in err
         assert key in err
 
+    def test_run_on_csv_with_timestamp_gap_fails_with_stage(self, tmp_path, capsys):
+        trace_csv = tmp_path / "gap.csv"
+        rows = [f"{t},{100.0 + t % 7}" for t in [*range(60), *range(70, 130)]]
+        trace_csv.write_text("timestamp,throughput_mbps\n" + "\n".join(rows) + "\n")
+        bad = tmp_path / "gap.yaml"
+        bad.write_text(f"dataset: {{kind: csv, path: {trace_csv}}}\nL: 4\nH: 2\n")
+        code = main(["run", "--config", str(bad), "--output", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error [run]" in captured.err
+        assert "before row 60: step 11" in captured.err
+        assert captured.out == ""
+
     def test_run_has_no_format_option(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--config", write_config(tmp_path), "--format", "json"])
@@ -394,3 +421,171 @@ def test_cli_import_does_not_load_scipy():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Corrupted inputs: every one fails with a stage-named error, not a traceback
+# ---------------------------------------------------------------------------
+
+FUZZ_CONFIG = {
+    "dataset": {"kind": "synthetic", "length": 120, "base_level": 50.0,
+                "noise": {"kind": "gaussian", "sigma": 3.0}},
+    "L": 4,
+    "H": 2,
+    "split_ratios": [0.5, 0.25, 0.25],
+    "risk": {"epsilon": 0.3, "tau_min": 0.15, "tau_max": 0.4, "delta": 0.05, "M": 3},
+    "backbone": {"n_trees": 2, "max_depth": 2, "learning_rate": 0.5, "min_samples_leaf": 5},
+    "baselines": ["point"],
+    "admission_b": 10.0,
+    "seed": 3,
+}
+# Keys each config section accepts, by path from the top of the config.
+FUZZ_SECTIONS = {
+    (): _TOP_KEYS,
+    ("risk",): _RISK_KEYS,
+    ("backbone",): tuple(f.name for f in fields(BackboneParams)),
+    ("dataset",): _DATASET_KEYS["synthetic"],
+    ("dataset", "noise"): ("kind", "sigma"),
+}
+# Numeric fields; none of them takes a value that is not a number.
+FUZZ_NUMBERS = [("L",), ("H",), ("admission_b",), ("seed",), ("risk", "epsilon"), ("risk", "tau_min"),
+                ("risk", "tau_max"), ("risk", "delta"), ("risk", "M"), ("backbone", "n_trees"),
+                ("backbone", "max_depth"), ("backbone", "learning_rate"), ("backbone", "min_samples_leaf"),
+                ("backbone", "subsample"), ("dataset", "length"), ("dataset", "base_level"),
+                ("dataset", "noise", "sigma")]
+# Values outside each field's range.
+FUZZ_OUT_OF_RANGE = {
+    ("L",): st.integers(-5, 0) | st.integers(200, 10**6),
+    ("H",): st.integers(-5, 0) | st.integers(200, 10**6),
+    ("admission_b",): st.sampled_from([0.0, -1.0, float("nan"), float("inf")]),
+    ("split_ratios",): st.lists(st.floats(-1.0, 1.0), max_size=5).filter(
+        lambda r: len(r) != 3 or min(r) <= 0 or abs(sum(r) - 1.0) > 1e-6),
+    ("risk", "epsilon"): st.floats(1.0, 5.0) | st.floats(-5.0, 0.0),
+    ("risk", "M"): st.integers(-3, 1),
+    ("backbone", "learning_rate"): st.floats(1.0, 5.0, exclude_min=True) | st.floats(-5.0, 0.0),
+    ("backbone", "max_depth"): st.integers(-3, 0),
+    ("dataset", "length"): st.integers(-3, 6),
+    ("dataset", "noise", "sigma"): st.floats(-50.0, 0.0, exclude_max=True),
+}
+
+
+def _not_a_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+NOT_NUMBERS = (st.none() | st.text(max_size=6).filter(_not_a_number) | st.lists(st.integers(), max_size=2)
+               | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,9}", fullmatch=True)
+DROP = object()
+
+
+def _replaced(doc, path: tuple, value):
+    """A deep copy of the JSON document `doc` with the entry at `path` set to
+    `value`, or deleted when `value` is DROP."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def broken_configs(draw):
+    """FUZZ_CONFIG with one corruption that config checks or windowing reject."""
+    kind = draw(st.sampled_from(["unknown_key", "not_mapping", "not_number", "out_of_range"]))
+    if kind == "unknown_key":
+        path = draw(st.sampled_from(sorted(FUZZ_SECTIONS)))
+        key = draw(NAMES.filter(lambda k: k not in FUZZ_SECTIONS[path]))
+        path, value = path + (key,), draw(st.integers() | st.text(max_size=4))
+    elif kind == "not_mapping":
+        path = draw(st.sampled_from([p for p in FUZZ_SECTIONS if p]))
+        value = draw(st.integers() | st.floats() | st.text(min_size=1, max_size=4) | st.lists(st.integers()))
+    elif kind == "not_number":
+        path, value = draw(st.sampled_from(FUZZ_NUMBERS)), draw(NOT_NUMBERS)
+    else:
+        path = draw(st.sampled_from(sorted(FUZZ_OUT_OF_RANGE)))
+        value = draw(FUZZ_OUT_OF_RANGE[path])
+    return _replaced(FUZZ_CONFIG, path, value)
+
+
+FUZZ_SELECTION = {
+    "quantile_selection": {
+        "boundary": [0.2, 0.3], "tau_star": 0.25, "feasible": True, "fallback_used": False,
+        "n_trainings": 5, "evaluations": [{"tau": 0.2, "mae": 1.5, "over_rate": 0.1}],
+    },
+    "budget_scale": {"c_star": 0.9, "feasible": True},
+}
+# Where inspect reads a number, and where it reads a non-empty container.
+SELECTION_NUMBERS = [("quantile_selection", "boundary", 0), ("quantile_selection", "boundary", 1),
+                     ("quantile_selection", "tau_star"), ("quantile_selection", "evaluations", 0, "tau"),
+                     ("quantile_selection", "evaluations", 0, "mae"),
+                     ("quantile_selection", "evaluations", 0, "over_rate"), ("budget_scale", "c_star")]
+SELECTION_CONTAINERS = [("quantile_selection",), ("quantile_selection", "boundary"),
+                        ("quantile_selection", "evaluations", 0)]
+
+
+def _selection_paths(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _selection_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _selection_paths(value, path + (i,))
+
+
+@st.composite
+def broken_selections(draw):
+    """selection.json bytes that inspect cannot read: garbage, or the valid
+    FUZZ_SELECTION with one key dropped or one value of the wrong kind."""
+    kind = draw(st.sampled_from(["garbage", "drop", "not_number", "not_container"]))
+    if kind == "garbage":
+        return draw(st.binary(max_size=40))
+    if kind == "drop":
+        optional = ("budget_scale",)
+        path = draw(st.sampled_from([p for p in _selection_paths(FUZZ_SELECTION)
+                                     if p and isinstance(p[-1], str) and p != optional]))
+        value = DROP
+    elif kind == "not_number":
+        path = draw(st.sampled_from(SELECTION_NUMBERS))
+        value = draw(NOT_NUMBERS.filter(lambda v: v is not None) | st.integers(10**309, 10**320))
+    else:
+        path = draw(st.sampled_from(SELECTION_CONTAINERS))
+        value = draw(st.none() | st.integers() | st.floats() | st.booleans())
+    return json.dumps(_replaced(FUZZ_SELECTION, path, value)).encode()
+
+
+class TestCorruptInputs:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=broken_configs())
+    @example(raw=_replaced(FUZZ_CONFIG, ("dataset", "noise"), 0))  # was read as no noise
+    @example(raw=_replaced(FUZZ_CONFIG, ("dataset", "length"), 6))  # one window: empty splits
+    def test_broken_config_fails_before_training(self, tmp_path, capsys, raw):
+        path = tmp_path / "broken.yaml"
+        path.write_text(yaml.safe_dump({**raw, "output_dir": str(tmp_path / "out")}))
+        with mock.patch.object(riskcast.backbone, "_train", side_effect=AssertionError("trained")):
+            code = main(["run", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code in (2, 3)
+        assert captured.err.startswith("error [run]: ")
+        assert captured.out == ""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=broken_selections())
+    @example(content=json.dumps(_replaced(FUZZ_SELECTION, ("quantile_selection", "tau_star"), 10**400))
+             .encode())  # int too large for a float
+    def test_broken_selection_fails_to_inspect(self, tmp_path, capsys, content):
+        (tmp_path / "selection.json").write_bytes(content)
+        code = main(["inspect", "--bundle", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code in (2, 3)
+        assert captured.err.startswith("error [inspect]: ")
+        assert captured.out == ""

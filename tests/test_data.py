@@ -28,6 +28,7 @@ from riskcast.errors import (
     NegativeThroughput,
     NonMonotoneTimestamps,
     ParseError,
+    TimestampGap,
     TraceTooShort,
 )
 
@@ -189,6 +190,21 @@ class TestWindows:
         restored = tuple(json.loads(json.dumps(list(ds.layout))))
         assert restored == ds.layout
         assert ds.layout == build_layout(4, ("elevation_deg", "cloud_pct"))
+
+    def test_empty_split_is_rejected(self):
+        # 7 windows: 6 train, 1 calibration, 0 test at these ratios
+        with pytest.raises(TraceTooShort, match="split 6/1/0"):
+            make_windows(constant_trace(12), 4, 2, (0.8, 0.15, 0.05))
+
+    def test_timestamp_gap_is_rejected(self):
+        ts = np.concatenate([np.arange(50), np.arange(53, 100)])  # 49 -> 53 before row 50
+        trace = Trace("gap", ts, np.full(ts.size, 10.0))
+        with pytest.raises(TimestampGap, match=r"before row 50: step 4 against the trace's usual step 1;"):
+            make_windows(trace, 4, 2)
+
+    def test_uniform_step_other_than_one_is_not_a_gap(self):
+        trace = Trace("every-2s", np.arange(0, 200, 2), np.full(100, 10.0))
+        assert len(make_windows(trace, 4, 2)) == 95
 
     def test_bad_ratios(self):
         with pytest.raises(ValueError):
