@@ -10,12 +10,8 @@ from .admission import AdmissionOutcome, AdmissionReport, admit, compare, simula
 from .backbone import (
     BackboneParams,
     QuantileModel,
-    load_model,
     pinball_loss,
-    pinball_loss_horizon,
     pinball_subgradient,
-    predict,
-    save_model,
     train_point_model,
     train_quantile_model,
 )
@@ -35,7 +31,6 @@ from .calibration import (
 )
 from .data import (
     CyclicScaleNoise,
-    FeatureVector,
     GaussianNoise,
     NoNoise,
     Samples,

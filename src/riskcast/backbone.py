@@ -1,4 +1,4 @@
-"""Quantile predictor family: pinball loss, boosted trees, linear reference.
+"""Quantile predictor family: pinball loss and boosted trees.
 
 Each model predicts all H horizon steps with H independently fitted
 regressors over the same flattened history window. Quantile models minimise
@@ -18,19 +18,17 @@ growing siblings takes its parent's minus the smaller one's.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .data import FeatureVector, Samples
+from .data import Samples
 from .errors import (
     EmptyTrainingSet,
     InvalidTau,
     LayoutMismatch,
-    LengthMismatch,
 )
 
 _MAX_BINS = 256
@@ -51,17 +49,6 @@ def pinball_loss(y, y_hat, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def pinball_loss_horizon(Y, Y_hat, tau: float) -> float:
-    """Mean per-step pinball loss over one prediction horizon."""
-    Y = np.asarray(Y, dtype=np.float64)
-    Y_hat = np.asarray(Y_hat, dtype=np.float64)
-    if Y.shape != Y_hat.shape:
-        raise LengthMismatch(f"target shape {Y.shape} != prediction shape {Y_hat.shape}")
-    if Y.size == 0:
-        raise LengthMismatch("horizon must contain at least one step")
-    return float(np.mean(pinball_loss(Y, Y_hat, tau)))
-
-
 def pinball_subgradient(y, y_hat, tau: float):
     """d/d(y_hat) of the pinball loss; zero residuals take the (1 - tau) side."""
     tau = _check_tau(tau)
@@ -72,35 +59,22 @@ def pinball_subgradient(y, y_hat, tau: float):
 
 @dataclass(frozen=True)
 class BackboneParams:
-    """Hyperparameters for both backbone kinds.
+    """Boosted-tree hyperparameters; one seed drives all stochastic parts."""
 
-    Tree fields apply when kind == "boosted_trees"; steps/step_size apply to
-    the linear backbone (step_size is scaled internally by the data's largest
-    curvature so it stays stable across feature counts). One seed drives all
-    stochastic parts.
-    """
-
-    kind: str = "boosted_trees"
     n_trees: int = 200
     max_depth: int = 6
     learning_rate: float = 0.1
     min_samples_leaf: int = 20
     subsample: float = 1.0
     seed: int = 0
-    steps: int = 400
-    step_size: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("boosted_trees", "linear"):
-            raise ValueError(f"unknown backbone kind {self.kind!r}")
-        if min(self.n_trees, self.max_depth, self.min_samples_leaf, self.steps) < 1:
+        if min(self.n_trees, self.max_depth, self.min_samples_leaf) < 1:
             raise ValueError("counts must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must lie in (0, 1]")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -128,25 +102,6 @@ class DecisionTree:
             go_left = X[rows, np.maximum(self.feature[idx], 0)] <= self.threshold[idx]
             nxt = np.where(go_left, self.left[idx], self.right[idx])
             idx = np.where(at_leaf, idx, nxt).astype(np.int32)
-
-    def to_payload(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    @staticmethod
-    def from_payload(d: dict) -> "DecisionTree":
-        return DecisionTree(
-            feature=np.asarray(d["feature"], dtype=np.int32),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int32),
-            right=np.asarray(d["right"], dtype=np.int32),
-            value=np.asarray(d["value"], dtype=np.float64),
-        )
 
 
 def _bin_features(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -423,22 +378,6 @@ class BoostedTreesRegressor:
             out += self.learning_rate * tree.predict(X)
         return out
 
-    def to_payload(self) -> dict:
-        return {
-            "type": "boosted_trees",
-            "base_score": self.base_score,
-            "learning_rate": self.learning_rate,
-            "trees": [t.to_payload() for t in self.trees],
-        }
-
-    @staticmethod
-    def from_payload(d: dict) -> "BoostedTreesRegressor":
-        return BoostedTreesRegressor(
-            base_score=float(d["base_score"]),
-            learning_rate=float(d["learning_rate"]),
-            trees=[DecisionTree.from_payload(t) for t in d["trees"]],
-        )
-
 
 def _fit_boosted_column(
     X: np.ndarray,
@@ -474,82 +413,6 @@ def _fit_boosted_column(
 
 
 # ---------------------------------------------------------------------------
-# Linear reference backbone
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LinearRegressor:
-    """Linear model on standardized features, fit by (sub)gradient descent."""
-
-    weights: np.ndarray
-    bias: float
-    center: np.ndarray
-    scale: np.ndarray
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return ((X - self.center) / self.scale) @ self.weights + self.bias
-
-    def to_payload(self) -> dict:
-        return {
-            "type": "linear",
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "center": self.center.tolist(),
-            "scale": self.scale.tolist(),
-        }
-
-    @staticmethod
-    def from_payload(d: dict) -> "LinearRegressor":
-        return LinearRegressor(
-            weights=np.asarray(d["weights"], dtype=np.float64),
-            bias=float(d["bias"]),
-            center=np.asarray(d["center"], dtype=np.float64),
-            scale=np.asarray(d["scale"], dtype=np.float64),
-        )
-
-
-def _curvature_bound(Z: np.ndarray) -> float:
-    # Deterministic power iteration on Z'Z/n bounds the quadratic curvature.
-    n, n_feat = Z.shape
-    v = np.full(n_feat, 1.0 / np.sqrt(n_feat))
-    lam = 1.0
-    for _ in range(30):
-        w = Z.T @ (Z @ v) / n
-        lam = float(np.linalg.norm(w))
-        if lam < 1e-12:
-            return 1.0
-        v = w / lam
-    return max(lam, 1.0)
-
-
-def _fit_linear_column(
-    X: np.ndarray, y: np.ndarray, tau: float | None, params: BackboneParams
-) -> LinearRegressor:
-    center = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    Z = (X - center) / scale
-    n = len(y)
-    step0 = params.step_size / _curvature_bound(Z)
-    w = np.zeros(X.shape[1])
-    b = float(np.quantile(y, tau)) if tau is not None else float(y.mean())
-    for t in range(params.steps):
-        resid = y - (Z @ w + b)
-        if not np.any(resid):
-            break
-        if tau is not None:
-            g = np.where(resid > 0, -tau, 1.0 - tau)
-            step = step0 / np.sqrt(t + 1.0)
-        else:
-            g = -resid
-            step = step0
-        w -= step * (Z.T @ g) / n
-        b -= step * float(g.mean())
-    return LinearRegressor(weights=w, bias=b, center=center, scale=scale)
-
-
-# ---------------------------------------------------------------------------
 # Multi-horizon model
 # ---------------------------------------------------------------------------
 
@@ -563,16 +426,11 @@ class QuantileModel:
     """
 
     tau: float
-    objective: str
-    backbone_kind: str
-    params: BackboneParams
     feature_layout: tuple[str, ...]
-    horizon_models: list
+    horizon_models: list[BoostedTreesRegressor]
 
     def __post_init__(self) -> None:
         _check_tau(self.tau)
-        if self.objective not in ("pinball", "squared"):
-            raise ValueError(f"unknown objective {self.objective!r}")
         if not self.horizon_models:
             raise ValueError("model needs at least one horizon step")
 
@@ -596,28 +454,17 @@ class QuantileModel:
         return np.maximum(out, 0.0)
 
 
-def predict(model: QuantileModel, fv: FeatureVector) -> np.ndarray:
-    """Length-H forecast for a single feature vector."""
-    return model.predict(fv.values.reshape(1, -1), fv.layout)[0]
-
-
-def _train(train: Samples, tau: float | None, objective: str, params: BackboneParams) -> QuantileModel:
+def _train(train: Samples, tau: float | None, params: BackboneParams) -> QuantileModel:
     if len(train) == 0:
         raise EmptyTrainingSet("training split is empty")
     X = np.asarray(train.X, dtype=np.float64)
     Y = np.asarray(train.Y, dtype=np.float64)
     models = []
     for h in range(Y.shape[1]):
-        if params.kind == "boosted_trees":
-            rng = np.random.default_rng([params.seed, h])
-            models.append(_fit_boosted_column(X, train.binned, Y[:, h], tau, params, rng))
-        else:
-            models.append(_fit_linear_column(X, Y[:, h], tau, params))
+        rng = np.random.default_rng([params.seed, h])
+        models.append(_fit_boosted_column(X, train.binned, Y[:, h], tau, params, rng))
     return QuantileModel(
         tau=tau if tau is not None else 0.5,
-        objective=objective,
-        backbone_kind=params.kind,
-        params=params,
         feature_layout=tuple(train.layout),
         horizon_models=models,
     )
@@ -625,55 +472,9 @@ def _train(train: Samples, tau: float | None, objective: str, params: BackbonePa
 
 def train_quantile_model(train: Samples, tau: float, params: BackboneParams) -> QuantileModel:
     """Fit one pinball-loss regressor per horizon step at level tau."""
-    return _train(train, _check_tau(tau), "pinball", params)
+    return _train(train, _check_tau(tau), params)
 
 
 def train_point_model(train: Samples, params: BackboneParams) -> QuantileModel:
     """Fit the squared-error point predictor (same shape as a quantile model)."""
-    return _train(train, None, "squared", params)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-_FORMAT = "riskcast-model"
-_VERSION = 1
-
-
-def save_model(model: QuantileModel, path: str) -> None:
-    """Write a self-describing JSON payload; round-trips predictions exactly."""
-    doc = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "backbone_kind": model.backbone_kind,
-        "objective": model.objective,
-        "tau": model.tau,
-        "params": asdict(model.params),
-        "feature_layout": list(model.feature_layout),
-        "horizon_models": [m.to_payload() for m in model.horizon_models],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_model(path: str) -> QuantileModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _FORMAT:
-        raise ValueError(f"{path} is not a saved model")
-    loaders = {"boosted_trees": BoostedTreesRegressor.from_payload, "linear": LinearRegressor.from_payload}
-    models = []
-    for payload in doc["horizon_models"]:
-        kind = payload.get("type")
-        if kind not in loaders:
-            raise ValueError(f"{path} has a horizon model of unknown type {kind!r}")
-        models.append(loaders[kind](payload))
-    return QuantileModel(
-        tau=float(doc["tau"]),
-        objective=doc["objective"],
-        backbone_kind=doc["backbone_kind"],
-        params=BackboneParams(**doc["params"]),
-        feature_layout=tuple(doc["feature_layout"]),
-        horizon_models=models,
-    )
+    return _train(train, None, params)

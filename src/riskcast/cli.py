@@ -101,6 +101,7 @@ def config_hash(config: ExperimentConfig) -> str:
 _TOP_KEYS = ("dataset", "L", "H", "split_ratios", "risk", "backbone", "baselines",
              "admission_b", "seed", "output_dir")
 _RISK_KEYS = ("epsilon", "tau_min", "tau_max", "delta", "M", "lambda")
+_BACKBONE_KEYS = ("kind", *(f.name for f in fields(BackboneParams)))
 _DATASET_KEYS = {
     "csv": ("kind", "path", "schema", "name"),
     "synthetic": ("kind", "length", "seed", "base_level", "diurnal_amplitude", "handover_period",
@@ -202,7 +203,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         grid_size=risk_get("M", int, 5),
         penalty=risk_get("lambda", lambda value: None if value is None else float(value), None),
     )
-    backbone_get = _section(raw.get("backbone"), "backbone", [f.name for f in fields(BackboneParams)])
+    backbone_get = _section(raw.get("backbone"), "backbone", _BACKBONE_KEYS)
+    kind = backbone_get("kind", str, "boosted_trees")
+    if kind != "boosted_trees":
+        raise ConfigError(f"backbone.kind: the only kind is boosted_trees, got {kind!r}")
     defaults = replace(BackboneParams(), seed=stage_seed(seed, "backbone"))
     backbone = _build("backbone", BackboneParams, **{
         f.name: backbone_get(f.name, partial(_exact, kind=type(f.default)), getattr(defaults, f.name))
@@ -463,6 +467,7 @@ def _write_json(path: Path, payload) -> None:
 def _cmd_ingest(args) -> int:
     schema = dict(kv.split("=", 1) for kv in (args.schema or []))
     trace = data_mod.ingest_csv(args.csv, schema or None)
+    data_mod.check_timestamp_gaps(trace)
     print(f"trace {trace.name}: {len(trace)} rows, "
           f"aux columns: {', '.join(trace.aux_keys) or 'none'}")
     print(f"throughput Mbps: min {trace.throughput.min():.3f}, "

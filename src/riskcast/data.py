@@ -111,21 +111,6 @@ def derive_time_features(timestamps: np.ndarray) -> dict[str, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """One flattened history window plus its ordered feature-name layout."""
-
-    values: np.ndarray
-    layout: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or len(v) != len(self.layout):
-            raise ValueError("values length must match layout length")
-        object.__setattr__(self, "values", _freeze(v))
-        object.__setattr__(self, "layout", tuple(self.layout))
-
-
-@dataclass(frozen=True)
 class Samples:
     """A view over one split: feature matrix X, targets Y, and origins."""
 
@@ -199,27 +184,6 @@ class WindowedDataset:
     def test(self) -> Samples:
         return self._slice(self.cal_end, len(self))
 
-    @property
-    def split_labels(self) -> np.ndarray:
-        labels = np.empty(len(self), dtype=object)
-        labels[: self.train_end] = "train"
-        labels[self.train_end : self.cal_end] = "calibration"
-        labels[self.cal_end :] = "test"
-        return labels
-
-    def without_test(self) -> "WindowedDataset":
-        """Drop the test partition (protocol guard: calibrate before seeing it)."""
-        return WindowedDataset(
-            self.X[: self.cal_end].copy(),
-            self.Y[: self.cal_end].copy(),
-            self.origin_index[: self.cal_end].copy(),
-            self.layout,
-            self.history,
-            self.horizon,
-            self.train_end,
-            self.cal_end,
-        )
-
 
 def build_layout(history: int, aux_keys: tuple[str, ...]) -> tuple[str, ...]:
     """Ordered feature names: throughput lags, aux lags, then clock features."""
@@ -237,6 +201,23 @@ def check_split_ratios(split_ratios) -> tuple[float, float, float]:
     return ratios
 
 
+def check_timestamp_gaps(trace: Trace) -> None:
+    """Raise TimestampGap at the first step between consecutive timestamps
+    that exceeds the trace's usual (median) step: windows slide over rows,
+    so they would span the gap."""
+    steps = np.diff(trace.timestamps)
+    if steps.size == 0:
+        return
+    usual = float(np.median(steps))
+    gaps = np.flatnonzero(steps > usual)
+    if gaps.size:
+        row = int(gaps[0]) + 1
+        raise TimestampGap(
+            f"timestamp gap before row {row}: step {steps[row - 1]} against the trace's usual step "
+            f"{usual:g}; windows would span it"
+        )
+
+
 def make_windows(
     trace: Trace,
     history: int,
@@ -247,9 +228,7 @@ def make_windows(
 
     One sample per valid origin index; sample counts per split match the
     ratios within one sample. Raises TraceTooShort when a split would be
-    empty, and TimestampGap when a step between consecutive timestamps
-    exceeds the trace's usual (median) step: windows slide over rows, so
-    they would span the gap.
+    empty, and TimestampGap as check_timestamp_gaps does.
     """
     if history < 1 or horizon < 1:
         raise ValueError("history and horizon must be >= 1")
@@ -266,15 +245,7 @@ def make_windows(
             f"trace of length {len(trace)} gives {n} windows, split {train_end}/{cal_end - train_end}/"
             f"{n - cal_end}; train, calibration and test each need at least one"
         )
-    steps = np.diff(trace.timestamps)
-    usual = float(np.median(steps))
-    gaps = np.flatnonzero(steps > usual)
-    if gaps.size:
-        row = int(gaps[0]) + 1
-        raise TimestampGap(
-            f"timestamp gap before row {row}: step {steps[row - 1]} against the trace's usual step "
-            f"{usual:g}; windows would span it"
-        )
+    check_timestamp_gaps(trace)
 
     series: list[np.ndarray] = [trace.throughput]
     aux_keys = trace.aux_keys

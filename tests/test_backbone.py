@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,22 +11,17 @@ from riskcast.backbone import (
     BinnedFeatures,
     BoostedTreesRegressor,
     DecisionTree,
-    LinearRegressor,
     QuantileModel,
-    load_model,
     pinball_loss,
-    pinball_loss_horizon,
     pinball_subgradient,
-    predict,
-    save_model,
     _fit_boosted_column,
     _grow_tree,
     _leaf_quantile,
     train_point_model,
     train_quantile_model,
 )
-from riskcast.data import FeatureVector, Samples
-from riskcast.errors import EmptyTrainingSet, InvalidTau, LayoutMismatch, LengthMismatch
+from riskcast.data import Samples
+from riskcast.errors import EmptyTrainingSet, InvalidTau, LayoutMismatch
 
 from conftest import iid_samples
 
@@ -48,21 +41,6 @@ class TestPinball:
     def test_invalid_tau(self, tau):
         with pytest.raises(InvalidTau):
             pinball_loss(1.0, 2.0, tau)
-
-    def test_horizon_mean(self):
-        # per-step losses 1.0 and 3.0
-        assert pinball_loss_horizon([10.0, 10.0], [8.0, 4.0], 0.5) == 2.0
-        assert pinball_loss_horizon([3.0, 4.0], [3.0, 4.0], 0.2) == 0.0
-
-    def test_horizon_matches_scalar_loop(self, rng):
-        y = rng.uniform(0, 100, size=15)
-        y_hat = rng.uniform(0, 100, size=15)
-        expected = sum(pinball_loss(float(a), float(b), 0.3) for a, b in zip(y, y_hat)) / 15
-        assert pinball_loss_horizon(y, y_hat, 0.3) == pytest.approx(expected, rel=1e-12)
-
-    def test_horizon_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            pinball_loss_horizon([1.0, 2.0], [1.0], 0.5)
 
     def test_convexity(self, rng):
         for _ in range(200):
@@ -94,7 +72,7 @@ class TestPinball:
         assert pinball_subgradient(5.0, 5.0, 0.3) == pytest.approx(0.7)
 
 
-def stump_model(horizon=1):
+def stump_model(horizon=1, base_score=0.0):
     tree = DecisionTree(
         feature=np.array([0, -1, -1], dtype=np.int32),
         threshold=np.array([5.0, 0.0, 0.0]),
@@ -102,15 +80,8 @@ def stump_model(horizon=1):
         right=np.array([2, -1, -1], dtype=np.int32),
         value=np.array([0.0, 2.0, 8.0]),
     )
-    reg = BoostedTreesRegressor(base_score=0.0, learning_rate=1.0, trees=[tree])
-    return QuantileModel(
-        tau=0.5,
-        objective="pinball",
-        backbone_kind="boosted_trees",
-        params=BackboneParams(),
-        feature_layout=("f0", "f1"),
-        horizon_models=[reg] * horizon,
-    )
+    reg = BoostedTreesRegressor(base_score=base_score, learning_rate=1.0, trees=[tree])
+    return QuantileModel(tau=0.5, feature_layout=("f0", "f1"), horizon_models=[reg] * horizon)
 
 
 class TestPredict:
@@ -122,18 +93,8 @@ class TestPredict:
         assert out.tolist() == [[8.0, 8.0]]
 
     def test_negative_output_clamped_to_zero(self):
-        reg = LinearRegressor(
-            weights=np.zeros(2), bias=-3.0, center=np.zeros(2), scale=np.ones(2)
-        )
-        model = QuantileModel(
-            tau=0.25,
-            objective="pinball",
-            backbone_kind="linear",
-            params=BackboneParams(kind="linear"),
-            feature_layout=("f0", "f1"),
-            horizon_models=[reg],
-        )
-        assert model.predict(np.array([[1.0, 2.0]]), ("f0", "f1")).tolist() == [[0.0]]
+        model = stump_model(base_score=-3.0)  # leaves at -3 + 2 and -3 + 8
+        assert model.predict(np.array([[1.0, 2.0], [6.0, 2.0]]), ("f0", "f1")).tolist() == [[0.0], [5.0]]
 
     def test_layout_mismatch(self):
         model = stump_model()
@@ -141,11 +102,6 @@ class TestPredict:
             model.predict(np.array([[1.0, 2.0]]), ("f0", "other"))
         with pytest.raises(LayoutMismatch):
             model.predict(np.array([[1.0, 2.0, 3.0]]), ("f0", "f1", "f2"))
-
-    def test_feature_vector_entry_point(self):
-        model = stump_model(horizon=3)
-        fv = FeatureVector(np.array([7.0, 0.0]), ("f0", "f1"))
-        assert predict(model, fv).tolist() == [8.0, 8.0, 8.0]
 
 
 def constant_samples(n=200, value=40.0, horizon=2, n_features=3):
@@ -157,40 +113,32 @@ def constant_samples(n=200, value=40.0, horizon=2, n_features=3):
 
 
 class TestTraining:
-    @pytest.mark.parametrize("kind", ["boosted_trees", "linear"])
     @pytest.mark.parametrize("tau", [0.15, 0.5, 0.8])
-    def test_constant_target(self, kind, tau):
+    def test_constant_target(self, tau):
         train = constant_samples(value=40.0)
-        params = BackboneParams(kind=kind, n_trees=20, max_depth=3, min_samples_leaf=5)
+        params = BackboneParams(n_trees=20, max_depth=3, min_samples_leaf=5)
         model = train_quantile_model(train, tau, params)
         preds = model.predict(train.X, train.layout)
         assert np.all(np.abs(preds - 40.0) < 1e-6)
 
-    @pytest.mark.parametrize("kind", ["boosted_trees", "linear"])
-    def test_constant_target_point(self, kind):
+    def test_constant_target_point(self):
         train = constant_samples(value=25.0)
-        model = train_point_model(train, BackboneParams(kind=kind, n_trees=10))
+        model = train_point_model(train, BackboneParams(n_trees=10))
         preds = model.predict(train.X, train.layout)
         assert np.all(np.abs(preds - 25.0) < 1e-6)
 
-    @pytest.mark.parametrize("kind", ["boosted_trees", "linear"])
-    def test_uninformative_features_hit_target_quantile(self, rng, kind):
+    def test_uninformative_features_hit_target_quantile(self, rng):
         train = iid_samples(rng, n=4000, low=50.0, high=150.0)
         tau = 0.3
-        params = BackboneParams(
-            kind=kind, n_trees=30, max_depth=3, min_samples_leaf=200, seed=5
-        )
+        params = BackboneParams(n_trees=30, max_depth=3, min_samples_leaf=200, seed=5)
         model = train_quantile_model(train, tau, params)
         preds = model.predict(train.X, train.layout)
         target = np.quantile(train.Y[:, 0], tau)
         assert abs(preds.mean() - target) <= 0.02 * 100.0  # 2% of target range
 
-    @pytest.mark.parametrize("kind", ["boosted_trees", "linear"])
-    def test_uninformative_features_hit_mean(self, rng, kind):
+    def test_uninformative_features_hit_mean(self, rng):
         train = iid_samples(rng, n=4000, low=50.0, high=150.0)
-        params = BackboneParams(
-            kind=kind, n_trees=30, max_depth=3, min_samples_leaf=200, seed=5
-        )
+        params = BackboneParams(n_trees=30, max_depth=3, min_samples_leaf=200, seed=5)
         model = train_point_model(train, params)
         preds = model.predict(train.X, train.layout)
         assert abs(preds.mean() - train.Y[:, 0].mean()) <= 0.02 * 100.0
@@ -370,38 +318,4 @@ class TestParams:
             BackboneParams(learning_rate=0.0)
         with pytest.raises(ValueError):
             BackboneParams(subsample=1.5)
-        with pytest.raises(ValueError):
-            BackboneParams(kind="mlp")
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("kind", ["boosted_trees", "linear"])
-    def test_round_trip_is_bit_exact(self, rng, tmp_path, kind):
-        train = iid_samples(rng, n=600, horizon=3)
-        params = BackboneParams(kind=kind, n_trees=10, max_depth=3, seed=4)
-        model = train_quantile_model(train, 0.35, params)
-        path = tmp_path / "model.json"
-        save_model(model, str(path))
-        back = load_model(str(path))
-        X = rng.uniform(0, 1, size=(50, train.X.shape[1]))
-        assert np.array_equal(model.predict(X, train.layout), back.predict(X, train.layout))
-        assert back.feature_layout == model.feature_layout
-        assert back.tau == model.tau
-        assert back.params == model.params
-
-    def test_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"something": 1}')
-        with pytest.raises(ValueError):
-            load_model(str(path))
-
-    def test_rejects_unknown_payload_type(self, rng, tmp_path):
-        train = iid_samples(rng, n=200)
-        model = train_quantile_model(train, 0.35, BackboneParams(n_trees=2, max_depth=2, seed=4))
-        path = tmp_path / "model.json"
-        save_model(model, str(path))
-        doc = json.loads(path.read_text())
-        doc["horizon_models"][0]["type"] = "forest"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="forest"):
-            load_model(str(path))

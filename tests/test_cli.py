@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 from unittest import mock
@@ -17,8 +17,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import riskcast.backbone
-from riskcast.backbone import BackboneParams, BinnedFeatures
+from riskcast.backbone import BinnedFeatures
 from riskcast.cli import (
+    _BACKBONE_KEYS,
     _DATASET_KEYS,
     _RISK_KEYS,
     _TOP_KEYS,
@@ -37,7 +38,7 @@ from riskcast.cli import (
 )
 from riskcast.admission import AdmissionReport
 from riskcast.calibration import QuantileEvaluator, budget_scale_search, run_selection
-from riskcast.data import make_windows, generate_synthetic
+from riskcast.data import WindowedDataset, make_windows, generate_synthetic
 from riskcast.errors import EmptySweep
 from riskcast.metrics import SafetyReport
 
@@ -61,6 +62,7 @@ BASE_CONFIG = {
 
 
 SYNTH = "dataset: {kind: synthetic, length: 100, base_level: 10.0}"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, overrides=None, name="config.yaml"):
@@ -84,6 +86,14 @@ class TestConfig:
         assert config.risk.tau_min == 0.15 and config.risk.tau_max == 0.40
         assert config.risk.delta == 0.05 and config.risk.grid_size == 5
         assert config.backbone.n_trees == 200
+
+    @pytest.mark.parametrize("path", ["configs/synthetic-demo.yaml", "bench/paper_shape.yaml"],
+                             ids=["demo", "paper_shape"])
+    def test_shipped_configs_name_the_one_backbone_kind(self, path):
+        raw = yaml.safe_load((ROOT / path).read_text())
+        assert raw["backbone"]["kind"] == "boosted_trees"
+        config = load_config(str(ROOT / path))
+        assert "kind" not in config.to_dict()["backbone"]
 
     def test_seed_override_re_derives_stage_seeds(self, tmp_path):
         path = write_config(tmp_path)
@@ -177,7 +187,10 @@ class TestProtocolSeparation:
         config = load_config(write_config(tmp_path), output_dir=str(tmp_path / "out"))
         trace = generate_synthetic(config.dataset.synthetic)
         full = make_windows(trace, config.history, config.horizon, config.split_ratios)
-        truncated = full.without_test()
+        # The same windows with the test partition dropped.
+        end = full.cal_end
+        truncated = WindowedDataset(full.X[:end].copy(), full.Y[:end].copy(), full.origin_index[:end].copy(),
+                                    full.layout, full.history, full.horizon, full.train_end, end)
         assert len(truncated.test) == 0
 
         results = []
@@ -306,6 +319,8 @@ class TestCommands:
         ("dataset: [1, 2]", "dataset"),
         (f"{SYNTH}\nrisk: {{M: null}}", "M"),
         (f"{SYNTH}\nbackbone: {{n_trees: '40'}}", "n_trees"),
+        (f"{SYNTH}\nbackbone: {{kind: linear}}", "backbone.kind"),
+        (f"{SYNTH}\nbackbone: {{steps: 10}}", "unknown backbone keys: ['steps']"),
         (f"{SYNTH}\nbaselines: [[1]]", "baselines"),
         (f"{SYNTH}\nadmission_b: 0", "admission_b"),
         (f"{SYNTH}\nadmission_b: -2.5", "admission_b"),
@@ -319,8 +334,9 @@ class TestCommands:
     ], ids=["dataset-kind", "backbone-key", "gaussian-sigma", "uniform-half-width", "cyclic-base",
             "risk-key", "top-key", "top-key-admission", "dataset-key", "noise-key",
             "backbone-not-mapping", "risk-not-mapping", "dataset-not-mapping", "risk-null-value",
-            "backbone-string-value", "baselines-list-value", "admission-b-zero", "admission-b-negative",
-            "admission-b-nan", "admission-b-inf", "history-zero", "horizon-zero",
+            "backbone-string-value", "backbone-kind-linear", "backbone-steps-key", "baselines-list-value",
+            "admission-b-zero", "admission-b-negative", "admission-b-nan", "admission-b-inf",
+            "history-zero", "horizon-zero",
             "split-ratios-length", "split-ratios-negative", "split-ratios-sum"])
     def test_run_with_bad_config_fails_with_stage(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
@@ -331,10 +347,23 @@ class TestCommands:
         assert "error [run]" in err
         assert key in err
 
-    def test_run_on_csv_with_timestamp_gap_fails_with_stage(self, tmp_path, capsys):
+    @staticmethod
+    def write_gap_csv(tmp_path):
+        """120 rows, with timestamps jumping from 59 to 70 before row 60."""
         trace_csv = tmp_path / "gap.csv"
         rows = [f"{t},{100.0 + t % 7}" for t in [*range(60), *range(70, 130)]]
         trace_csv.write_text("timestamp,throughput_mbps\n" + "\n".join(rows) + "\n")
+        return trace_csv
+
+    def test_ingest_csv_with_timestamp_gap_fails_with_stage(self, tmp_path, capsys):
+        code = main(["ingest", "--csv", str(self.write_gap_csv(tmp_path))])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error [ingest]: timestamp gap before row 60: step 11")
+        assert captured.out == ""
+
+    def test_run_on_csv_with_timestamp_gap_fails_with_stage(self, tmp_path, capsys):
+        trace_csv = self.write_gap_csv(tmp_path)
         bad = tmp_path / "gap.yaml"
         bad.write_text(f"dataset: {{kind: csv, path: {trace_csv}}}\nL: 4\nH: 2\n")
         code = main(["run", "--config", str(bad), "--output", str(tmp_path / "out")])
@@ -443,7 +472,7 @@ FUZZ_CONFIG = {
 FUZZ_SECTIONS = {
     (): _TOP_KEYS,
     ("risk",): _RISK_KEYS,
-    ("backbone",): tuple(f.name for f in fields(BackboneParams)),
+    ("backbone",): _BACKBONE_KEYS,
     ("dataset",): _DATASET_KEYS["synthetic"],
     ("dataset", "noise"): ("kind", "sigma"),
 }

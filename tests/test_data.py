@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from riskcast.data import (
     Trace,
     UniformNoise,
     build_layout,
+    check_timestamp_gaps,
     derive_time_features,
     deterministic_level,
     generate_synthetic,
@@ -156,8 +158,6 @@ class TestWindows:
         ds = make_windows(constant_trace(400), 10, 5)
         assert ds.train.origin_index.max() < ds.calibration.origin_index.min()
         assert ds.calibration.origin_index.max() < ds.test.origin_index.min()
-        labels = ds.split_labels
-        assert list(labels[: len(ds.train)]) == ["train"] * len(ds.train)
 
     def test_window_contents_match_trace(self, rng):
         spec = SyntheticSpec(length=60, seed=3, base_level=80.0, noise=UniformNoise(20.0))
@@ -205,6 +205,11 @@ class TestWindows:
     def test_uniform_step_other_than_one_is_not_a_gap(self):
         trace = Trace("every-2s", np.arange(0, 200, 2), np.full(100, 10.0))
         assert len(make_windows(trace, 4, 2)) == 95
+
+    def test_one_row_has_no_step_to_check(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the median of no steps would warn
+            check_timestamp_gaps(Trace("one-row", np.array([5]), np.array([10.0])))
 
     def test_bad_ratios(self):
         with pytest.raises(ValueError):
