@@ -52,7 +52,7 @@ from .metrics import (
     p95_pos_err,
     rmse,
     safety_report,
-    subset_mask,
+    subsets,
 )
 
 __version__ = "0.1.0"

@@ -8,12 +8,12 @@ so overestimation is the only way to drop sessions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidBandwidth, SlotMismatch
-from .metrics import PredictionBatch, percentile, subset_mask, SUBSET_PERCENTILES
+from .metrics import PredictionBatch, percentile
 
 ADMISSION_METRICS = ("mean_dropped", "violation_rate", "p95_dropped")
 
@@ -52,7 +52,6 @@ class AdmissionReport:
     violation_rate: float
     p95_dropped: float
     n_slots: int
-    subsets: dict[str, "AdmissionReport"] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.violation_rate <= 1.0:
@@ -63,43 +62,14 @@ class AdmissionReport:
     def metric(self, name: str) -> float:
         return float(getattr(self, name))
 
-    def to_dict(self) -> dict:
-        out = {name: self.metric(name) for name in ADMISSION_METRICS}
-        out["n_slots"] = self.n_slots
-        if self.subsets:
-            out["subsets"] = {k: v.to_dict() for k, v in self.subsets.items()}
-        return out
 
-
-def _drops(preds: np.ndarray, truths: np.ndarray, b: float) -> np.ndarray:
-    n_admit = np.floor(preds / b)
-    n_oracle = np.floor(truths / b)
-    return np.maximum(n_admit - n_oracle, 0.0)
-
-
-def _stats(drops: np.ndarray) -> tuple[float, float, float]:
-    return (
-        float(drops.mean()),
-        float(np.mean(drops > 0)),
-        percentile(drops, 95.0),
-    )
-
-
-def simulate(batch: PredictionBatch, b: float, with_subsets: bool = False) -> AdmissionReport:
+def simulate(batch: PredictionBatch, b: float) -> AdmissionReport:
     """One admission decision per (sample, horizon) element."""
     if b <= 0:
         raise InvalidBandwidth(f"per-service bandwidth must be positive, got {b}")
-    drops = _drops(batch.preds, batch.truths, b)
-    mean_d, viol, p95 = _stats(drops)
-    subsets: dict[str, AdmissionReport] = {}
-    if with_subsets:
-        subsets["all"] = AdmissionReport(mean_d, viol, p95, drops.size)
-        for name, pct in SUBSET_PERCENTILES.items():
-            mask = subset_mask(batch, pct)
-            if mask.any():
-                m, v, p = _stats(drops[mask])
-                subsets[name] = AdmissionReport(m, v, p, int(mask.sum()))
-    return AdmissionReport(mean_d, viol, p95, drops.size, subsets)
+    drops = np.maximum(np.floor(batch.preds / b) - np.floor(batch.truths / b), 0.0)
+    return AdmissionReport(float(drops.mean()), float(np.mean(drops > 0)),
+                           percentile(drops, 95.0), drops.size)
 
 
 def compare(baseline: AdmissionReport, candidate: AdmissionReport) -> dict[str, float | None]:

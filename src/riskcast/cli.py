@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .calibration import (
     run_selection,
 )
 from .errors import ConfigError, EmptySweep, RiskcastError
-from .metrics import METRIC_NAMES, PredictionBatch, SafetyReport, safety_report, SUBSET_NAMES
+from .metrics import METRIC_NAMES, PredictionBatch, SafetyReport, safety_report, subsets
 
 METHOD_POINT = "point"
 METHOD_BUDGET_SCALE = "budget_scale"
@@ -172,7 +172,7 @@ def parse_dataset_config(raw, seed: int) -> DatasetConfig:
             kind="csv",
             path=get("path", str),
             schema=get("schema", lambda s: {str(k): str(v) for k, v in dict(s or {}).items()}, {}),
-            name=raw.get("name"),
+            name=get("name", lambda value: value if value is None else _exact(value, str), None),
         )
     spec = data_mod.SyntheticSpec(
         length=get("length", int),
@@ -274,8 +274,8 @@ class ExperimentBundle:
     config: ExperimentConfig
     selection: SelectionResult
     budget_scale: BudgetScaleResult | None
-    safety: dict[str, SafetyReport]
-    admission: dict[str, AdmissionReport]
+    safety: dict[str, dict[str, SafetyReport]]  # method -> subset ("all", "p30", "p10") -> report
+    admission: dict[str, dict[str, AdmissionReport]]
     output_dir: Path
 
 
@@ -341,11 +341,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     [outcome] = calibrate_budgets(config, _windows(config), [config.risk.epsilon])
     selection, scale_result, batches = outcome.selection, outcome.budget_scale, outcome.batches
 
-    safety = {m: safety_report(b, with_subsets=True) for m, b in batches.items()}
-    adm = {
-        m: admission_mod.simulate(b, config.admission_b, with_subsets=True)
-        for m, b in batches.items()
-    }
+    scored = {m: subsets(b) for m, b in batches.items()}
+    safety = {m: {s: safety_report(b) for s, b in subs.items()} for m, subs in scored.items()}
+    adm = {m: {s: admission_mod.simulate(b, config.admission_b) for s, b in subs.items()}
+           for m, subs in scored.items()}
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -362,7 +361,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     })
     _write_json(out / "reports.json", {
         "methods": {
-            m: {"safety": safety[m].to_dict(), "admission": adm[m].to_dict()}
+            m: {"safety": _nested(safety[m]), "admission": _nested(adm[m])}
             for m in sorted(safety)
         },
     })
@@ -403,8 +402,7 @@ def run_frontier(config: ExperimentConfig, epsilons) -> list[FrontierRow]:
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "frontier.json", [asdict(r) for r in rows])
-    _write_frontier_csv(out / "frontier.csv", rows)
+    _write_table(out, "frontier", _FRONTIER_COLUMNS, [astuple(r) for r in rows])
     return rows
 
 
@@ -416,41 +414,40 @@ _LONG_COLUMNS = ("method", "split", "subset", "metric", "value")
 _FRONTIER_COLUMNS = tuple(f.name for f in fields(FrontierRow))
 
 
-def long_rows(safety: dict[str, SafetyReport], admission: dict[str, AdmissionReport]) -> list[tuple]:
-    """(method, split, subset, metric, value) rows from per-method test reports."""
+def _nested(reports: dict) -> dict:
+    """The "all" report's fields, with every subset's fields under "subsets"."""
+    return {**asdict(reports["all"]), "subsets": {name: asdict(r) for name, r in reports.items()}}
+
+
+def long_rows(
+    safety: dict[str, dict[str, SafetyReport]], admission: dict[str, dict[str, AdmissionReport]]
+) -> list[tuple]:
+    """(method, split, subset, metric, value) rows from per-method, per-subset test reports."""
     rows: list[tuple] = []
     for method in (m for m in _METHOD_ORDER if m in safety):
-        for subset in SUBSET_NAMES:
-            for report, metrics in ((safety[method], METRIC_NAMES), (admission[method], ADMISSION_METRICS)):
-                sub = report.subsets.get(subset)
-                if sub is not None:
-                    rows.extend((method, "test", subset, metric, sub.metric(metric)) for metric in metrics)
+        for subset in safety[method]:
+            for report, metrics in ((safety[method][subset], METRIC_NAMES),
+                                    (admission[method][subset], ADMISSION_METRICS)):
+                rows.extend((method, "test", subset, metric, report.metric(metric)) for metric in metrics)
     return rows
 
 
 def emit_report(
-    bundle_dir, safety: dict[str, SafetyReport], admission: dict[str, AdmissionReport]
+    bundle_dir, safety: dict[str, dict[str, SafetyReport]], admission: dict[str, dict[str, AdmissionReport]]
 ) -> list[Path]:
     """Write the long-format metric table as CSV and JSON; returns both paths."""
-    bundle_dir = Path(bundle_dir)
-    rows = long_rows(safety, admission)
-    csv_path = bundle_dir / "metrics_long.csv"
+    return _write_table(Path(bundle_dir), "metrics_long", _LONG_COLUMNS, long_rows(safety, admission))
+
+
+def _write_table(out: Path, stem: str, columns: tuple[str, ...], rows: list[tuple]) -> list[Path]:
+    """Write rows as stem.csv (strings as-is, numbers as repr(float)) and stem.json."""
+    csv_path, json_path = out / f"{stem}.csv", out / f"{stem}.json"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_LONG_COLUMNS)
-        for row in rows:
-            writer.writerow([*row[:4], repr(float(row[4]))])
-    json_path = bundle_dir / "metrics_long.json"
-    _write_json(json_path, [dict(zip(_LONG_COLUMNS, row)) for row in rows])
+        writer.writerow(columns)
+        writer.writerows([v if isinstance(v, str) else repr(float(v)) for v in row] for row in rows)
+    _write_json(json_path, [dict(zip(columns, row)) for row in rows])
     return [csv_path, json_path]
-
-
-def _write_frontier_csv(path: Path, rows: list[FrontierRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FRONTIER_COLUMNS)
-        for r in rows:
-            writer.writerow([r.method, *[repr(float(getattr(r, c))) for c in _FRONTIER_COLUMNS[1:]]])
 
 
 def _write_json(path: Path, payload) -> None:
@@ -498,8 +495,8 @@ def _cmd_run(args) -> int:
         print(f"budget-scale factor {bundle.budget_scale.c_star:.3f} "
               f"(feasible={bundle.budget_scale.feasible})")
     for method in _METHOD_ORDER:
-        rep = bundle.safety.get(method)
-        if rep is not None:
+        if method in bundle.safety:
+            rep = bundle.safety[method]["all"]
             print(f"{method}: test mae {rep.mae:.3f}, over_rate {rep.over_rate:.3f}, "
                   f"mpe {rep.mpe:.3f}, p95_pos_err {rep.p95_pos_err:.3f}")
     print(f"bundle written to {bundle.output_dir}")

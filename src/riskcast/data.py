@@ -172,15 +172,16 @@ class WindowedDataset:
     def _slice(self, lo: int, hi: int) -> Samples:
         return Samples(self.X[lo:hi], self.Y[lo:hi], self.origin_index[lo:hi], self.layout)
 
-    @property
+    # Cached, so every reader of a split shares one Samples and so one binning.
+    @cached_property
     def train(self) -> Samples:
         return self._slice(0, self.train_end)
 
-    @property
+    @cached_property
     def calibration(self) -> Samples:
         return self._slice(self.train_end, self.cal_end)
 
-    @property
+    @cached_property
     def test(self) -> Samples:
         return self._slice(self.cal_end, len(self))
 
@@ -507,6 +508,8 @@ def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None
             throughput.append(_parse_float(row, mapping["throughput"], line_no))
             for key in aux_present:
                 aux_values[key].append(_parse_float(row, mapping[key], line_no))
+    if not timestamps:
+        raise TraceTooShort(f"trace {path} has no data rows")
 
     ts = np.asarray(timestamps, dtype=np.int64)
     tp = np.asarray(throughput, dtype=np.float64)

@@ -50,10 +50,6 @@ class InvalidTau(RiskcastError):
     """A quantile level lies outside the open interval (0, 1)."""
 
 
-class LengthMismatch(RiskcastError):
-    """Paired sequences have different lengths."""
-
-
 class EmptyTrainingSet(RiskcastError):
     """No samples available for model fitting."""
 

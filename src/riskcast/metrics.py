@@ -9,13 +9,12 @@ overestimation does the most damage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyBatch
 
-SUBSET_NAMES = ("all", "p30", "p10")
 SUBSET_PERCENTILES = {"p30": 30.0, "p10": 10.0}
 METRIC_NAMES = ("mae", "rmse", "over_rate", "mpe", "p95_pos_err")
 
@@ -85,6 +84,16 @@ def subset_mask(batch: PredictionBatch, pct: float) -> np.ndarray:
     return batch.truths <= threshold
 
 
+def subsets(batch: PredictionBatch) -> dict[str, PredictionBatch]:
+    """The batch as "all", plus its elements at or below the 30th and 10th truth
+    percentiles as "p30" and "p10" (never empty: the smallest truth is in both)."""
+    out = {"all": batch}
+    for name, pct in SUBSET_PERCENTILES.items():
+        mask = subset_mask(batch, pct)
+        out[name] = PredictionBatch(batch.preds[mask], batch.truths[mask])
+    return out
+
+
 @dataclass(frozen=True)
 class SafetyReport:
     """All five metrics for one predictor on one element set."""
@@ -95,7 +104,6 @@ class SafetyReport:
     mpe: float
     p95_pos_err: float
     n_elements: int
-    subsets: dict[str, "SafetyReport"] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.over_rate <= 1.0:
@@ -108,34 +116,14 @@ class SafetyReport:
     def metric(self, name: str) -> float:
         return float(getattr(self, name))
 
-    def to_dict(self) -> dict:
-        out = {name: self.metric(name) for name in METRIC_NAMES}
-        out["n_elements"] = self.n_elements
-        if self.subsets:
-            out["subsets"] = {k: v.to_dict() for k, v in self.subsets.items()}
-        return out
 
-
-def _report_from_flat(preds: np.ndarray, truths: np.ndarray) -> SafetyReport:
-    b = PredictionBatch(preds.reshape(1, -1), truths.reshape(1, -1))
+def safety_report(batch: PredictionBatch) -> SafetyReport:
+    """All five metrics over every element of the batch."""
     return SafetyReport(
-        mae=mae(b),
-        rmse=rmse(b),
-        over_rate=over_rate(b),
-        mpe=mpe(b),
-        p95_pos_err=p95_pos_err(b),
-        n_elements=b.n_elements,
+        mae=mae(batch),
+        rmse=rmse(batch),
+        over_rate=over_rate(batch),
+        mpe=mpe(batch),
+        p95_pos_err=p95_pos_err(batch),
+        n_elements=batch.n_elements,
     )
-
-
-def safety_report(batch: PredictionBatch, with_subsets: bool = False) -> SafetyReport:
-    """Aggregate metrics, optionally broken down over P30/P10 truth subsets."""
-    top = _report_from_flat(batch.preds.ravel(), batch.truths.ravel())
-    if not with_subsets:
-        return top
-    subsets: dict[str, SafetyReport] = {"all": top}
-    for name, pct in SUBSET_PERCENTILES.items():
-        mask = subset_mask(batch, pct)
-        if mask.any():
-            subsets[name] = _report_from_flat(batch.preds[mask], batch.truths[mask])
-    return replace(top, subsets=subsets)

@@ -5,7 +5,7 @@ import pytest
 
 from riskcast.admission import AdmissionReport, admit, compare, simulate
 from riskcast.errors import InvalidBandwidth, SlotMismatch
-from riskcast.metrics import PredictionBatch
+from riskcast.metrics import PredictionBatch, subsets
 
 
 class TestAdmit:
@@ -80,10 +80,12 @@ class TestSimulate:
     def test_subsets(self, rng):
         truths = rng.uniform(0, 200, size=(50, 4))
         preds = truths + 12.0
-        report = simulate(PredictionBatch(preds, truths), 10.0, with_subsets=True)
-        assert set(report.subsets) == {"all", "p30", "p10"}
-        assert report.subsets["all"].mean_dropped == report.mean_dropped
-        assert report.subsets["p30"].n_slots < report.n_slots
+        batch = PredictionBatch(preds, truths)
+        report = simulate(batch, 10.0)
+        by_subset = {name: simulate(b, 10.0) for name, b in subsets(batch).items()}
+        assert set(by_subset) == {"all", "p30", "p10"}
+        assert by_subset["all"].mean_dropped == report.mean_dropped
+        assert by_subset["p30"].n_slots < report.n_slots
 
     def test_invalid_bandwidth(self, rng):
         truths = rng.uniform(0, 50, size=(3, 2))

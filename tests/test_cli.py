@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 from unittest import mock
@@ -148,12 +147,12 @@ class TestRunExperiment:
             rows = list(csv.reader(fh))
         assert rows[0] == ["method", "split", "subset", "metric", "value"]
         by_key = {(r[0], r[2], r[3]): float(r[4]) for r in rows[1:]}
-        assert by_key[("safe_quantile", "all", "mae")] == bundle.safety["safe_quantile"].mae
+        assert by_key[("safe_quantile", "all", "mae")] == bundle.safety["safe_quantile"]["all"].mae
         assert by_key[("point", "p30", "over_rate")] == (
-            bundle.safety["point"].subsets["p30"].over_rate
+            bundle.safety["point"]["p30"].over_rate
         )
         assert by_key[("budget_scale", "p10", "mean_dropped")] == (
-            bundle.admission["budget_scale"].subsets["p10"].mean_dropped
+            bundle.admission["budget_scale"]["p10"].mean_dropped
         )
 
     def test_csv_json_reports_agree(self, bundle):
@@ -175,7 +174,8 @@ class TestZeroNoise:
             "backbone": {"n_trees": 5, "max_depth": 2, "min_samples_leaf": 20},
         })
         bundle = run_experiment(load_config(path, output_dir=str(tmp_path / "out")))
-        for report in bundle.safety.values():
+        for reports in bundle.safety.values():
+            report = reports["all"]
             assert report.mae < 1e-9
             assert report.over_rate == 0.0
         assert bundle.selection.feasible
@@ -254,9 +254,9 @@ class TestFrontier:
         bundle = run_experiment(config)
         by_method = {r.method: r for r in rows}
         assert set(by_method) == set(bundle.safety)
-        for method, report in bundle.safety.items():
-            assert by_method[method].over_rate == report.over_rate
-            assert by_method[method].mae == report.mae
+        for method, reports in bundle.safety.items():
+            assert by_method[method].over_rate == reports["all"].over_rate
+            assert by_method[method].mae == reports["all"].mae
         assert by_method["safe_quantile"].control == bundle.selection.tau_star
         if "budget_scale" in baselines:
             assert by_method["budget_scale"].control == bundle.budget_scale.c_star
@@ -331,13 +331,14 @@ class TestCommands:
         (f"{SYNTH}\nsplit_ratios: [0.5, 0.5]", "split_ratios"),
         (f"{SYNTH}\nsplit_ratios: [0.8, 0.3, -0.1]", "split_ratios"),
         (f"{SYNTH}\nsplit_ratios: [0.5, 0.2, 0.2]", "split_ratios"),
+        ("dataset: {kind: csv, path: trace.csv, name: [1, 2]}", "dataset.name"),
     ], ids=["dataset-kind", "backbone-key", "gaussian-sigma", "uniform-half-width", "cyclic-base",
             "risk-key", "top-key", "top-key-admission", "dataset-key", "noise-key",
             "backbone-not-mapping", "risk-not-mapping", "dataset-not-mapping", "risk-null-value",
             "backbone-string-value", "backbone-kind-linear", "backbone-steps-key", "baselines-list-value",
             "admission-b-zero", "admission-b-negative", "admission-b-nan", "admission-b-inf",
             "history-zero", "horizon-zero",
-            "split-ratios-length", "split-ratios-negative", "split-ratios-sum"])
+            "split-ratios-length", "split-ratios-negative", "split-ratios-sum", "dataset-name-list"])
     def test_run_with_bad_config_fails_with_stage(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text + "\n")
@@ -360,6 +361,15 @@ class TestCommands:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error [ingest]: timestamp gap before row 60: step 11")
+        assert captured.out == ""
+
+    def test_ingest_header_only_csv_fails_with_stage(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("timestamp,throughput_mbps\n")
+        code = main(["ingest", "--csv", str(empty)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error [ingest]: trace {empty} has no data rows")
         assert captured.out == ""
 
     def test_run_on_csv_with_timestamp_gap_fails_with_stage(self, tmp_path, capsys):
@@ -418,8 +428,7 @@ class TestEmitReport:
         top = SafetyReport(mae=1.0, rmse=1.5, over_rate=0.2, mpe=0.5, p95_pos_err=2.0, n_elements=10)
         adm = AdmissionReport(mean_dropped=0.1, violation_rate=0.1, p95_dropped=1.0, n_slots=10)
         # no p30/p10 entries
-        rows = long_rows({"safe_quantile": replace(top, subsets={"all": top})},
-                         {"safe_quantile": replace(adm, subsets={"all": adm})})
+        rows = long_rows({"safe_quantile": {"all": top}}, {"safe_quantile": {"all": adm}})
         subsets = {r[2] for r in rows}
         assert subsets == {"all"}
 
@@ -435,7 +444,7 @@ class TestEmitReport:
             rows = list(csv.reader(fh))
         parsed = {(r[0], r[2], r[3]): float(r[4]) for r in rows[1:]}
         assert parsed[("safe_quantile", "all", "p95_pos_err")] == (
-            bundle.safety["safe_quantile"].p95_pos_err
+            bundle.safety["safe_quantile"]["all"].p95_pos_err
         )
 
 

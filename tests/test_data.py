@@ -6,6 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+import riskcast.backbone
+from riskcast.backbone import BackboneParams, train_point_model
+from riskcast.calibration import QuantileEvaluator
 from riskcast.data import (
     CyclicScaleNoise,
     GaussianNoise,
@@ -153,6 +156,19 @@ class TestWindows:
     def test_completeness(self, length, history, horizon):
         ds = make_windows(constant_trace(length), history, horizon)
         assert len(ds) == length - history - horizon + 1
+
+    def test_splits_are_built_and_binned_once(self, monkeypatch):
+        shapes = []
+        bin_features = riskcast.backbone._bin_features
+        monkeypatch.setattr(riskcast.backbone, "_bin_features",
+                            lambda X: shapes.append(X.shape) or bin_features(X))
+        ds = make_windows(constant_trace(400), 10, 5)
+        assert ds.train is ds.train
+        assert ds.calibration is ds.calibration and ds.test is ds.test
+        params = BackboneParams(n_trees=2, max_depth=2, min_samples_leaf=5)
+        QuantileEvaluator(ds.train, ds.calibration, params)(0.3)
+        train_point_model(ds.train, params)
+        assert shapes == [ds.train.X.shape]
 
     def test_split_chronology(self):
         ds = make_windows(constant_trace(400), 10, 5)

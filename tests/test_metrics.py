@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from riskcast.errors import EmptyBatch
 from riskcast.metrics import (
@@ -18,6 +19,7 @@ from riskcast.metrics import (
     rmse,
     safety_report,
     subset_mask,
+    subsets,
 )
 
 
@@ -174,6 +176,16 @@ class TestSubsets:
             expected = truths <= threshold
             assert np.array_equal(subset_mask(batch, pct), expected)
 
+    @settings(max_examples=150, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=10),
+                  elements=st.floats(0.0, 1e300)))
+    def test_subsets_are_never_empty(self, truths):
+        batch = PredictionBatch(np.zeros_like(truths), truths)
+        # The smallest truth lies at or below every percentile of the batch.
+        assert subset_mask(batch, 30.0).any()
+        assert subset_mask(batch, 10.0).any()
+        assert list(subsets(batch)) == ["all", "p30", "p10"]
+
     def test_mask_fraction_near_percentile(self, rng):
         truths = rng.uniform(0, 200, size=(100, 15))
         batch = PredictionBatch(np.zeros_like(truths), truths)
@@ -193,6 +205,7 @@ class TestSafetyReport:
         truths = rng.uniform(0, 100, size=(30, 5))
         preds = truths + rng.normal(0, 10, size=truths.shape)
         batch = PredictionBatch(preds, truths)
-        report = safety_report(batch, with_subsets=True)
-        assert report.subsets["all"].mae == report.mae
-        assert report.subsets["all"].n_elements == report.n_elements
+        report = safety_report(batch)
+        by_subset = {name: safety_report(b) for name, b in subsets(batch).items()}
+        assert by_subset["all"].mae == report.mae
+        assert by_subset["all"].n_elements == report.n_elements
