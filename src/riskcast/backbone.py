@@ -10,10 +10,15 @@ the residuals that landed in it.
 
 Trees are grown exactly, level by level, over (feature, bin) histograms of
 a training split that is binned once (`Samples.binned`); every split and
-leaf equals what a node-at-a-time scan of the same bins would pick. Count
-histograms are integers, so they are shared and subtracted without changing
-any sum: the root's is counted once per split, and the larger of two
-growing siblings takes its parent's minus the smaller one's.
+leaf equals what a node-at-a-time scan of the same bins would pick. A
+quantile fit's histograms are integer counts: N, the rows, and P, the rows
+with a positive residual, since the pinball subgradient sums to
+(1 - tau) * N - P. A point fit counts N and sums its float gradients. Counts
+are shared and subtracted without changing any sum: the root's N is counted
+once per split, and the larger of two growing siblings takes its parent's
+counts minus the smaller one's. As every quantile gain is a function of the
+counts alone, equal counts give equal gains, and ties go to the lowest
+feature, then the lowest bin.
 """
 
 from __future__ import annotations
@@ -184,47 +189,75 @@ class BinnedFeatures:
 def _best_splits(
     binned: BinnedFeatures,
     nodes: list[np.ndarray],
-    grad: np.ndarray,
+    target: np.ndarray,
+    tau: float | None,
     min_samples_leaf: int,
     parents: list[np.ndarray],
 ) -> tuple[list[tuple[int, int] | None], np.ndarray]:
     """Best (feature, bin) split of each node at one depth, or None for a leaf.
 
-    One weighted bincount covers every node. Each histogram cell sums its
-    node's rows in ascending row order, and cumsum and gain are taken element
-    for element, so every gain is bit-identical to a node-at-a-time scan of
-    a (feature, bin) grid; as that grid's row-major argmax does, ties go to
-    the lowest feature index, then the lowest bin. The order of `nodes` only
-    decides which histogram row each node uses.
+    A node's histograms are integer counts per (feature, bin) cell: N, its
+    rows, and for a quantile fit (tau set, `target` the rows' resid > 0) P,
+    its rows with a positive residual. The pinball subgradient is -tau on a
+    positive residual and 1 - tau otherwise, so a cell's gradient sum is
+    (1 - tau) * N - P, and every gain is a function of the integers
+    (N_left, P_left) alone. A point fit (`target` the rows' gradients) adds
+    a float histogram, one weighted bincount over every node, whose cells
+    sum their rows in ascending row order. Either way cumsum and gain are
+    taken element for element, so every gain is bit-identical to a
+    node-at-a-time scan of a (feature, bin) grid, and ties go, as that
+    grid's row-major argmax sends them, to the lowest feature index, then
+    the lowest bin. The order of `nodes` only decides which histogram row
+    each node uses.
 
-    Count histograms are exact integers, so the last len(parents) nodes are
-    not counted: each takes its parent's counts, parents[j], minus those of
-    its smaller sibling, nodes[j]. The root, whose counts are the split's,
-    is the one such node without a sibling, and is alone at its depth. Also
-    returns every node's count histogram, one row per node.
+    Counts are exact, so the last len(parents) nodes are not counted: each
+    takes its parent's histograms, parents[j], minus those of its smaller
+    sibling, nodes[j]. The root, whose histograms come with it, is the one
+    such node without a sibling, and is alone at its depth. A quantile fit
+    gathers only the counted nodes' rows. Also returns every node's count
+    histograms, shape (len(nodes), 1 or 2 for [N] or [N, P], cells).
     """
     k = len(nodes)
     counted = k - len(parents)
-    sizes = np.asarray([idx.size for idx in nodes], dtype=np.int64)
-    total_g = np.asarray([grad[idx].sum() for idx in nodes], dtype=np.float64)
-    base_score = total_g * total_g / sizes
-    rows = np.concatenate(nodes)
+    n_cells = binned.n_cells
     per_row = binned.cells.shape[1]
-    if k == 1 and rows.size == len(binned.codes):  # the root, holding every row in order
-        flat = binned.cells.ravel()
-    else:
-        flat = binned.cells[rows]
-        flat += np.repeat(np.arange(k, dtype=np.int64) * binned.n_cells, sizes)[:, None]
-        flat = flat.ravel()
-    weights = np.repeat(grad[rows], per_row)
-    hist_g = np.bincount(flat, weights=weights, minlength=k * binned.n_cells).reshape(k, -1)
-    hist_n = np.empty((k, binned.n_cells), dtype=np.int64)
-    prefix = flat[: int(sizes[:counted].sum()) * per_row]  # the counted nodes' rows
-    hist_n[:counted] = np.bincount(prefix, minlength=counted * binned.n_cells).reshape(-1, binned.n_cells)
+    c = 1 if tau is None else 2
+    sizes = np.asarray([idx.size for idx in nodes], dtype=np.int64)
+    gathered = nodes if tau is None else nodes[:counted]
+    hist = np.empty((k, c, n_cells), dtype=np.int64)
+    if gathered:
+        rows = np.concatenate(gathered)
+        if tau is None and k == 1 and rows.size == len(binned.codes):  # a point root: every row in order
+            flat = binned.cells.ravel()
+        else:
+            # Each row counts into its node's slot. A quantile node has two,
+            # for its non-positive and its positive rows, which sum to N.
+            slot = np.repeat(np.arange(len(gathered), dtype=np.int64) * c, sizes[: len(gathered)])
+            if tau is not None:
+                slot += target[rows]
+            flat = binned.cells[rows]
+            flat += (slot * n_cells)[:, None]
+            flat = flat.ravel()
+        prefix = flat[: int(sizes[:counted].sum()) * per_row]  # the counted nodes' rows
+        hist[:counted] = np.bincount(prefix, minlength=counted * c * n_cells).reshape(counted, c, n_cells)
+        if tau is None:
+            hist_g = np.bincount(flat, weights=np.repeat(target[rows], per_row), minlength=k * n_cells)
+            hist_g = hist_g.reshape(k, -1)
+        else:
+            hist[:counted, 0] += hist[:counted, 1]
     if parents:
-        hist_n[counted:] = parents
+        hist[counted:] = parents
         if counted:
-            hist_n[counted:] -= hist_n[: len(parents)]
+            hist[counted:] -= hist[: len(parents)]
+    if tau is None:
+        total_g = np.asarray([target[idx].sum() for idx in nodes], dtype=np.float64)
+    else:
+        # Each row lies in one bin of every feature, so any one feature's P
+        # cells sum to the node's P.
+        first = binned.groups[0]
+        p_total = hist[:, 1, first.start : first.start + first.width].sum(axis=1)
+        total_g = (1.0 - tau) * sizes - p_total
+    base_score = total_g * total_g / sizes
     n = sizes[:, None, None]
     best_gain = np.full(k, -np.inf)
     best_feature = np.full(k, binned.codes.shape[1], dtype=np.int64)
@@ -233,12 +266,18 @@ def _best_splits(
     for group in binned.groups:
         m, width = group.features.size, group.width
         cells = slice(group.start, group.start + m * width)
-        cum_g = hist_g[:, cells].reshape(k, m, width).cumsum(axis=2)[:, :, :-1]
-        cum_n = hist_n[:, cells].reshape(k, m, width).cumsum(axis=2)[:, :, :-1]
+        cum = hist[:, :, cells].reshape(k, c, m, width).cumsum(axis=3)[..., :-1]
+        cum_n = cum[:, 0]
         n_right = n - cum_n
         ok = (cum_n >= min_samples_leaf) & (n_right >= min_samples_leaf) & group.valid
         any_ok |= ok.any(axis=(1, 2))
-        g_right = total_g[:, None, None] - cum_g
+        if tau is None:
+            cum_g = hist_g[:, cells].reshape(k, m, width).cumsum(axis=2)[:, :, :-1]
+            g_right = total_g[:, None, None] - cum_g
+        else:
+            cum_p = cum[:, 1]
+            cum_g = (1.0 - tau) * cum_n - cum_p
+            g_right = (1.0 - tau) * n_right - (p_total[:, None, None] - cum_p)
         with np.errstate(divide="ignore", invalid="ignore"):
             gain = np.where(
                 ok,
@@ -260,7 +299,21 @@ def _best_splits(
         else None
         for s in range(k)
     ]
-    return splits, hist_n
+    return splits, hist
+
+
+def _root_histograms(binned: BinnedFeatures, target: np.ndarray, tau: float | None) -> np.ndarray:
+    """The histograms of a root holding every row, as _best_splits takes them.
+
+    N is the split's cached root_counts. A quantile fit's P counts only the
+    minority sign of `target` (resid > 0), taking the majority's as N minus it.
+    """
+    n = binned.root_counts
+    if tau is None:
+        return n[None]
+    minority = target if 2 * np.count_nonzero(target) <= target.size else ~target
+    counts = np.bincount(binned.cells[minority].ravel(), minlength=binned.n_cells)
+    return np.stack([n, counts if minority is target else n - counts])
 
 
 def _leaf_quantile(r: np.ndarray, tau: float) -> float:
@@ -284,7 +337,6 @@ def _leaf_quantile(r: np.ndarray, tau: float) -> float:
 def _grow_tree(
     binned: BinnedFeatures,
     rows: np.ndarray,
-    grad: np.ndarray,
     resid: np.ndarray,
     tau: float | None,
     max_depth: int,
@@ -292,15 +344,18 @@ def _grow_tree(
 ) -> tuple[DecisionTree, np.ndarray]:
     """Grow one tree level by level over `rows` (ascending row indices).
 
-    Nodes are numbered breadth-first. Returns the tree and the leaf of each
-    row in `rows` (other entries are unset).
+    A quantile fit splits on the signs of `resid` (zero counts as
+    non-positive, as in pinball_subgradient); a point fit on the gradients
+    -resid. Nodes are numbered breadth-first. Returns the tree and the leaf
+    of each row in `rows` (other entries are unset).
     """
     feature = [-1]
     threshold = [0.0]
     left = [-1]
     right = [-1]
     value = [0.0]
-    leaf_of = np.empty(len(grad), dtype=np.int64)
+    leaf_of = np.empty(len(resid), dtype=np.int64)
+    target = resid > 0 if tau is not None else -resid
 
     def make_leaf(node: int, idx: np.ndarray) -> None:
         r = resid[idx]
@@ -312,13 +367,13 @@ def _grow_tree(
             column.append(blank)
         return len(feature) - 1
 
-    # A level holds sets of siblings with their parent's count histogram,
+    # A level holds sets of siblings with their parent's count histograms,
     # None for the root of a subsampled tree. Where the parent's counts are
     # known and every sibling grows, the largest takes its counts by
     # subtraction and the smaller is counted; the rest are counted alone.
     # Node ids follow `growing`, whatever order _best_splits sees them in.
-    root_counts = binned.root_counts if rows.size == len(binned.codes) else None
-    level = [(root_counts, [(0, rows)])]
+    root = _root_histograms(binned, target, tau) if rows.size == len(binned.codes) else None
+    level = [(root, [(0, rows)])]
     for depth in range(max_depth + 1):
         growing, smaller, lone, larger, parents = [], [], [], [], []
         for counts, siblings in level:
@@ -339,7 +394,7 @@ def _grow_tree(
         if not growing:
             break
         order = smaller + lone + larger
-        splits, hist_n = _best_splits(binned, [growing[g][1] for g in order], grad, min_samples_leaf, parents)
+        splits, hist = _best_splits(binned, [growing[g][1] for g in order], target, tau, min_samples_leaf, parents)
         at = {g: s for s, g in enumerate(order)}
         level = []
         for g, (node, idx) in enumerate(growing):
@@ -353,7 +408,7 @@ def _grow_tree(
             threshold[node] = float(binned.cuts[f][b])
             left[node] = add_node()
             right[node] = add_node()
-            level.append((hist_n[at[g]], [(left[node], idx[go_left]), (right[node], idx[~go_left])]))
+            level.append((hist[at[g]], [(left[node], idx[go_left]), (right[node], idx[~go_left])]))
     tree = DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -396,16 +451,13 @@ def _fit_boosted_column(
         resid = y - pred
         if not np.any(resid):
             break
-        grad = pinball_subgradient(y, pred, tau) if tau is not None else -resid
         if params.subsample < 1.0:
             m = max(1, int(round(params.subsample * n)))
             rows = np.sort(rng.choice(n, size=m, replace=False))
-            tree, _ = _grow_tree(binned, rows, grad, resid, tau, params.max_depth, params.min_samples_leaf)
+            tree, _ = _grow_tree(binned, rows, resid, tau, params.max_depth, params.min_samples_leaf)
             step = tree.predict(X)
         else:
-            tree, leaf_of = _grow_tree(
-                binned, all_rows, grad, resid, tau, params.max_depth, params.min_samples_leaf
-            )
+            tree, leaf_of = _grow_tree(binned, all_rows, resid, tau, params.max_depth, params.min_samples_leaf)
             step = tree.value[leaf_of]
         pred += params.learning_rate * step
         model.trees.append(tree)

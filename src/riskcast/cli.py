@@ -133,10 +133,11 @@ def _section(value, name: str, allowed=None):
     return get
 
 
-def _build(name: str, cls, **kwargs):
-    """cls(**kwargs), with a rejected value reported against the section."""
+def _build(name: str, make, **kwargs):
+    """make(**kwargs), with a rejected value reported against `name`: a
+    config section or a command-line flag."""
     try:
-        return cls(**kwargs)
+        return make(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -253,7 +254,8 @@ def load_config(
     if output_dir is not None:
         config = replace(config, output_dir=output_dir)
     if epsilon is not None:
-        config = replace(config, risk=config.risk.with_epsilon(epsilon))
+        risk = _build(f"--epsilon {epsilon}", config.risk.with_epsilon, epsilon=epsilon)
+        config = replace(config, risk=risk)
     return config
 
 
@@ -380,16 +382,21 @@ class FrontierRow:
     p95_pos_err: float
 
 
-def run_frontier(config: ExperimentConfig, epsilons) -> list[FrontierRow]:
-    """Re-calibrate per budget value, reusing trained models across budgets."""
+def _sweep(epsilons) -> list[float]:
+    """The budget values as floats, each in (0, 1), strictly ascending."""
     eps = [float(e) for e in epsilons]
     if not eps:
         raise EmptySweep("no budget values to sweep")
     if any(not 0.0 < e < 1.0 for e in eps):
         raise ValueError("budget values must lie in (0, 1)")
-    if sorted(eps) != eps:
-        raise ValueError("budget values must be sorted ascending")
+    if any(a >= b for a, b in zip(eps, eps[1:])):
+        raise ValueError("budget values must be sorted ascending, without repeats")
+    return eps
 
+
+def run_frontier(config: ExperimentConfig, epsilons) -> list[FrontierRow]:
+    """Re-calibrate per budget value, reusing trained models across budgets."""
+    eps = _sweep(epsilons)
     rows: list[FrontierRow] = []
     for outcome in calibrate_budgets(config, _windows(config), eps):
         controls = {METHOD_POINT: 1.0, METHOD_SAFE_QUANTILE: outcome.selection.tau_star}
@@ -462,7 +469,12 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    schema = dict(kv.split("=", 1) for kv in (args.schema or []))
+    schema = {}
+    for kv in args.schema or []:
+        name, sep, column = kv.partition("=")
+        if not sep:
+            raise ConfigError(f"--schema: expected FIELD=COLUMN, got {kv!r}")
+        schema[name] = column
     trace = data_mod.ingest_csv(args.csv, schema or None)
     data_mod.check_timestamp_gaps(trace)
     print(f"trace {trace.name}: {len(trace)} rows, "
@@ -505,7 +517,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_frontier(args) -> int:
     config = load_config(args.config, seed=args.seed, output_dir=args.output)
-    epsilons = [float(x) for x in args.epsilons.split(",")] if args.epsilons else list(DEFAULT_EPSILONS)
+    epsilons = list(DEFAULT_EPSILONS)
+    if args.epsilons:
+        epsilons = _build(f"--epsilons {args.epsilons}", _sweep, epsilons=args.epsilons.split(","))
     rows = run_frontier(config, epsilons)
     for row in rows:
         print(f"eps={row.epsilon:.2f} {row.method}: control={row.control:.4f} "

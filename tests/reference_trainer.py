@@ -1,17 +1,22 @@
 """Reference tree trainer: the recursive, node-at-a-time grower.
 
 This is the trainer the level-wise one in `riskcast.backbone` replaced,
-kept verbatim as a test oracle: both must grow the same trees, node for
-node, and give bit-identical predictions. `fit_boosted_column` is the
-boosting loop around it, which bins X on every call and takes training
-predictions from `DecisionTree.predict`.
+kept as a test oracle: both must grow the same trees, node for node, and
+give bit-identical predictions. `fit_boosted_column` is the boosting loop
+around it, which bins X on every call and takes training predictions from
+`DecisionTree.predict`.
+
+A quantile fit's gradient sums are taken as (1 - tau) * N - P from the
+integer counts N (rows) and P (rows with a positive residual), the
+arithmetic the level-wise trainer uses; a point fit sums its float
+gradients in row order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from riskcast.backbone import BackboneParams, BoostedTreesRegressor, DecisionTree, pinball_subgradient
+from riskcast.backbone import BackboneParams, BoostedTreesRegressor, DecisionTree
 
 _MAX_BINS = 256
 
@@ -39,7 +44,6 @@ def _bin_features(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 def _grow_tree(
     binned: np.ndarray,
     cuts: list[np.ndarray],
-    grad: np.ndarray,
     resid: np.ndarray,
     tau: float | None,
     max_depth: int,
@@ -74,19 +78,29 @@ def _grow_tree(
         n = idx.size
         if depth >= max_depth or n < 2 * min_samples_leaf or bin_ids is None:
             return add_leaf(idx)
-        g = grad[idx]
-        total_g = g.sum()
         flat = (binned[idx].astype(np.int64) + offsets).ravel()
-        hist_g = np.bincount(flat, weights=np.repeat(g, n_feat), minlength=n_feat * n_bins)
         hist_n = np.bincount(flat, minlength=n_feat * n_bins)
-        cum_g = hist_g.reshape(n_feat, n_bins).cumsum(axis=1)[:, :-1]
         cum_n = hist_n.reshape(n_feat, n_bins).cumsum(axis=1)[:, :-1]
         n_right = n - cum_n
         ok = (cum_n >= min_samples_leaf) & (n_right >= min_samples_leaf)
         ok &= bin_ids < n_cuts[:, None]
         if not ok.any():
             return add_leaf(idx)
-        g_right = total_g - cum_g
+        if tau is None:
+            g = -resid[idx]
+            total_g = g.sum()
+            hist_g = np.bincount(flat, weights=np.repeat(g, n_feat), minlength=n_feat * n_bins)
+            cum_g = hist_g.reshape(n_feat, n_bins).cumsum(axis=1)[:, :-1]
+            g_right = total_g - cum_g
+        else:
+            positive = idx[resid[idx] > 0]
+            p_total = positive.size
+            flat_p = (binned[positive].astype(np.int64) + offsets).ravel()
+            hist_p = np.bincount(flat_p, minlength=n_feat * n_bins)
+            cum_p = hist_p.reshape(n_feat, n_bins).cumsum(axis=1)[:, :-1]
+            total_g = (1.0 - tau) * n - p_total
+            cum_g = (1.0 - tau) * cum_n - cum_p
+            g_right = (1.0 - tau) * n_right - (p_total - cum_p)
         base_score = total_g * total_g / n
         with np.errstate(divide="ignore", invalid="ignore"):
             gain = np.where(
@@ -136,18 +150,12 @@ def fit_boosted_column(
         resid = y - pred
         if not np.any(resid):
             break
-        grad = pinball_subgradient(y, pred, tau) if tau is not None else -resid
         if params.subsample < 1.0:
             m = max(1, int(round(params.subsample * n)))
             rows = np.sort(rng.choice(n, size=m, replace=False))
-            tree = _grow_tree(
-                binned[rows], cuts, grad[rows], resid[rows], tau,
-                params.max_depth, params.min_samples_leaf,
-            )
+            tree = _grow_tree(binned[rows], cuts, resid[rows], tau, params.max_depth, params.min_samples_leaf)
         else:
-            tree = _grow_tree(
-                binned, cuts, grad, resid, tau, params.max_depth, params.min_samples_leaf
-            )
+            tree = _grow_tree(binned, cuts, resid, tau, params.max_depth, params.min_samples_leaf)
         pred += params.learning_rate * tree.predict(X)
         model.trees.append(tree)
     return model

@@ -245,6 +245,19 @@ class TestExactTrainer:
     # apply, and its children still subtract at depths 1-3.
     @example(seed=5, n=500, kinds=["many", "two_valued", "tied"], tau=0.1,
              subsample=0.8, max_depth=4, min_samples_leaf=7, n_trees=2)
+    # Unsampled roots take P from their minority sign: at tau 0.1 most
+    # residuals are positive, so the non-positive rows are counted; at tau
+    # 0.9 the positive ones are.
+    @example(seed=6, n=600, kinds=["many", "tied", "two_valued"], tau=0.1,
+             subsample=1.0, max_depth=6, min_samples_leaf=1, n_trees=2)
+    # Here children holding rows of only one sign (P = 0 or P = N) grow, both
+    # counted and taking their histograms by subtraction.
+    @example(seed=7, n=600, kinds=["many", "tied", "two_valued"], tau=0.9,
+             subsample=1.0, max_depth=6, min_samples_leaf=1, n_trees=2)
+    # A subsampled root's P is counted with its N, here with the positive
+    # residuals in the minority.
+    @example(seed=8, n=500, kinds=["many", "two_valued", "tied"], tau=0.9,
+             subsample=0.8, max_depth=4, min_samples_leaf=7, n_trees=2)
     def test_matches_reference_trainer(
         self, seed, n, kinds, tau, subsample, max_depth, min_samples_leaf, n_trees
     ):
@@ -271,11 +284,46 @@ class TestExactTrainer:
         resid = np.where(flag > 0, 5.0, -5.0)
         binned = BinnedFeatures.of(X)
         assert sorted(g.width for g in binned.groups) == [2, 4]
-        tree, _ = _grow_tree(binned, np.arange(len(X)), -resid, resid, None, 1, 1)
+        tree, _ = _grow_tree(binned, np.arange(len(X)), resid, None, 1, 1)
         codes, cuts = reference_trainer._bin_features(X)
-        oracle = reference_trainer._grow_tree(codes, cuts, -resid, resid, None, 1, 1)
+        oracle = reference_trainer._grow_tree(codes, cuts, resid, None, 1, 1)
         assert tree.feature[0] == oracle.feature[0] == 0
         assert tree.threshold[0] == oracle.threshold[0] == (1.5 if wide_first else 0.5)
+
+    def test_equal_counts_go_to_the_lower_feature_whatever_the_row_order(self):
+        # Both binary features put 34 rows, 15 of them with a positive
+        # residual, on the left, so their gains are equal as rationals. The
+        # two left sets hold different rows, and their pinball gradients,
+        # summed in row order, round to different floats.
+        def bits(text):
+            return np.array([float(c) for c in text])
+
+        tau = 0.36875
+        y = bits("1100100101100000100110110000101100101001000000010101010101011000")
+        X = np.column_stack([
+            bits("0101000000111110111000100101000001111001101011011111000000000111"),
+            bits("0011011111100000001011110111111011001111100001000010001000000001"),
+        ])
+        left = X == 0
+        assert left.sum(axis=0).tolist() == [34, 34]
+        assert (left & (y > 0)[:, None]).sum(axis=0).tolist() == [15, 15]
+        grad = pinball_subgradient(y, 0.0, tau)
+        assert np.cumsum(grad[left[:, 0]])[-1] != np.cumsum(grad[left[:, 1]])[-1]
+        params = BackboneParams(n_trees=1, max_depth=1, learning_rate=1.0, min_samples_leaf=1)
+        model = _fit_boosted_column(X, BinnedFeatures.of(X), y, tau, params, np.random.default_rng(0))
+        assert model.base_score == 0.0  # so every residual is y itself
+        assert model.trees[0].feature[0] == 0
+
+    def test_zero_residuals_count_as_non_positive(self):
+        # The flagged rows' residuals are zero, the others' positive. Only a
+        # zero's (1 - tau) gradient tells them apart; counted as positive,
+        # every row would carry -tau and no split would gain.
+        flag = np.repeat([0.0, 1.0], [30, 70])
+        resid = np.where(flag > 0, 0.0, 5.0)
+        binned = BinnedFeatures.of(flag[:, None])
+        tree, _ = _grow_tree(binned, np.arange(flag.size), resid, 0.3, 1, 1)
+        assert tree.feature[0] == 0
+        assert tree.value[1:].tolist() == [5.0, 0.0]
 
 
 @st.composite

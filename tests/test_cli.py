@@ -348,6 +348,27 @@ class TestCommands:
         assert "error [run]" in err
         assert key in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--epsilon", "1.5"], "--epsilon 1.5"),
+        (["run", "--epsilon", "nan"], "--epsilon nan"),
+        (["frontier", "--epsilons", "0.3,abc"], "--epsilons 0.3,abc"),
+        (["frontier", "--epsilons", "0.3,1.2"], "--epsilons 0.3,1.2"),
+        (["frontier", "--epsilons", "0.4,0.3"], "--epsilons 0.4,0.3"),
+        (["frontier", "--epsilons", "0.3,0.3"], "--epsilons 0.3,0.3"),
+        (["ingest", "--csv", "trace.csv", "--schema", "timestamp"], "--schema"),
+    ], ids=["epsilon-out-of-range", "epsilon-nan", "epsilons-not-a-number", "epsilons-out-of-range",
+            "epsilons-unsorted", "epsilons-repeated", "schema-without-equals"])
+    def test_bad_flag_value_fails_with_stage(self, tmp_path, capsys, argv, flag):
+        command, *rest = argv
+        if command != "ingest":
+            rest += ["--config", write_config(tmp_path)]
+        code = main([command, *rest])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error [{command}]: {flag}")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def write_gap_csv(tmp_path):
         """120 rows, with timestamps jumping from 59 to 70 before row 60."""
