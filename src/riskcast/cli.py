@@ -15,9 +15,10 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import yaml
 
@@ -52,22 +53,8 @@ def stage_seed(seed: int, stage: str) -> int:
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    kind: str  # "csv" | "synthetic"
-    path: str | None = None
-    schema: dict[str, str] = field(default_factory=dict)
-    name: str | None = None
-    synthetic: data_mod.SyntheticSpec | None = None
-
-    def to_dict(self) -> dict:
-        if self.kind == "csv":
-            return {"kind": "csv", "path": self.path, "schema": dict(sorted(self.schema.items())), "name": self.name}
-        return {"kind": "synthetic", "spec": self.synthetic.to_dict()}
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: DatasetConfig
+    dataset: data_mod.CsvSource | data_mod.SyntheticSpec
     history: int = 75
     horizon: int = 15
     split_ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
@@ -78,35 +65,37 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "runs/experiment"
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset.to_dict(),
-            "L": self.history,
-            "H": self.horizon,
-            "split_ratios": list(self.split_ratios),
-            "risk": asdict(self.risk),
-            "backbone": asdict(self.backbone),
-            "baselines": list(self.baselines),
-            "admission_b": self.admission_b,
-            "seed": self.seed,
-        }
+
+# The fields that the YAML and config.json name otherwise.
+_YAML_KEYS = {"history": "L", "horizon": "H", "grid_size": "M", "penalty": "lambda"}
+
+
+def _keys(cls) -> tuple[str, ...]:
+    """The keys of cls's config section: its field names, as the YAML names them."""
+    return tuple(_YAML_KEYS.get(f.name, f.name) for f in fields(cls))
+
+
+def config_dict(config: ExperimentConfig) -> dict:
+    """The config as config.json records it, in the YAML's keys and without
+    output_dir; config_from_dict reads it back."""
+    return asdict(config, dict_factory=lambda items: {
+        _YAML_KEYS.get(key, key): value for key, value in items if key != "output_dir"
+    })
 
 
 def config_hash(config: ExperimentConfig) -> str:
     """Hash of every semantically meaningful field (output_dir excluded)."""
-    canonical = json.dumps(config.to_dict(), sort_keys=True)
+    canonical = json.dumps(config_dict(config), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-_TOP_KEYS = ("dataset", "L", "H", "split_ratios", "risk", "backbone", "baselines",
-             "admission_b", "seed", "output_dir")
-_RISK_KEYS = ("epsilon", "tau_min", "tau_max", "delta", "M", "lambda")
-_BACKBONE_KEYS = ("kind", *(f.name for f in fields(BackboneParams)))
-_DATASET_KEYS = {
-    "csv": ("kind", "path", "schema", "name"),
-    "synthetic": ("kind", "length", "seed", "base_level", "diurnal_amplitude", "handover_period",
-                  "handover_drop", "noise", "noise_model", "start_timestamp"),
-}
+_TOP_KEYS = _keys(ExperimentConfig)
+_RISK_KEYS = _keys(RiskBudgetConfig)
+_BACKBONE_KEYS = ("kind", *_keys(BackboneParams))
+_DATASET_KEYS = {"csv": _keys(data_mod.CsvSource),
+                 "synthetic": (*_keys(data_mod.SyntheticSpec), "noise_model")}
+_NOISES = {cls.kind: cls for cls in (data_mod.NoNoise, data_mod.UniformNoise, data_mod.GaussianNoise,
+                                     data_mod.CyclicScaleNoise)}
 _REQUIRED = object()
 
 
@@ -133,7 +122,7 @@ def _section(value, name: str, allowed=None):
     return get
 
 
-def _build(name: str, make, **kwargs):
+def _build(name: str, make, /, **kwargs):
     """make(**kwargs), with a rejected value reported against `name`: a
     config section or a command-line flag."""
     try:
@@ -143,91 +132,104 @@ def _build(name: str, make, **kwargs):
 
 
 def _exact(value, kind: type):
-    """The value unchanged if it already is a `kind` (an int also passes as a float)."""
-    if not isinstance(value, (int, float) if kind is float else kind):
+    """The value unchanged if it already is a `kind`: the one type rule for
+    config values. A bool is never a number, and an int also passes as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
     return value
 
 
+def _typed(value, hint):
+    """The value unchanged if it passes _exact for the annotation `hint`:
+    int, float or str, or one of them `| None`."""
+    if value is None and type(None) in get_args(hint):
+        return value
+    return _exact(value, (get_args(hint) or (hint,))[0])
+
+
+def _list_of(kind: type):
+    return lambda values: tuple(_exact(value, kind) for value in _exact(values, list))
+
+
+def _schema(value) -> dict[str, str]:
+    """dataset.schema: canonical field -> column name, null reading as empty."""
+    mapping = _exact({} if value is None else value, dict)
+    return {_exact(key, str): _exact(column, str) for key, column in mapping.items()}
+
+
 def _at_least_one(value) -> int:
-    value = int(value)
-    if value < 1:
+    if _exact(value, int) < 1:
         raise ValueError(f"must be >= 1, got {value}")
     return value
 
 
 def _positive_finite(value) -> float:
-    value = float(value)
-    if not 0.0 < value < float("inf"):
+    if not 0.0 < _exact(value, float) < float("inf"):
         raise ValueError(f"must be a finite number > 0, got {value}")
     return value
 
 
-def parse_dataset_config(raw, seed: int) -> DatasetConfig:
-    kind = _section(raw, "dataset")("kind", str)
+def _read(cls, get, name: str, defaults: dict | None = None, /, **given):
+    """cls built from the config section that `get` reads: each init field not
+    `given` is read under its YAML key and must pass _typed for its annotation;
+    a missing one takes its `defaults` entry, else the dataclass default."""
+    hints, defaults = get_type_hints(cls), defaults or {}
+    for f in fields(cls):
+        if f.init and f.name not in given:
+            default = defaults.get(f.name, _REQUIRED if f.default is MISSING else f.default)
+            given[f.name] = get(_YAML_KEYS.get(f.name, f.name), partial(_typed, hint=hints[f.name]), default)
+    return _build(name, cls, **given)
+
+
+def _noise(raw, name: str):
+    """A noise model from its section; null, or no kind, means no noise."""
+    kind = _section(raw, name)("kind", partial(_exact, kind=str), "none")
+    if kind not in _NOISES:
+        raise ConfigError(f"unknown noise kind {kind!r}")
+    cls = _NOISES[kind]
+    get = _section(raw, name, _keys(cls))
+    if cls is data_mod.CyclicScaleNoise:
+        return _read(cls, get, name, base=get("base", partial(_noise, name=f"{name}.base")))
+    return _read(cls, get, name)
+
+
+def _dataset(raw, seed: int):
+    kind = _section(raw, "dataset")("kind", partial(_exact, kind=str))
     if kind not in _DATASET_KEYS:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     get = _section(raw, "dataset", _DATASET_KEYS[kind])
     if kind == "csv":
-        return DatasetConfig(
-            kind="csv",
-            path=get("path", str),
-            schema=get("schema", lambda s: {str(k): str(v) for k, v in dict(s or {}).items()}, {}),
-            name=get("name", lambda value: value if value is None else _exact(value, str), None),
-        )
-    spec = data_mod.SyntheticSpec(
-        length=get("length", int),
-        seed=get("seed", int, stage_seed(seed, "data")),
-        base_level=get("base_level", float),
-        diurnal_amplitude=get("diurnal_amplitude", float, 0.0),
-        handover_period=get("handover_period", int, 15),
-        handover_drop=get("handover_drop", float, 0.0),
-        noise=get("noise_model" if "noise_model" in raw else "noise",
-                  lambda d: data_mod.noise_from_dict({"kind": "none"} if d is None else d),
-                  data_mod.NoNoise()),
-        start_timestamp=get("start_timestamp", int, 0),
-    )
-    return DatasetConfig(kind="synthetic", synthetic=spec)
+        return _read(data_mod.CsvSource, get, "dataset", schema=get("schema", _schema, {}))
+    key = "noise_model" if "noise_model" in raw else "noise"
+    noise = get(key, partial(_noise, name=f"dataset.{key}"), data_mod.NoNoise())
+    return _read(data_mod.SyntheticSpec, get, "dataset", {"seed": stage_seed(seed, "data")}, noise=noise)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     get = _section(raw, "config", _TOP_KEYS)
-    seed = get("seed", int, 0)
-    risk_get = _section(raw.get("risk"), "risk", _RISK_KEYS)
-    risk = _build(
-        "risk",
-        RiskBudgetConfig,
-        epsilon=risk_get("epsilon", float, 0.35),
-        tau_min=risk_get("tau_min", float, 0.15),
-        tau_max=risk_get("tau_max", float, 0.40),
-        delta=risk_get("delta", float, 0.05),
-        grid_size=risk_get("M", int, 5),
-        penalty=risk_get("lambda", lambda value: None if value is None else float(value), None),
-    )
+    seed = get("seed", partial(_exact, kind=int), 0)
+    risk = _read(RiskBudgetConfig, _section(raw.get("risk"), "risk", _RISK_KEYS), "risk", {"epsilon": 0.35})
     backbone_get = _section(raw.get("backbone"), "backbone", _BACKBONE_KEYS)
-    kind = backbone_get("kind", str, "boosted_trees")
+    kind = backbone_get("kind", partial(_exact, kind=str), "boosted_trees")
     if kind != "boosted_trees":
         raise ConfigError(f"backbone.kind: the only kind is boosted_trees, got {kind!r}")
-    defaults = replace(BackboneParams(), seed=stage_seed(seed, "backbone"))
-    backbone = _build("backbone", BackboneParams, **{
-        f.name: backbone_get(f.name, partial(_exact, kind=type(f.default)), getattr(defaults, f.name))
-        for f in fields(BackboneParams)
-    })
-    baselines = get("baselines", lambda names: tuple(map(str, names)), (METHOD_POINT, METHOD_BUDGET_SCALE))
+    backbone = _read(BackboneParams, backbone_get, "backbone", {"seed": stage_seed(seed, "backbone")})
+    baselines = get("baselines", _list_of(str), (METHOD_POINT, METHOD_BUDGET_SCALE))
     unknown = set(baselines) - {METHOD_POINT, METHOD_BUDGET_SCALE}
     if unknown:
         raise ConfigError(f"unknown baselines: {sorted(unknown)}")
     return ExperimentConfig(
-        dataset=parse_dataset_config(get("dataset", lambda value: value), seed),
+        dataset=get("dataset", partial(_dataset, seed=seed)),
         history=get("L", _at_least_one, 75),
         horizon=get("H", _at_least_one, 15),
-        split_ratios=get("split_ratios", data_mod.check_split_ratios, (0.7, 0.15, 0.15)),
+        split_ratios=get("split_ratios", lambda r: data_mod.check_split_ratios(_list_of(float)(r)),
+                         (0.7, 0.15, 0.15)),
         risk=risk,
         backbone=backbone,
         baselines=baselines,
         admission_b=get("admission_b", _positive_finite, 10.0),
         seed=seed,
-        output_dir=get("output_dir", str, "runs/experiment"),
+        output_dir=get("output_dir", partial(_exact, kind=str), "runs/experiment"),
     )
 
 
@@ -263,7 +265,7 @@ def load_trace(config: ExperimentConfig) -> data_mod.Trace:
     ds = config.dataset
     if ds.kind == "csv":
         return data_mod.ingest_csv(ds.path, ds.schema or None, name=ds.name)
-    return data_mod.generate_synthetic(ds.synthetic)
+    return data_mod.generate_synthetic(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +358,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
         "seed": config.seed,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     })
-    _write_json(out / "config.json", config.to_dict())
+    _write_json(out / "config.json", config_dict(config))
     _write_json(out / "selection.json", {
         "quantile_selection": selection.to_dict(),
         "budget_scale": asdict(scale_result) if scale_result else None,
@@ -491,7 +493,7 @@ def _cmd_synth(args) -> int:
     config = load_config(args.config, seed=args.seed)
     if config.dataset.kind != "synthetic":
         raise ConfigError("synth requires a config with dataset.kind: synthetic")
-    trace = data_mod.generate_synthetic(config.dataset.synthetic)
+    trace = data_mod.generate_synthetic(config.dataset)
     data_mod.write_trace_csv(trace, args.output)
     print(f"synthetic trace of length {len(trace)} written to {args.output}")
     return 0
@@ -518,7 +520,7 @@ def _cmd_run(args) -> int:
 def _cmd_frontier(args) -> int:
     config = load_config(args.config, seed=args.seed, output_dir=args.output)
     epsilons = list(DEFAULT_EPSILONS)
-    if args.epsilons:
+    if args.epsilons is not None:
         epsilons = _build(f"--epsilons {args.epsilons}", _sweep, epsilons=args.epsilons.split(","))
     rows = run_frontier(config, epsilons)
     for row in rows:

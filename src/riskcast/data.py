@@ -79,6 +79,8 @@ class Trace:
             s = np.asarray(series, dtype=np.float64)
             if s.shape != tp.shape:
                 raise ValueError(f"aux series {key!r} length differs from throughput")
+            if not np.all(np.isfinite(s)):
+                raise ValueError(f"aux series {key!r} contains non-finite values")
             aux[key] = _freeze(s)
         object.__setattr__(self, "timestamps", _freeze(ts))
         object.__setattr__(self, "throughput", _freeze(tp))
@@ -195,8 +197,8 @@ def build_layout(history: int, aux_keys: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def check_split_ratios(split_ratios) -> tuple[float, float, float]:
-    """The (train, calibration, test) fractions as floats; all three positive, summing to 1."""
-    ratios = tuple(float(r) for r in split_ratios)
+    """The (train, calibration, test) fractions as a tuple; all three positive, summing to 1."""
+    ratios = tuple(split_ratios)
     if len(ratios) != 3 or any(not r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split_ratios must be three positive fractions summing to 1, got {list(ratios)}")
     return ratios
@@ -277,8 +279,11 @@ def make_windows(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class NoNoise:
     """Zero noise; the quantile function is identically zero."""
+
+    kind: str = field(default="none", init=False)
 
     def sample(self, rng: np.random.Generator, timestamps: np.ndarray) -> np.ndarray:
         return np.zeros(len(timestamps))
@@ -286,15 +291,13 @@ class NoNoise:
     def quantile(self, tau: float, timestamps: np.ndarray | None = None):
         return 0.0
 
-    def to_dict(self) -> dict:
-        return {"kind": "none"}
-
 
 @dataclass(frozen=True)
 class UniformNoise:
     """Additive noise uniform on (-half_width, +half_width)."""
 
     half_width: float
+    kind: str = field(default="uniform", init=False)
 
     def __post_init__(self) -> None:
         if self.half_width < 0:
@@ -306,15 +309,13 @@ class UniformNoise:
     def quantile(self, tau: float, timestamps: np.ndarray | None = None):
         return -self.half_width + 2.0 * self.half_width * tau
 
-    def to_dict(self) -> dict:
-        return {"kind": "uniform", "half_width": self.half_width}
-
 
 @dataclass(frozen=True)
 class GaussianNoise:
     """Additive zero-mean Gaussian noise."""
 
     sigma: float
+    kind: str = field(default="gaussian", init=False)
 
     def __post_init__(self) -> None:
         if self.sigma < 0:
@@ -325,9 +326,6 @@ class GaussianNoise:
 
     def quantile(self, tau: float, timestamps: np.ndarray | None = None):
         return float(self.sigma * statistics.NormalDist().inv_cdf(tau))
-
-    def to_dict(self) -> dict:
-        return {"kind": "gaussian", "sigma": self.sigma}
 
 
 @dataclass(frozen=True)
@@ -342,8 +340,11 @@ class CyclicScaleNoise:
     base: UniformNoise | GaussianNoise
     period: float = 3600.0
     depth: float = 0.5
+    kind: str = field(default="cyclic_scale", init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, (UniformNoise, GaussianNoise)):
+            raise InvalidSpec("cyclic_scale base must be uniform or gaussian")
         if self.period <= 0:
             raise InvalidSpec("period must be positive")
         if not 0 <= self.depth < 1:
@@ -360,49 +361,6 @@ class CyclicScaleNoise:
         if timestamps is None:
             raise ValueError("cyclic-scale noise needs timestamps for its conditional quantile")
         return self.base.quantile(tau) * self.scale(timestamps)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "cyclic_scale",
-            "base": self.base.to_dict(),
-            "period": self.period,
-            "depth": self.depth,
-        }
-
-
-_NOISE_KEYS = {
-    "none": ("kind",),
-    "uniform": ("kind", "half_width"),
-    "gaussian": ("kind", "sigma"),
-    "cyclic_scale": ("kind", "base", "period", "depth"),
-}
-
-
-def noise_from_dict(d: dict) -> NoNoise | UniformNoise | GaussianNoise | CyclicScaleNoise:
-    if not isinstance(d, dict):
-        raise InvalidSpec(f"noise spec must be a mapping, got {d!r}")
-    kind = d.get("kind", "none")
-    if kind not in _NOISE_KEYS:
-        raise InvalidSpec(f"unknown noise kind {kind!r}")
-    unknown = set(d) - set(_NOISE_KEYS[kind])
-    if unknown:
-        raise InvalidSpec(f"unknown {kind} noise keys: {sorted(unknown)}")
-
-    def required(key: str):
-        if key not in d:
-            raise InvalidSpec(f"{kind} noise needs key {key!r}")
-        return d[key]
-
-    if kind == "none":
-        return NoNoise()
-    if kind == "uniform":
-        return UniformNoise(float(required("half_width")))
-    if kind == "gaussian":
-        return GaussianNoise(float(required("sigma")))
-    base = noise_from_dict(required("base"))
-    if isinstance(base, (NoNoise, CyclicScaleNoise)):
-        raise InvalidSpec("cyclic_scale base must be uniform or gaussian")
-    return CyclicScaleNoise(base, float(d.get("period", 3600.0)), float(d.get("depth", 0.5)))
 
 
 @dataclass(frozen=True)
@@ -424,24 +382,13 @@ class SyntheticSpec:
         default_factory=NoNoise
     )
     start_timestamp: int = 0
+    kind: str = field(default="synthetic", init=False)
 
     def __post_init__(self) -> None:
         if self.length < 1:
             raise InvalidSpec("length must be >= 1")
         if self.handover_period < 1:
             raise InvalidSpec("handover_period must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "seed": self.seed,
-            "base_level": self.base_level,
-            "diurnal_amplitude": self.diurnal_amplitude,
-            "handover_period": self.handover_period,
-            "handover_drop": self.handover_drop,
-            "noise": self.noise.to_dict(),
-            "start_timestamp": self.start_timestamp,
-        }
 
 
 def synthetic_timestamps(spec: SyntheticSpec) -> np.ndarray:
@@ -470,6 +417,16 @@ def generate_synthetic(spec: SyntheticSpec) -> Trace:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CsvSource:
+    """A trace read from a CSV file: `schema` and `name` are ingest_csv's arguments."""
+
+    path: str
+    schema: dict[str, str] = field(default_factory=dict)
+    name: str | None = None
+    kind: str = field(default="csv", init=False)
 
 
 def default_schema() -> dict[str, str]:

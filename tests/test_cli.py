@@ -22,9 +22,11 @@ from riskcast.cli import (
     _DATASET_KEYS,
     _RISK_KEYS,
     _TOP_KEYS,
+    _keys,
     DEFAULT_EPSILONS,
     calibrate_budgets,
     ExperimentConfig,
+    config_dict,
     config_from_dict,
     config_hash,
     emit_report,
@@ -37,7 +39,7 @@ from riskcast.cli import (
 )
 from riskcast.admission import AdmissionReport
 from riskcast.calibration import QuantileEvaluator, budget_scale_search, run_selection
-from riskcast.data import WindowedDataset, make_windows, generate_synthetic
+from riskcast.data import CyclicScaleNoise, GaussianNoise, WindowedDataset, make_windows, generate_synthetic
 from riskcast.errors import EmptySweep
 from riskcast.metrics import SafetyReport
 
@@ -92,7 +94,7 @@ class TestConfig:
         raw = yaml.safe_load((ROOT / path).read_text())
         assert raw["backbone"]["kind"] == "boosted_trees"
         config = load_config(str(ROOT / path))
-        assert "kind" not in config.to_dict()["backbone"]
+        assert "kind" not in config_dict(config)["backbone"]
 
     def test_seed_override_re_derives_stage_seeds(self, tmp_path):
         path = write_config(tmp_path)
@@ -101,7 +103,7 @@ class TestConfig:
         assert b.seed == 99
         assert b.backbone.seed == stage_seed(99, "backbone")
         assert a.backbone.seed != b.backbone.seed
-        assert b.dataset.synthetic.seed == stage_seed(99, "data")
+        assert b.dataset.seed == stage_seed(99, "data")
 
     def test_epsilon_and_output_overrides(self, tmp_path):
         path = write_config(tmp_path)
@@ -117,6 +119,24 @@ class TestConfig:
         assert config_hash(base) == config_hash(moved)
         assert config_hash(base) != config_hash(reseeded)
         assert config_hash(base) != config_hash(rebudgeted)
+
+    @pytest.mark.parametrize("source", [
+        "configs/synthetic-demo.yaml",
+        "bench/paper_shape.yaml",
+        BASE_CONFIG,
+        {"dataset": {"kind": "csv", "path": "trace.csv", "schema": {"throughput": "rate"}, "name": "site"},
+         "risk": {"lambda": 250, "M": 4}},
+        {"dataset": {"kind": "synthetic", "length": 500, "base_level": 80, "noise": None}},
+        {"dataset": {"kind": "synthetic", "length": 500, "base_level": 80,
+                     "noise": {"kind": "gaussian", "sigma": 12}}},
+        {"dataset": {"kind": "synthetic", "length": 500, "base_level": 80, "noise_model": {
+            "kind": "cyclic_scale", "base": {"kind": "uniform", "half_width": 9.5}, "period": 900,
+            "depth": 0.3}}},
+    ], ids=["demo", "paper_shape", "uniform", "csv", "no-noise", "gaussian", "cyclic-uniform"])
+    def test_config_json_reads_back_as_the_same_config(self, source):
+        config = load_config(str(ROOT / source)) if isinstance(source, str) else config_from_dict(source)
+        written = json.loads(json.dumps(config_dict(config)))
+        assert config_from_dict({**written, "output_dir": config.output_dir}) == config
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +175,12 @@ class TestRunExperiment:
             bundle.admission["budget_scale"]["p10"].mean_dropped
         )
 
+    def test_rerun_from_config_json_repeats_the_run(self, bundle, tmp_path):
+        out = tmp_path / "rerun"
+        assert main(["run", "--config", str(bundle.output_dir / "config.json"), "--output", str(out)]) == 0
+        for name in ("selection.json", "reports.json", "metrics_long.csv", "config.json"):
+            assert (out / name).read_bytes() == (bundle.output_dir / name).read_bytes(), name
+
     def test_csv_json_reports_agree(self, bundle):
         with open(bundle.output_dir / "metrics_long.json") as fh:
             json_rows = json.load(fh)
@@ -185,7 +211,7 @@ class TestZeroNoise:
 class TestProtocolSeparation:
     def test_test_split_never_influences_calibration(self, tmp_path):
         config = load_config(write_config(tmp_path), output_dir=str(tmp_path / "out"))
-        trace = generate_synthetic(config.dataset.synthetic)
+        trace = generate_synthetic(config.dataset)
         full = make_windows(trace, config.history, config.horizon, config.split_ratios)
         # The same windows with the test partition dropped.
         end = full.cal_end
@@ -219,7 +245,7 @@ class TestCalibrateBudgets:
         counting.__set_name__(BinnedFeatures, "root_counts")
         monkeypatch.setattr(BinnedFeatures, "root_counts", counting)
         config = load_config(write_config(tmp_path))
-        dataset = make_windows(generate_synthetic(config.dataset.synthetic),
+        dataset = make_windows(generate_synthetic(config.dataset),
                                config.history, config.horizon, config.split_ratios)
         outcomes = calibrate_budgets(config, dataset, [0.25, 0.35])
         quantile_fits = sum(o.selection.n_trainings for o in outcomes)
@@ -332,13 +358,25 @@ class TestCommands:
         (f"{SYNTH}\nsplit_ratios: [0.8, 0.3, -0.1]", "split_ratios"),
         (f"{SYNTH}\nsplit_ratios: [0.5, 0.2, 0.2]", "split_ratios"),
         ("dataset: {kind: csv, path: trace.csv, name: [1, 2]}", "dataset.name"),
+        (f"{SYNTH}\nL: true", "config.L"),
+        (f"{SYNTH}\nseed: 1.9", "config.seed"),
+        ("dataset: {kind: synthetic, length: 100.7, base_level: 10.0}", "dataset.length"),
+        (f"{SYNTH}\nrisk: {{M: 5.9}}", "risk.M"),
+        (f"{SYNTH}\nH: 2.5", "config.H"),
+        (f"{SYNTH}\nrisk: {{epsilon: '0.3'}}", "risk.epsilon"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0, noise: {kind: gaussian, sigma: '38'}}",
+         "noise.sigma"),
+        (f"{SYNTH}\nbackbone: {{n_trees: true}}", "backbone.n_trees"),
+        (f"{SYNTH}\nbackbone: {{learning_rate: true}}", "backbone.learning_rate"),
     ], ids=["dataset-kind", "backbone-key", "gaussian-sigma", "uniform-half-width", "cyclic-base",
             "risk-key", "top-key", "top-key-admission", "dataset-key", "noise-key",
             "backbone-not-mapping", "risk-not-mapping", "dataset-not-mapping", "risk-null-value",
             "backbone-string-value", "backbone-kind-linear", "backbone-steps-key", "baselines-list-value",
             "admission-b-zero", "admission-b-negative", "admission-b-nan", "admission-b-inf",
             "history-zero", "horizon-zero",
-            "split-ratios-length", "split-ratios-negative", "split-ratios-sum", "dataset-name-list"])
+            "split-ratios-length", "split-ratios-negative", "split-ratios-sum", "dataset-name-list",
+            "history-bool", "seed-float", "length-float", "grid-size-float", "horizon-float",
+            "epsilon-string", "sigma-string", "n-trees-bool", "learning-rate-bool"])
     def test_run_with_bad_config_fails_with_stage(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text + "\n")
@@ -355,9 +393,10 @@ class TestCommands:
         (["frontier", "--epsilons", "0.3,1.2"], "--epsilons 0.3,1.2"),
         (["frontier", "--epsilons", "0.4,0.3"], "--epsilons 0.4,0.3"),
         (["frontier", "--epsilons", "0.3,0.3"], "--epsilons 0.3,0.3"),
+        (["frontier", "--epsilons", ""], "--epsilons "),
         (["ingest", "--csv", "trace.csv", "--schema", "timestamp"], "--schema"),
     ], ids=["epsilon-out-of-range", "epsilon-nan", "epsilons-not-a-number", "epsilons-out-of-range",
-            "epsilons-unsorted", "epsilons-repeated", "schema-without-equals"])
+            "epsilons-unsorted", "epsilons-repeated", "epsilons-empty", "schema-without-equals"])
     def test_bad_flag_value_fails_with_stage(self, tmp_path, capsys, argv, flag):
         command, *rest = argv
         if command != "ingest":
@@ -488,7 +527,8 @@ def test_cli_import_does_not_load_scipy():
 
 FUZZ_CONFIG = {
     "dataset": {"kind": "synthetic", "length": 120, "base_level": 50.0,
-                "noise": {"kind": "gaussian", "sigma": 3.0}},
+                "noise": {"kind": "cyclic_scale", "base": {"kind": "gaussian", "sigma": 3.0},
+                          "period": 60.0}},
     "L": 4,
     "H": 2,
     "split_ratios": [0.5, 0.25, 0.25],
@@ -504,14 +544,18 @@ FUZZ_SECTIONS = {
     ("risk",): _RISK_KEYS,
     ("backbone",): _BACKBONE_KEYS,
     ("dataset",): _DATASET_KEYS["synthetic"],
-    ("dataset", "noise"): ("kind", "sigma"),
+    ("dataset", "noise"): _keys(CyclicScaleNoise),
+    ("dataset", "noise", "base"): _keys(GaussianNoise),
 }
 # Numeric fields; none of them takes a value that is not a number.
 FUZZ_NUMBERS = [("L",), ("H",), ("admission_b",), ("seed",), ("risk", "epsilon"), ("risk", "tau_min"),
                 ("risk", "tau_max"), ("risk", "delta"), ("risk", "M"), ("backbone", "n_trees"),
                 ("backbone", "max_depth"), ("backbone", "learning_rate"), ("backbone", "min_samples_leaf"),
                 ("backbone", "subsample"), ("dataset", "length"), ("dataset", "base_level"),
-                ("dataset", "noise", "sigma")]
+                ("dataset", "noise", "period"), ("dataset", "noise", "base", "sigma")]
+# Integer fields; none of them takes a float.
+FUZZ_INTEGERS = [("L",), ("H",), ("seed",), ("risk", "M"), ("backbone", "n_trees"), ("backbone", "max_depth"),
+                 ("backbone", "min_samples_leaf"), ("dataset", "length")]
 # Values outside each field's range.
 FUZZ_OUT_OF_RANGE = {
     ("L",): st.integers(-5, 0) | st.integers(200, 10**6),
@@ -524,19 +568,12 @@ FUZZ_OUT_OF_RANGE = {
     ("backbone", "learning_rate"): st.floats(1.0, 5.0, exclude_min=True) | st.floats(-5.0, 0.0),
     ("backbone", "max_depth"): st.integers(-3, 0),
     ("dataset", "length"): st.integers(-3, 6),
-    ("dataset", "noise", "sigma"): st.floats(-50.0, 0.0, exclude_max=True),
+    ("dataset", "noise", "base", "sigma"): st.floats(-50.0, 0.0, exclude_max=True),
 }
 
 
-def _not_a_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return True
-    return False
-
-
-NOT_NUMBERS = (st.none() | st.text(max_size=6).filter(_not_a_number) | st.lists(st.integers(), max_size=2)
+NOT_NUMBERS = (st.none() | st.booleans() | st.text(max_size=6) | st.sampled_from(["40", "0.3", "1e3", "-2"])
+               | st.lists(st.integers(), max_size=2)
                | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
 NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,9}", fullmatch=True)
 DROP = object()
@@ -559,7 +596,7 @@ def _replaced(doc, path: tuple, value):
 @st.composite
 def broken_configs(draw):
     """FUZZ_CONFIG with one corruption that config checks or windowing reject."""
-    kind = draw(st.sampled_from(["unknown_key", "not_mapping", "not_number", "out_of_range"]))
+    kind = draw(st.sampled_from(["unknown_key", "not_mapping", "not_number", "not_integer", "out_of_range"]))
     if kind == "unknown_key":
         path = draw(st.sampled_from(sorted(FUZZ_SECTIONS)))
         key = draw(NAMES.filter(lambda k: k not in FUZZ_SECTIONS[path]))
@@ -569,6 +606,9 @@ def broken_configs(draw):
         value = draw(st.integers() | st.floats() | st.text(min_size=1, max_size=4) | st.lists(st.integers()))
     elif kind == "not_number":
         path, value = draw(st.sampled_from(FUZZ_NUMBERS)), draw(NOT_NUMBERS)
+    elif kind == "not_integer":
+        path = draw(st.sampled_from(FUZZ_INTEGERS))
+        value = draw(st.floats().filter(lambda x: not x.is_integer()))
     else:
         path = draw(st.sampled_from(sorted(FUZZ_OUT_OF_RANGE)))
         value = draw(FUZZ_OUT_OF_RANGE[path])
@@ -615,7 +655,9 @@ def broken_selections(draw):
         value = DROP
     elif kind == "not_number":
         path = draw(st.sampled_from(SELECTION_NUMBERS))
-        value = draw(NOT_NUMBERS.filter(lambda v: v is not None) | st.integers(10**309, 10**320))
+        # inspect formats a bool as a number, so bools are left out here.
+        value = draw(NOT_NUMBERS.filter(lambda v: not isinstance(v, (bool, type(None))))
+                     | st.integers(10**309, 10**320))
     else:
         path = draw(st.sampled_from(SELECTION_CONTAINERS))
         value = draw(st.none() | st.integers() | st.floats() | st.booleans())

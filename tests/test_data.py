@@ -24,7 +24,6 @@ from riskcast.data import (
     generate_synthetic,
     ingest_csv,
     make_windows,
-    noise_from_dict,
     write_trace_csv,
 )
 from riskcast.errors import (
@@ -299,10 +298,6 @@ class TestSynthetic:
             expected = noise.quantile(0.25, np.array([t]))[0]
             assert abs(np.quantile(draws, 0.25) - expected) <= 0.01 * value_range
 
-    def test_noise_config_round_trip(self):
-        noise = CyclicScaleNoise(GaussianNoise(12.0), period=900.0, depth=0.3)
-        assert noise_from_dict(noise.to_dict()) == noise
-
 
 class TestTraceInvariants:
     def test_rejects_decreasing_timestamps(self):
@@ -317,6 +312,10 @@ class TestTraceInvariants:
         with pytest.raises(ValueError):
             Trace("bad", np.array([1, 2]), np.array([1.0, 2.0]),
                   aux={"cloud_pct": np.array([1.0])})
+
+    def test_rejects_non_finite_aux(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Trace("x", np.arange(5), np.ones(5), aux={"cloud_pct": [1, np.nan, np.inf, 2, 3]})
 
     def test_arrays_are_read_only(self):
         trace = constant_trace(10)
