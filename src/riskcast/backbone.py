@@ -19,11 +19,18 @@ once per split, and the larger of two growing siblings takes its parent's
 counts minus the smaller one's. As every quantile gain is a function of the
 counts alone, equal counts give equal gains, and ties go to the lowest
 feature, then the lowest bin.
+
+On Linux a model's H horizon columns are fitted on up to min(H, usable
+CPUs) forked worker processes, which inherit the binned split; each column
+has its own RNG, [seed, h], so the models do not depend on where they were
+fitted.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -506,15 +513,85 @@ class QuantileModel:
         return np.maximum(out, 0.0)
 
 
+# The split (X, binned, Y, tau, params) a fit's worker processes share, set
+# in each worker by the pool's initializer. Under fork its arguments are
+# inherited, not pickled; the parent never sets it.
+_shared: tuple | None = None
+
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _share(parent: int, *split) -> None:
+    """Pool initializer: keep the split, and die with the parent. A worker
+    whose parent is killed would otherwise wait forever on its call queue,
+    whose write end it inherited."""
+    global _shared
+    _shared = split
+    import ctypes  # numpy imports it, so the worker inherits it loaded
+    import signal
+
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the parent died before prctl
+        os._exit(1)
+
+
+def _fit_column(h: int, X, binned, Y, tau, params) -> BoostedTreesRegressor:
+    """Horizon column h, fitted with its own RNG, [seed, h]."""
+    return _fit_boosted_column(X, binned, Y[:, h], tau, params, np.random.default_rng([params.seed, h]))
+
+
+def _fit_shared_column(h: int) -> BoostedTreesRegressor:
+    return _fit_column(h, *_shared)
+
+
+def _workers(horizon: int) -> int:
+    """How many processes fit `horizon` columns: min(H, usable CPUs) on Linux.
+    It is 1, which fits them in-process, elsewhere and where a fork is unsafe."""
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    if min(horizon, cpus) == 1:
+        return 1
+    import multiprocessing
+    import threading
+
+    # A daemonic process may not start children, and a fork would copy
+    # other threads' locks in whatever state they are.
+    if multiprocessing.current_process().daemon or threading.active_count() > 1:
+        return 1
+    return min(horizon, cpus)
+
+
 def _train(train: Samples, tau: float | None, params: BackboneParams) -> QuantileModel:
+    """Fit the H columns on _workers(H) processes, forked for this call.
+
+    The workers inherit the binned split with its root counts, taken here
+    first, and only the fitted models are pickled back. A worker's exception
+    is raised here, a killed worker gives BrokenProcessPool, and no worker
+    outlives the call or its caller.
+    """
     if len(train) == 0:
         raise EmptyTrainingSet("training split is empty")
     X = np.asarray(train.X, dtype=np.float64)
     Y = np.asarray(train.Y, dtype=np.float64)
-    models = []
-    for h in range(Y.shape[1]):
-        rng = np.random.default_rng([params.seed, h])
-        models.append(_fit_boosted_column(X, train.binned, Y[:, h], tau, params, rng))
+    split, horizon = (X, train.binned, Y, tau, params), Y.shape[1]
+    workers = _workers(horizon)
+    if workers == 1:
+        models = [_fit_column(h, *split) for h in range(horizon)]
+    else:
+        # Deferred: these imports take about 30 ms, over a tenth of importing riskcast.cli.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        train.binned.root_counts  # counted once, here, for every worker to inherit
+        executor = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"), initializer=_share,
+            initargs=(os.getpid(), *split),
+        )
+        try:
+            models = list(executor.map(_fit_shared_column, range(horizon)))
+        finally:
+            executor.shutdown(cancel_futures=True)
     return QuantileModel(
         tau=tau if tau is not None else 0.5,
         feature_layout=tuple(train.layout),

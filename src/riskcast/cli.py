@@ -133,9 +133,12 @@ def _build(name: str, make, /, **kwargs):
 
 def _exact(value, kind: type):
     """The value unchanged if it already is a `kind`: the one type rule for
-    config values. A bool is never a number, and an int also passes as a float."""
+    config values. A bool is never a number, an int also passes as a float,
+    and a float is finite (NaN, inf and ints beyond the float range fail)."""
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {value!r}")
     return value
 
 
@@ -164,7 +167,7 @@ def _at_least_one(value) -> int:
 
 
 def _positive_finite(value) -> float:
-    if not 0.0 < _exact(value, float) < float("inf"):
+    if not _exact(value, float) > 0.0:
         raise ValueError(f"must be a finite number > 0, got {value}")
     return value
 

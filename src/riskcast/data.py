@@ -451,20 +451,29 @@ def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for required in ("timestamp", "throughput"):
-            if mapping[required] not in header:
-                raise MissingColumn(f"required column {mapping[required]!r} not found")
-        aux_present = [k for k in AUX_KEYS if mapping[k] in header]
+        try:
+            header = reader.fieldnames or []
+            for required in ("timestamp", "throughput"):
+                if mapping[required] not in header:
+                    raise MissingColumn(f"required column {mapping[required]!r} not found")
+            aux_present = [k for k in AUX_KEYS if mapping[k] in header]
 
-        timestamps: list[int] = []
-        throughput: list[float] = []
-        aux_values: dict[str, list[float]] = {k: [] for k in aux_present}
-        for line_no, row in enumerate(reader, start=2):
-            timestamps.append(_parse_int(row, mapping["timestamp"], line_no))
-            throughput.append(_parse_float(row, mapping["throughput"], line_no))
-            for key in aux_present:
-                aux_values[key].append(_parse_float(row, mapping[key], line_no))
+            timestamps: list[int] = []
+            throughput: list[float] = []
+            aux_values: dict[str, list[float]] = {k: [] for k in aux_present}
+            for row in reader:
+                line_no = reader.line_num
+                if None in row:  # DictReader files cells beyond the header under None
+                    raise ParseError(f"{len(header) + len(row[None])} cells under a header of {len(header)}",
+                                     row=line_no)
+                timestamps.append(_parse_int(row, mapping["timestamp"], line_no))
+                throughput.append(_parse_float(row, mapping["throughput"], line_no))
+                for key in aux_present:
+                    aux_values[key].append(_parse_float(row, mapping[key], line_no))
+        except UnicodeDecodeError:
+            raise ParseError(f"trace {path} is not UTF-8 text") from None
+        except csv.Error as exc:
+            raise ParseError(f"trace {path}: {exc}", row=reader.line_num) from None
     if not timestamps:
         raise TraceTooShort(f"trace {path} has no data rows")
 
@@ -481,10 +490,13 @@ def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None
     return Trace(name=name or str(path), timestamps=ts, throughput=tp[order], aux=aux)
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _parse_int(row: dict, column: str, line_no: int) -> int:
     raw = (row.get(column) or "").strip()
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         try:
             f = float(raw)
@@ -492,7 +504,10 @@ def _parse_int(row: dict, column: str, line_no: int) -> int:
             raise ParseError("not an integer", row=line_no, column=column) from None
         if not f.is_integer():
             raise ParseError("timestamp is not a whole number of seconds", row=line_no, column=column)
-        return int(f)
+        value = int(f)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ParseError("timestamp outside the 64-bit integer range", row=line_no, column=column)
+    return value
 
 
 def _parse_float(row: dict, column: str, line_no: int) -> float:

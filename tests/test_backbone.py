@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import concurrent.futures
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_trainer
+import riskcast.backbone
 from riskcast.backbone import (
     BackboneParams,
     BinnedFeatures,
@@ -324,6 +335,146 @@ class TestExactTrainer:
         tree, _ = _grow_tree(binned, np.arange(flag.size), resid, 0.3, 1, 1)
         assert tree.feature[0] == 0
         assert tree.value[1:].tolist() == [5.0, 0.0]
+
+
+def regressor_bytes(model: BoostedTreesRegressor) -> list[bytes]:
+    """Every number of a fitted regressor, bit for bit."""
+    out = [np.float64(model.base_score).tobytes(), np.float64(model.learning_rate).tobytes()]
+    for tree in model.trees:
+        out += [a.tobytes() for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)]
+    return out
+
+
+class ColumnFailure(Exception):
+    pass
+
+
+def running(pid: int) -> bool:
+    """Whether process pid exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="columns are fitted on forked workers on Linux only")
+class TestParallelTrainer:
+    """A model's horizon columns are fitted on forked worker processes."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The max_workers of each process pool made while the test runs."""
+        made = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        class Recorded(real):
+            def __init__(self, max_workers, *args, **kwargs):
+                made.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        return made
+
+    @staticmethod
+    def cpus(monkeypatch, n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @pytest.mark.parametrize("tau", [0.3, None], ids=["quantile", "point"])
+    @pytest.mark.parametrize("subsample", [1.0, 0.7])
+    def test_each_column_equals_a_fit_in_this_process(self, rng, monkeypatch, pools, tau, subsample):
+        self.cpus(monkeypatch, 2)
+        train = iid_samples(rng, 400, horizon=3, n_features=5)
+        params = BackboneParams(n_trees=5, max_depth=3, min_samples_leaf=15, subsample=subsample, seed=9)
+        model = train_point_model(train, params) if tau is None else train_quantile_model(train, tau, params)
+        assert pools == [2]
+        assert len(model.horizon_models) == 3
+        for h, fitted in enumerate(model.horizon_models):
+            expected = _fit_boosted_column(train.X, train.binned, train.Y[:, h], tau, params,
+                                           np.random.default_rng([params.seed, h]))
+            assert regressor_bytes(fitted) == regressor_bytes(expected), h
+
+    @pytest.mark.parametrize("cpus, horizon, workers", [(1, 3, None), (4, 1, None), (2, 3, 2), (4, 3, 3)],
+                             ids=["one-cpu", "one-column", "two-cpus", "more-cpus-than-columns"])
+    def test_pool_size_is_the_smaller_of_columns_and_cpus(self, rng, monkeypatch, pools, cpus, horizon,
+                                                          workers):
+        self.cpus(monkeypatch, cpus)
+        train = iid_samples(rng, 100, horizon=horizon)
+        train_quantile_model(train, 0.5, BackboneParams(n_trees=2, max_depth=2))
+        assert pools == ([] if workers is None else [workers])  # one worker fits in this process
+        assert multiprocessing.active_children() == []
+
+    def test_a_caller_running_threads_fits_in_process(self, rng, monkeypatch, pools):
+        self.cpus(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            model = train_quantile_model(iid_samples(rng, 100, horizon=2), 0.5, BackboneParams(n_trees=2))
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert pools == [] and model.horizon == 2
+
+    def test_a_daemonic_caller_fits_in_process(self, rng, monkeypatch):
+        # A pool worker is daemonic, and a daemonic process may not start children.
+        self.cpus(monkeypatch, 2)
+        train = iid_samples(rng, 100, horizon=2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            model = pool.apply_async(train_quantile_model, (train, 0.5, BackboneParams(n_trees=2))).get(60)
+        assert model.horizon == 2
+
+    def test_workers_die_with_a_killed_caller(self, tmp_path):
+        # Each worker prints its pid, then waits; the caller is killed mid-fit.
+        script = tmp_path / "fit.py"
+        script.write_text(textwrap.dedent("""
+            import os, sys, time
+            import numpy as np
+            import riskcast.backbone
+            from riskcast.backbone import BackboneParams, train_quantile_model
+            from riskcast.data import Samples
+
+            def fit(*args):
+                print(os.getpid(), flush=True)
+                time.sleep(120)
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            riskcast.backbone._fit_boosted_column = fit
+            X = np.arange(20.0).reshape(10, 2)
+            samples = Samples(X, np.ones((10, 2)), np.arange(10), ("a", "b"))
+            train_quantile_model(samples, 0.5, BackboneParams(n_trees=1))
+        """))
+        caller = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        try:
+            workers = [int(caller.stdout.readline()) for _ in range(2)]
+        finally:
+            caller.kill()
+            caller.wait(timeout=60)
+        deadline = time.monotonic() + 30
+        while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(running(pid) for pid in workers)
+
+    @pytest.mark.parametrize("fail", ["raise", "exit"])
+    def test_a_failed_worker_reaches_the_caller_and_leaves_no_process(self, rng, monkeypatch, fail):
+        # Patched before the pool forks, so the workers inherit the patch.
+        caller = os.getpid()
+
+        def fit(X, binned, y, tau, params, column_rng):
+            if os.getpid() == caller:
+                raise AssertionError("a column was fitted in the calling process")
+            if fail == "exit":
+                os._exit(1)
+            raise ColumnFailure("column fit failed")
+
+        monkeypatch.setattr(riskcast.backbone, "_fit_boosted_column", fit)
+        self.cpus(monkeypatch, 2)
+        train = iid_samples(rng, 100, horizon=2)
+        with pytest.raises(ColumnFailure if fail == "raise" else BrokenProcessPool):
+            train_quantile_model(train, 0.5, BackboneParams(n_trees=2, max_depth=2))
+        assert multiprocessing.active_children() == []
 
 
 @st.composite

@@ -368,6 +368,18 @@ class TestCommands:
          "noise.sigma"),
         (f"{SYNTH}\nbackbone: {{n_trees: true}}", "backbone.n_trees"),
         (f"{SYNTH}\nbackbone: {{learning_rate: true}}", "backbone.learning_rate"),
+        (f"{SYNTH}\nrisk: {{delta: .nan}}", "risk.delta"),
+        (f"{SYNTH}\nrisk: {{lambda: .nan}}", "risk.lambda"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0, noise: {kind: gaussian, sigma: .nan}}",
+         "noise.sigma"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0, noise: {kind: uniform, half_width: .nan}}",
+         "noise.half_width"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0,\n"
+         "          noise: {kind: cyclic_scale, base: {kind: uniform, half_width: 1.0}, period: .nan}}",
+         "noise.period"),
+        ("dataset: {kind: synthetic, length: 100, base_level: .nan}", "dataset.base_level"),
+        ("dataset: {kind: synthetic, length: 100, base_level: .inf}", "dataset.base_level"),
+        (f"dataset: {{kind: synthetic, length: 100, base_level: 1{'0' * 400}}}", "dataset.base_level"),
     ], ids=["dataset-kind", "backbone-key", "gaussian-sigma", "uniform-half-width", "cyclic-base",
             "risk-key", "top-key", "top-key-admission", "dataset-key", "noise-key",
             "backbone-not-mapping", "risk-not-mapping", "dataset-not-mapping", "risk-null-value",
@@ -376,7 +388,9 @@ class TestCommands:
             "history-zero", "horizon-zero",
             "split-ratios-length", "split-ratios-negative", "split-ratios-sum", "dataset-name-list",
             "history-bool", "seed-float", "length-float", "grid-size-float", "horizon-float",
-            "epsilon-string", "sigma-string", "n-trees-bool", "learning-rate-bool"])
+            "epsilon-string", "sigma-string", "n-trees-bool", "learning-rate-bool", "delta-nan", "lambda-nan",
+            "sigma-nan", "half-width-nan", "period-nan", "base-level-nan", "base-level-inf",
+            "base-level-int-beyond-float"])
     def test_run_with_bad_config_fails_with_stage(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text + "\n")
@@ -430,6 +444,24 @@ class TestCommands:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error [ingest]: trace {empty} has no data rows")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("content, message", [
+        (b"timestamp,throughput_mbps\n0,5\n1e30,5\n", "timestamp outside the 64-bit integer range (row 3,"),
+        (b"timestamp,throughput_mbps\n0,5\n9223372036854775808,5\n",
+         "timestamp outside the 64-bit integer range (row 3,"),
+        (b"timestamp,throughput_mbps\n0,5\n1,\xff5\n", "is not UTF-8 text"),
+        (b"timestamp,throughput_mbps\n0,1,5\n1,5\n", "3 cells under a header of 2 (row 2)"),
+        (b"timestamp,throughput_mbps\n0,5\n1," + b"5" * 200_000 + b"\n", "field larger than field limit"),
+    ], ids=["timestamp-1e30", "timestamp-beyond-int64", "invalid-utf8", "extra-cell", "huge-cell"])
+    def test_ingest_corrupt_csv_fails_with_stage(self, tmp_path, capsys, content, message):
+        trace_csv = tmp_path / "bad.csv"
+        trace_csv.write_bytes(content)
+        code = main(["ingest", "--csv", str(trace_csv)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error [ingest]: ")
+        assert message in captured.err
         assert captured.out == ""
 
     def test_run_on_csv_with_timestamp_gap_fails_with_stage(self, tmp_path, capsys):
@@ -556,6 +588,10 @@ FUZZ_NUMBERS = [("L",), ("H",), ("admission_b",), ("seed",), ("risk", "epsilon")
 # Integer fields; none of them takes a float.
 FUZZ_INTEGERS = [("L",), ("H",), ("seed",), ("risk", "M"), ("backbone", "n_trees"), ("backbone", "max_depth"),
                  ("backbone", "min_samples_leaf"), ("dataset", "length")]
+# Float fields; none of them takes NaN or an infinity.
+FUZZ_FLOATS = [p for p in FUZZ_NUMBERS if p not in FUZZ_INTEGERS] + [
+    ("risk", "lambda"), ("dataset", "diurnal_amplitude"), ("dataset", "handover_drop"),
+    ("dataset", "noise", "depth")]
 # Values outside each field's range.
 FUZZ_OUT_OF_RANGE = {
     ("L",): st.integers(-5, 0) | st.integers(200, 10**6),
@@ -596,7 +632,8 @@ def _replaced(doc, path: tuple, value):
 @st.composite
 def broken_configs(draw):
     """FUZZ_CONFIG with one corruption that config checks or windowing reject."""
-    kind = draw(st.sampled_from(["unknown_key", "not_mapping", "not_number", "not_integer", "out_of_range"]))
+    kind = draw(st.sampled_from(["unknown_key", "not_mapping", "not_number", "not_integer", "not_finite",
+                                 "out_of_range"]))
     if kind == "unknown_key":
         path = draw(st.sampled_from(sorted(FUZZ_SECTIONS)))
         key = draw(NAMES.filter(lambda k: k not in FUZZ_SECTIONS[path]))
@@ -609,6 +646,9 @@ def broken_configs(draw):
     elif kind == "not_integer":
         path = draw(st.sampled_from(FUZZ_INTEGERS))
         value = draw(st.floats().filter(lambda x: not x.is_integer()))
+    elif kind == "not_finite":
+        path = draw(st.sampled_from(FUZZ_FLOATS))
+        value = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
     else:
         path = draw(st.sampled_from(sorted(FUZZ_OUT_OF_RANGE)))
         value = draw(FUZZ_OUT_OF_RANGE[path])
@@ -664,6 +704,62 @@ def broken_selections(draw):
     return json.dumps(_replaced(FUZZ_SELECTION, path, value)).encode()
 
 
+FUZZ_TRACE = [(t, 100.0 + t % 7, 40.0 + t % 3) for t in range(30)]
+TRACE_HEADER = "timestamp,throughput_mbps,elevation_deg"
+INVALID_UTF8 = [b"\xff", b"\xfe", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+def _not_a_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def broken_traces(draw):
+    """The bytes of FUZZ_TRACE as a trace CSV, with one corruption that ingest rejects."""
+    kind = draw(st.sampled_from(["blank", "not_number", "not_finite", "out_of_range", "extra_cell",
+                                 "missing_cell", "duplicate", "out_of_order", "gap", "bad_bytes"]))
+    rows = [[str(t), repr(tp), repr(elev)] for t, tp, elev in FUZZ_TRACE]
+    r = draw(st.integers(1, len(rows) - 2))  # a row with neighbours on both sides
+    column = draw(st.integers(0, 2))
+    if kind == "blank":
+        rows[r][column] = draw(st.sampled_from(["", " ", "\t"]))
+    elif kind == "not_number":
+        cell = st.characters(blacklist_characters=',"\r\n', blacklist_categories=["Cs"])
+        rows[r][column] = draw(st.text(cell, min_size=1, max_size=6).filter(_not_a_number))
+    elif kind == "not_finite":
+        rows[r][column] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "-Infinity"]))
+    elif kind == "out_of_range":
+        column = draw(st.integers(0, 1))
+        rows[r][column] = draw(st.sampled_from(["1e30", "-1e19", str(2**63), str(-2**63 - 1)]) if column == 0
+                               else st.sampled_from(["-0.5", "-1e3", "-1"]))
+    elif kind == "extra_cell":
+        rows[r].append(draw(st.sampled_from(["5", "", "x"])))
+    elif kind == "missing_cell":
+        del rows[r][column]
+    elif kind == "duplicate":
+        rows[r][0] = rows[draw(st.integers(0, len(rows) - 1).filter(lambda i: i != r))][0]
+    elif kind == "out_of_order":
+        # Below its predecessor: on consecutive seconds it collides with an
+        # earlier row, or, below the first, leaves a gap where it was.
+        rows[r][0] = str(int(rows[r - 1][0]) - draw(st.integers(1, 50)))
+    elif kind == "gap":
+        if draw(st.booleans()):
+            del rows[r]
+        else:
+            shift = draw(st.integers(1, 10**6))
+            for row in rows[r:]:
+                row[0] = str(int(row[0]) + shift)
+    content = (TRACE_HEADER + "\n" + "".join(",".join(row) + "\n" for row in rows)).encode()
+    if kind == "bad_bytes":
+        at = draw(st.integers(0, len(content)))
+        content = content[:at] + draw(st.sampled_from(INVALID_UTF8)) + content[at:]
+    return content
+
+
 class TestCorruptInputs:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(raw=broken_configs())
@@ -689,4 +785,17 @@ class TestCorruptInputs:
         captured = capsys.readouterr()
         assert code in (2, 3)
         assert captured.err.startswith("error [inspect]: ")
+        assert captured.out == ""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=broken_traces())
+    @example(content=f"{TRACE_HEADER}\n0,5,1\n1e30,5,1\n".encode())  # an OverflowError traceback
+    @example(content=f"{TRACE_HEADER}\n0,5,1\n1,5,1,5\n".encode())  # read without a word
+    def test_broken_trace_fails_to_ingest(self, tmp_path, capsys, content):
+        trace_csv = tmp_path / "trace.csv"
+        trace_csv.write_bytes(content)
+        code = main(["ingest", "--csv", str(trace_csv)])
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert captured.err.startswith("error [ingest]: ")
         assert captured.out == ""
