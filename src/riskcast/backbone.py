@@ -20,10 +20,10 @@ counts minus the smaller one's. As every quantile gain is a function of the
 counts alone, equal counts give equal gains, and ties go to the lowest
 feature, then the lowest bin.
 
+Every tree fits every training row, and nothing in training is random.
 On Linux a model's H horizon columns are fitted on up to min(H, usable
-CPUs) forked worker processes, which inherit the binned split; each column
-has its own RNG, [seed, h], so the models do not depend on where they were
-fitted.
+CPUs) forked worker processes, which inherit the binned split, so the
+models do not depend on where they were fitted.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -71,13 +70,13 @@ def pinball_subgradient(y, y_hat, tau: float):
 
 @dataclass(frozen=True)
 class BackboneParams:
-    """Boosted-tree hyperparameters; one seed drives all stochastic parts."""
+    """Boosted-tree hyperparameters. Every tree fits every training row, so
+    training draws nothing from `seed`, the stage seed config.json records."""
 
     n_trees: int = 200
     max_depth: int = 6
     learning_rate: float = 0.1
     min_samples_leaf: int = 20
-    subsample: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -85,8 +84,6 @@ class BackboneParams:
             raise ValueError("counts must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must lie in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +157,8 @@ class BinnedFeatures:
     as DecisionTree.predict does on X. Features with at least one cut are
     grouped by bin width, so a node's histogram is scanned at each group's
     width instead of padding every feature to the widest. cells[i] holds
-    the histogram cell of each such feature's bin in row i, out of n_cells.
+    the histogram cell of each such feature's bin in row i, out of n_cells,
+    and root_counts the rows in each cell: the N of every tree's root.
     """
 
     codes: np.ndarray
@@ -168,6 +166,7 @@ class BinnedFeatures:
     groups: tuple[_WidthGroup, ...]
     cells: np.ndarray
     n_cells: int
+    root_counts: np.ndarray
 
     @staticmethod
     def of(X: np.ndarray) -> "BinnedFeatures":
@@ -185,12 +184,8 @@ class BinnedFeatures:
             cells[:, column : column + features.size] = codes[:, features] + offsets
             start += features.size * width
             column += features.size
-        return BinnedFeatures(codes, cuts, tuple(groups), cells, start)
-
-    @cached_property
-    def root_counts(self) -> np.ndarray:
-        """Rows per histogram cell over all rows: the root of every unsampled tree."""
-        return np.bincount(self.cells.ravel(), minlength=self.n_cells)
+        root_counts = np.bincount(cells.ravel(), minlength=start)
+        return BinnedFeatures(codes, cuts, tuple(groups), cells, start, root_counts)
 
 
 def _best_splits(
@@ -312,7 +307,7 @@ def _best_splits(
 def _root_histograms(binned: BinnedFeatures, target: np.ndarray, tau: float | None) -> np.ndarray:
     """The histograms of a root holding every row, as _best_splits takes them.
 
-    N is the split's cached root_counts. A quantile fit's P counts only the
+    N is the split's root_counts. A quantile fit's P counts only the
     minority sign of `target` (resid > 0), taking the majority's as N minus it.
     """
     n = binned.root_counts
@@ -343,18 +338,17 @@ def _leaf_quantile(r: np.ndarray, tau: float) -> float:
 
 def _grow_tree(
     binned: BinnedFeatures,
-    rows: np.ndarray,
     resid: np.ndarray,
     tau: float | None,
     max_depth: int,
     min_samples_leaf: int,
 ) -> tuple[DecisionTree, np.ndarray]:
-    """Grow one tree level by level over `rows` (ascending row indices).
+    """Grow one tree level by level over every row.
 
     A quantile fit splits on the signs of `resid` (zero counts as
     non-positive, as in pinball_subgradient); a point fit on the gradients
     -resid. Nodes are numbered breadth-first. Returns the tree and the leaf
-    of each row in `rows` (other entries are unset).
+    of each row.
     """
     feature = [-1]
     threshold = [0.0]
@@ -374,13 +368,12 @@ def _grow_tree(
             column.append(blank)
         return len(feature) - 1
 
-    # A level holds sets of siblings with their parent's count histograms,
-    # None for the root of a subsampled tree. Where the parent's counts are
-    # known and every sibling grows, the largest takes its counts by
-    # subtraction and the smaller is counted; the rest are counted alone.
-    # Node ids follow `growing`, whatever order _best_splits sees them in.
-    root = _root_histograms(binned, target, tau) if rows.size == len(binned.codes) else None
-    level = [(root, [(0, rows)])]
+    # A level holds sets of siblings with their parent's count histograms;
+    # the root comes with its own. Where every sibling grows, the largest
+    # takes its counts by subtraction and the smaller is counted; the rest
+    # are counted alone. Node ids follow `growing`, whatever order
+    # _best_splits sees them in.
+    level = [(_root_histograms(binned, target, tau), [(0, np.arange(len(resid), dtype=np.int64))])]
     for depth in range(max_depth + 1):
         growing, smaller, lone, larger, parents = [], [], [], [], []
         for counts, siblings in level:
@@ -391,7 +384,7 @@ def _grow_tree(
                 else:
                     grows.append(len(growing))
                     growing.append((node, idx))
-            if counts is None or len(grows) < len(siblings):
+            if len(grows) < len(siblings):
                 lone += grows
             else:
                 *rest, largest = sorted(grows, key=lambda g: growing[g][1].size)
@@ -442,31 +435,17 @@ class BoostedTreesRegressor:
 
 
 def _fit_boosted_column(
-    X: np.ndarray,
-    binned: BinnedFeatures,
-    y: np.ndarray,
-    tau: float | None,
-    params: BackboneParams,
-    rng: np.random.Generator,
+    binned: BinnedFeatures, y: np.ndarray, tau: float | None, params: BackboneParams
 ) -> BoostedTreesRegressor:
-    n = len(y)
     base = float(np.quantile(y, tau)) if tau is not None else float(y.mean())
     model = BoostedTreesRegressor(base_score=base, learning_rate=params.learning_rate)
-    all_rows = np.arange(n, dtype=np.int64)
-    pred = np.full(n, base, dtype=np.float64)
+    pred = np.full(len(y), base, dtype=np.float64)
     for _ in range(params.n_trees):
         resid = y - pred
         if not np.any(resid):
             break
-        if params.subsample < 1.0:
-            m = max(1, int(round(params.subsample * n)))
-            rows = np.sort(rng.choice(n, size=m, replace=False))
-            tree, _ = _grow_tree(binned, rows, resid, tau, params.max_depth, params.min_samples_leaf)
-            step = tree.predict(X)
-        else:
-            tree, leaf_of = _grow_tree(binned, all_rows, resid, tau, params.max_depth, params.min_samples_leaf)
-            step = tree.value[leaf_of]
-        pred += params.learning_rate * step
+        tree, leaf_of = _grow_tree(binned, resid, tau, params.max_depth, params.min_samples_leaf)
+        pred += params.learning_rate * tree.value[leaf_of]
         model.trees.append(tree)
     return model
 
@@ -513,7 +492,7 @@ class QuantileModel:
         return np.maximum(out, 0.0)
 
 
-# The split (X, binned, Y, tau, params) a fit's worker processes share, set
+# The split (binned, Y, tau, params) a fit's worker processes share, set
 # in each worker by the pool's initializer. Under fork its arguments are
 # inherited, not pickled; the parent never sets it.
 _shared: tuple | None = None
@@ -537,9 +516,8 @@ def _share(parent: int, *split) -> None:
         os._exit(1)
 
 
-def _fit_column(h: int, X, binned, Y, tau, params) -> BoostedTreesRegressor:
-    """Horizon column h, fitted with its own RNG, [seed, h]."""
-    return _fit_boosted_column(X, binned, Y[:, h], tau, params, np.random.default_rng([params.seed, h]))
+def _fit_column(h: int, binned, Y, tau, params) -> BoostedTreesRegressor:
+    return _fit_boosted_column(binned, Y[:, h], tau, params)
 
 
 def _fit_shared_column(h: int) -> BoostedTreesRegressor:
@@ -565,16 +543,14 @@ def _workers(horizon: int) -> int:
 def _train(train: Samples, tau: float | None, params: BackboneParams) -> QuantileModel:
     """Fit the H columns on _workers(H) processes, forked for this call.
 
-    The workers inherit the binned split with its root counts, taken here
-    first, and only the fitted models are pickled back. A worker's exception
-    is raised here, a killed worker gives BrokenProcessPool, and no worker
-    outlives the call or its caller.
+    The workers inherit the binned split, and only the fitted models are
+    pickled back. A worker's exception is raised here, a killed worker gives
+    BrokenProcessPool, and no worker outlives the call or its caller.
     """
     if len(train) == 0:
         raise EmptyTrainingSet("training split is empty")
-    X = np.asarray(train.X, dtype=np.float64)
     Y = np.asarray(train.Y, dtype=np.float64)
-    split, horizon = (X, train.binned, Y, tau, params), Y.shape[1]
+    split, horizon = (train.binned, Y, tau, params), Y.shape[1]
     workers = _workers(horizon)
     if workers == 1:
         models = [_fit_column(h, *split) for h in range(horizon)]
@@ -583,7 +559,6 @@ def _train(train: Samples, tau: float | None, params: BackboneParams) -> Quantil
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        train.binned.root_counts  # counted once, here, for every worker to inherit
         executor = ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"), initializer=_share,
             initargs=(os.getpid(), *split),

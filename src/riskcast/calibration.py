@@ -133,17 +133,8 @@ def boundary_search(config: RiskBudgetConfig, evaluator: Evaluator) -> BoundaryR
     is narrower than delta. Each bisection step evaluates one new level;
     run_selection memoises the evaluator so the fine grid reuses them.
     """
-
-    def ev(tau: float) -> CandidateEvaluation:
-        try:
-            return evaluator(tau)
-        except RiskcastError:
-            raise
-        except Exception as exc:  # pragma: no cover - defensive
-            raise EvaluatorFailure(f"candidate evaluation failed at tau={tau}") from exc
-
-    lo_eval = ev(config.tau_min)
-    hi_eval = ev(config.tau_max)
+    lo_eval = evaluator(config.tau_min)
+    hi_eval = evaluator(config.tau_max)
     if hi_eval.over_rate <= config.epsilon:
         return BoundaryResult(config.tau_max, config.tau_max)
     if lo_eval.over_rate > config.epsilon:
@@ -154,7 +145,7 @@ def boundary_search(config: RiskBudgetConfig, evaluator: Evaluator) -> BoundaryR
     bisection_log = [(tau_lo, tau_hi, r_lo)]
     while tau_hi - tau_lo >= config.delta:
         tau_mid = 0.5 * (tau_lo + tau_hi)
-        mid_eval = ev(tau_mid)
+        mid_eval = evaluator(tau_mid)
         if mid_eval.over_rate <= config.epsilon:
             tau_lo, r_lo = tau_mid, mid_eval.over_rate
         else:
@@ -218,14 +209,25 @@ def select_from_grid(
 def run_selection(
     config: RiskBudgetConfig, evaluator: Evaluator, penalty: float | None = None
 ) -> SelectionResult:
-    """Coarse-to-fine selection against an arbitrary candidate evaluator."""
+    """Coarse-to-fine selection against an arbitrary candidate evaluator.
+
+    Each level is evaluated once, by memo_ev, which raises an evaluator error
+    that is not a RiskcastError as EvaluatorFailure, naming the level.
+    """
     lam = penalty if penalty is not None else config.penalty
     memo: dict[float, CandidateEvaluation] = {}
 
     def memo_ev(tau: float) -> CandidateEvaluation:
         key = round(float(tau), 12)
         if key not in memo:
-            memo[key] = evaluator(tau)
+            try:
+                memo[key] = evaluator(tau)
+            except RiskcastError:
+                raise
+            except Exception as exc:
+                raise EvaluatorFailure(
+                    f"candidate evaluation failed at tau={tau}: {type(exc).__name__}: {exc}"
+                ) from exc
         return memo[key]
 
     trainings_before = getattr(evaluator, "n_trainings", None)

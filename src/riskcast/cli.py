@@ -91,7 +91,11 @@ def config_hash(config: ExperimentConfig) -> str:
 
 _TOP_KEYS = _keys(ExperimentConfig)
 _RISK_KEYS = _keys(RiskBudgetConfig)
-_BACKBONE_KEYS = ("kind", *_keys(BackboneParams))
+# Backbone keys that name the one behaviour there is: each is accepted with
+# this value only, and is not written to config.json. Every tree fits every
+# training row, so subsample is 1.0.
+_BACKBONE_FIXED = {"kind": "boosted_trees", "subsample": 1.0}
+_BACKBONE_KEYS = (*_BACKBONE_FIXED, *_keys(BackboneParams))
 _DATASET_KEYS = {"csv": _keys(data_mod.CsvSource),
                  "synthetic": (*_keys(data_mod.SyntheticSpec), "noise_model")}
 _NOISES = {cls.kind: cls for cls in (data_mod.NoNoise, data_mod.UniformNoise, data_mod.GaussianNoise,
@@ -213,9 +217,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     seed = get("seed", partial(_exact, kind=int), 0)
     risk = _read(RiskBudgetConfig, _section(raw.get("risk"), "risk", _RISK_KEYS), "risk", {"epsilon": 0.35})
     backbone_get = _section(raw.get("backbone"), "backbone", _BACKBONE_KEYS)
-    kind = backbone_get("kind", partial(_exact, kind=str), "boosted_trees")
-    if kind != "boosted_trees":
-        raise ConfigError(f"backbone.kind: the only kind is boosted_trees, got {kind!r}")
+    for key, only in _BACKBONE_FIXED.items():
+        value = backbone_get(key, partial(_exact, kind=type(only)), only)
+        if value != only:
+            raise ConfigError(f"backbone.{key}: the only {key} is {only}, got {value!r}")
     backbone = _read(BackboneParams, backbone_get, "backbone", {"seed": stage_seed(seed, "backbone")})
     baselines = get("baselines", _list_of(str), (METHOD_POINT, METHOD_BUDGET_SCALE))
     unknown = set(baselines) - {METHOD_POINT, METHOD_BUDGET_SCALE}

@@ -66,7 +66,7 @@ class Trace:
         tp = np.asarray(self.throughput, dtype=np.float64)
         if ts.ndim != 1 or tp.ndim != 1 or len(ts) != len(tp):
             raise ValueError("timestamps and throughput must be 1-D and equal length")
-        if len(ts) > 1 and not np.all(np.diff(ts) > 0):
+        if not np.all(ts[1:] > ts[:-1]):
             raise NonMonotoneTimestamps("timestamps must be strictly increasing")
         if not np.all(np.isfinite(tp)):
             raise ValueError("throughput contains non-finite values")
@@ -207,8 +207,9 @@ def check_split_ratios(split_ratios) -> tuple[float, float, float]:
 def check_timestamp_gaps(trace: Trace) -> None:
     """Raise TimestampGap at the first step between consecutive timestamps
     that exceeds the trace's usual (median) step: windows slide over rows,
-    so they would span the gap."""
-    steps = np.diff(trace.timestamps)
+    so they would span the gap. The timestamps ascend, so their steps are
+    exact in uint64, where an int64 difference could wrap."""
+    steps = np.diff(trace.timestamps.view(np.uint64))
     if steps.size == 0:
         return
     usual = float(np.median(steps))
@@ -484,7 +485,7 @@ def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None
 
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
-    if len(ts) > 1 and not np.all(np.diff(ts) > 0):
+    if not np.all(ts[1:] > ts[:-1]):
         raise NonMonotoneTimestamps("duplicate timestamps remain after sorting")
     aux = {k: np.asarray(v, dtype=np.float64)[order] for k, v in aux_values.items()}
     return Trace(name=name or str(path), timestamps=ts, throughput=tp[order], aux=aux)

@@ -135,11 +135,7 @@ def _grow_tree(
 
 
 def fit_boosted_column(
-    X: np.ndarray,
-    y: np.ndarray,
-    tau: float | None,
-    params: BackboneParams,
-    rng: np.random.Generator,
+    X: np.ndarray, y: np.ndarray, tau: float | None, params: BackboneParams
 ) -> BoostedTreesRegressor:
     n = len(y)
     base = float(np.quantile(y, tau)) if tau is not None else float(y.mean())
@@ -150,12 +146,7 @@ def fit_boosted_column(
         resid = y - pred
         if not np.any(resid):
             break
-        if params.subsample < 1.0:
-            m = max(1, int(round(params.subsample * n)))
-            rows = np.sort(rng.choice(n, size=m, replace=False))
-            tree = _grow_tree(binned[rows], cuts, resid[rows], tau, params.max_depth, params.min_samples_leaf)
-        else:
-            tree = _grow_tree(binned, cuts, resid, tau, params.max_depth, params.min_samples_leaf)
+        tree = _grow_tree(binned, cuts, resid, tau, params.max_depth, params.min_samples_leaf)
         pred += params.learning_rate * tree.predict(X)
         model.trees.append(tree)
     return model

@@ -155,13 +155,11 @@ class TestTraining:
         assert abs(preds.mean() - train.Y[:, 0].mean()) <= 0.02 * 100.0
 
     def test_determinism(self, rng):
+        # Training draws nothing from the seed, so fits at two seeds agree bit for bit.
         train = iid_samples(rng, n=500, horizon=2)
-        params = BackboneParams(n_trees=15, max_depth=4, subsample=0.8, seed=11)
-        a = train_quantile_model(train, 0.25, params)
-        b = train_quantile_model(train, 0.25, params)
-        pa = a.predict(train.X, train.layout)
-        pb = b.predict(train.X, train.layout)
-        assert np.array_equal(pa, pb)
+        for fit in (lambda p: train_quantile_model(train, 0.25, p), lambda p: train_point_model(train, p)):
+            a, b = (fit(BackboneParams(n_trees=15, max_depth=4, seed=s)).horizon_models for s in (11, 12))
+            assert [regressor_bytes(m) for m in a] == [regressor_bytes(m) for m in b]
 
     def test_quantile_monotonicity_on_aggregate(self, rng):
         train = iid_samples(rng, n=2000)
@@ -235,51 +233,40 @@ class TestExactTrainer:
         n=st.integers(1, 600),
         kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5),
         tau=st.sampled_from([0.1, 0.5, 0.9, None]),
-        subsample=st.sampled_from([1.0, 0.8]),
         max_depth=st.integers(1, 6),
         min_samples_leaf=st.sampled_from([1, 7, 40, 10_000]),
         n_trees=st.integers(1, 4),
     )
     @example(seed=1, n=600, kinds=["many", "tied", "two_valued", "constant"], tau=0.1,
-             subsample=0.8, max_depth=6, min_samples_leaf=7, n_trees=3)
+             max_depth=6, min_samples_leaf=7, n_trees=3)
     @example(seed=2, n=400, kinds=["tied", "many"], tau=None,
-             subsample=1.0, max_depth=5, min_samples_leaf=1, n_trees=3)
+             max_depth=5, min_samples_leaf=1, n_trees=3)
     # Both siblings grow at depths 1-4, so the larger takes its counts by
     # subtraction at depth >= 3.
     @example(seed=3, n=600, kinds=["many", "tied", "two_valued"], tau=0.5,
-             subsample=1.0, max_depth=5, min_samples_leaf=1, n_trees=2)
+             max_depth=5, min_samples_leaf=1, n_trees=2)
     # min_samples_leaf makes one child a leaf at depths 2 and 3 while its
     # sibling grows, so that sibling is counted.
     @example(seed=4, n=500, kinds=["many", "tied"], tau=0.9,
-             subsample=1.0, max_depth=4, min_samples_leaf=40, n_trees=2)
-    # A subsampled root covers only some rows: the split's root counts do not
-    # apply, and its children still subtract at depths 1-3.
-    @example(seed=5, n=500, kinds=["many", "two_valued", "tied"], tau=0.1,
-             subsample=0.8, max_depth=4, min_samples_leaf=7, n_trees=2)
-    # Unsampled roots take P from their minority sign: at tau 0.1 most
-    # residuals are positive, so the non-positive rows are counted; at tau
-    # 0.9 the positive ones are.
+             max_depth=4, min_samples_leaf=40, n_trees=2)
+    # Roots take P from their minority sign: at tau 0.1 most residuals are
+    # positive, so the non-positive rows are counted; at tau 0.9 the
+    # positive ones are.
     @example(seed=6, n=600, kinds=["many", "tied", "two_valued"], tau=0.1,
-             subsample=1.0, max_depth=6, min_samples_leaf=1, n_trees=2)
+             max_depth=6, min_samples_leaf=1, n_trees=2)
     # Here children holding rows of only one sign (P = 0 or P = N) grow, both
     # counted and taking their histograms by subtraction.
     @example(seed=7, n=600, kinds=["many", "tied", "two_valued"], tau=0.9,
-             subsample=1.0, max_depth=6, min_samples_leaf=1, n_trees=2)
-    # A subsampled root's P is counted with its N, here with the positive
-    # residuals in the minority.
-    @example(seed=8, n=500, kinds=["many", "two_valued", "tied"], tau=0.9,
-             subsample=0.8, max_depth=4, min_samples_leaf=7, n_trees=2)
-    def test_matches_reference_trainer(
-        self, seed, n, kinds, tau, subsample, max_depth, min_samples_leaf, n_trees
-    ):
+             max_depth=6, min_samples_leaf=1, n_trees=2)
+    def test_matches_reference_trainer(self, seed, n, kinds, tau, max_depth, min_samples_leaf, n_trees):
         rng = np.random.default_rng(seed)
         X = np.column_stack([make_column(k, rng, n) for k in kinds])
         held = np.column_stack([make_column(k, rng, 50) for k in kinds])
         y = np.round(rng.normal(100.0, 20.0, size=n), 1) + 4.0 * X[:, 0]
         params = BackboneParams(n_trees=n_trees, max_depth=max_depth, learning_rate=0.5,
-                                min_samples_leaf=min_samples_leaf, subsample=subsample)
-        model = _fit_boosted_column(X, BinnedFeatures.of(X), y, tau, params, np.random.default_rng(seed))
-        oracle = reference_trainer.fit_boosted_column(X, y, tau, params, np.random.default_rng(seed))
+                                min_samples_leaf=min_samples_leaf)
+        model = _fit_boosted_column(BinnedFeatures.of(X), y, tau, params)
+        oracle = reference_trainer.fit_boosted_column(X, y, tau, params)
         assert [t.feature.size for t in model.trees] == [t.feature.size for t in oracle.trees]
         assert np.array_equal(model.predict(X), oracle.predict(X))
         assert np.array_equal(model.predict(held), oracle.predict(held))
@@ -295,7 +282,7 @@ class TestExactTrainer:
         resid = np.where(flag > 0, 5.0, -5.0)
         binned = BinnedFeatures.of(X)
         assert sorted(g.width for g in binned.groups) == [2, 4]
-        tree, _ = _grow_tree(binned, np.arange(len(X)), resid, None, 1, 1)
+        tree, _ = _grow_tree(binned, resid, None, 1, 1)
         codes, cuts = reference_trainer._bin_features(X)
         oracle = reference_trainer._grow_tree(codes, cuts, resid, None, 1, 1)
         assert tree.feature[0] == oracle.feature[0] == 0
@@ -321,7 +308,7 @@ class TestExactTrainer:
         grad = pinball_subgradient(y, 0.0, tau)
         assert np.cumsum(grad[left[:, 0]])[-1] != np.cumsum(grad[left[:, 1]])[-1]
         params = BackboneParams(n_trees=1, max_depth=1, learning_rate=1.0, min_samples_leaf=1)
-        model = _fit_boosted_column(X, BinnedFeatures.of(X), y, tau, params, np.random.default_rng(0))
+        model = _fit_boosted_column(BinnedFeatures.of(X), y, tau, params)
         assert model.base_score == 0.0  # so every residual is y itself
         assert model.trees[0].feature[0] == 0
 
@@ -332,7 +319,7 @@ class TestExactTrainer:
         flag = np.repeat([0.0, 1.0], [30, 70])
         resid = np.where(flag > 0, 0.0, 5.0)
         binned = BinnedFeatures.of(flag[:, None])
-        tree, _ = _grow_tree(binned, np.arange(flag.size), resid, 0.3, 1, 1)
+        tree, _ = _grow_tree(binned, resid, 0.3, 1, 1)
         assert tree.feature[0] == 0
         assert tree.value[1:].tolist() == [5.0, 0.0]
 
@@ -381,17 +368,15 @@ class TestParallelTrainer:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     @pytest.mark.parametrize("tau", [0.3, None], ids=["quantile", "point"])
-    @pytest.mark.parametrize("subsample", [1.0, 0.7])
-    def test_each_column_equals_a_fit_in_this_process(self, rng, monkeypatch, pools, tau, subsample):
+    def test_each_column_equals_a_fit_in_this_process(self, rng, monkeypatch, pools, tau):
         self.cpus(monkeypatch, 2)
         train = iid_samples(rng, 400, horizon=3, n_features=5)
-        params = BackboneParams(n_trees=5, max_depth=3, min_samples_leaf=15, subsample=subsample, seed=9)
+        params = BackboneParams(n_trees=5, max_depth=3, min_samples_leaf=15, seed=9)
         model = train_point_model(train, params) if tau is None else train_quantile_model(train, tau, params)
         assert pools == [2]
         assert len(model.horizon_models) == 3
         for h, fitted in enumerate(model.horizon_models):
-            expected = _fit_boosted_column(train.X, train.binned, train.Y[:, h], tau, params,
-                                           np.random.default_rng([params.seed, h]))
+            expected = _fit_boosted_column(train.binned, train.Y[:, h], tau, params)
             assert regressor_bytes(fitted) == regressor_bytes(expected), h
 
     @pytest.mark.parametrize("cpus, horizon, workers", [(1, 3, None), (4, 1, None), (2, 3, 2), (4, 3, 3)],
@@ -436,7 +421,9 @@ class TestParallelTrainer:
             from riskcast.data import Samples
 
             def fit(*args):
-                print(os.getpid(), flush=True)
+                # One write of under PIPE_BUF bytes, so the workers' lines never
+                # interleave; print may write the pid and the newline apart.
+                os.write(1, f"{os.getpid()}\\n".encode())
                 time.sleep(120)
 
             os.sched_getaffinity = lambda pid: {0, 1}
@@ -462,7 +449,7 @@ class TestParallelTrainer:
         # Patched before the pool forks, so the workers inherit the patch.
         caller = os.getpid()
 
-        def fit(X, binned, y, tau, params, column_rng):
+        def fit(binned, y, tau, params):
             if os.getpid() == caller:
                 raise AssertionError("a column was fitted in the calling process")
             if fail == "exit":
@@ -516,5 +503,5 @@ class TestParams:
         with pytest.raises(ValueError):
             BackboneParams(learning_rate=0.0)
         with pytest.raises(ValueError):
-            BackboneParams(subsample=1.5)
+            BackboneParams(max_depth=0)
 

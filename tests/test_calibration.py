@@ -19,7 +19,7 @@ from riskcast.calibration import (
     select_quantile,
 )
 from riskcast.data import Samples
-from riskcast.errors import EmptyGrid, InvalidGrid
+from riskcast.errors import EmptyGrid, EmptyTrainingSet, EvaluatorFailure, InvalidGrid
 from riskcast.metrics import PredictionBatch, mae, over_rate
 
 from conftest import iid_samples
@@ -135,6 +135,30 @@ class TestSelection:
         assert a.tau_star == b.tau_star
         assert a.boundary == b.boundary
         assert [e.tau for e in a.evaluations] == [e.tau for e in b.evaluations]
+
+    @pytest.mark.parametrize("stage", ["bisection", "fine_grid"])
+    def test_a_failed_evaluation_is_raised_as_evaluator_failure(self, stage):
+        bisection = FakeEvaluator(r_fn=lambda tau: tau)
+        boundary_search(DEFAULT, bisection)
+        fine = run_selection(DEFAULT, FakeEvaluator(r_fn=lambda tau: tau), penalty=1e6).fine_grid
+        failing = bisection.calls[2] if stage == "bisection" else fine[2].tau
+        assert (failing in bisection.calls) == (stage == "bisection")
+
+        def evaluate(tau):
+            if tau == failing:
+                raise RuntimeError("fit failed")
+            return CandidateEvaluation(tau=float(tau), mae=1.0 - tau, over_rate=float(tau))
+
+        with pytest.raises(EvaluatorFailure, match=f"at tau={failing}: RuntimeError: fit failed$") as info:
+            run_selection(DEFAULT, evaluate, penalty=1e6)
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+    def test_a_riskcast_error_is_raised_as_itself(self):
+        def evaluate(tau):
+            raise EmptyTrainingSet("training split is empty")
+
+        with pytest.raises(EmptyTrainingSet):
+            run_selection(DEFAULT, evaluate, penalty=1e6)
 
 
 class TestSelectFromGrid:

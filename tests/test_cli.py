@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from functools import cached_property
 from pathlib import Path
 from unittest import mock
 
@@ -16,8 +15,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import riskcast.backbone
-from riskcast.backbone import BinnedFeatures
+import riskcast.calibration
 from riskcast.cli import (
+    _BACKBONE_FIXED,
     _BACKBONE_KEYS,
     _DATASET_KEYS,
     _RISK_KEYS,
@@ -91,10 +91,12 @@ class TestConfig:
     @pytest.mark.parametrize("path", ["configs/synthetic-demo.yaml", "bench/paper_shape.yaml"],
                              ids=["demo", "paper_shape"])
     def test_shipped_configs_name_the_one_backbone_kind(self, path):
+        # And the one subsample: both are fixed keys, which config.json leaves out.
         raw = yaml.safe_load((ROOT / path).read_text())
-        assert raw["backbone"]["kind"] == "boosted_trees"
+        fixed = {key: raw["backbone"][key] for key in _BACKBONE_FIXED}
+        assert fixed == {"kind": "boosted_trees", "subsample": 1.0}
         config = load_config(str(ROOT / path))
-        assert "kind" not in config_dict(config)["backbone"]
+        assert not set(_BACKBONE_FIXED) & set(config_dict(config)["backbone"])
 
     def test_seed_override_re_derives_stage_seeds(self, tmp_path):
         path = write_config(tmp_path)
@@ -181,6 +183,36 @@ class TestRunExperiment:
         for name in ("selection.json", "reports.json", "metrics_long.csv", "config.json"):
             assert (out / name).read_bytes() == (bundle.output_dir / name).read_bytes(), name
 
+    def test_old_config_json_naming_subsample_repeats_the_run(self, bundle, tmp_path):
+        # Bundles written while subsample was an option record it as 1.0.
+        old = json.loads((bundle.output_dir / "config.json").read_text())
+        old["backbone"]["subsample"] = 1.0
+        path, out = tmp_path / "config.json", tmp_path / "rerun"
+        path.write_text(json.dumps(old))
+        assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+        for name in ("selection.json", "reports.json", "metrics_long.csv", "config.json"):
+            assert (out / name).read_bytes() == (bundle.output_dir / name).read_bytes(), name
+
+    def test_a_failed_fine_grid_fit_fails_with_stage(self, bundle, tmp_path, monkeypatch, capsys):
+        # The middle of a five-level fine grid is the bracket's midpoint,
+        # which bisection stopped short of evaluating.
+        lo, hi = bundle.selection.boundary
+        assert lo < hi and len(bundle.selection.fine_grid) == 5
+        failing = bundle.selection.fine_grid[2].tau
+        train = riskcast.calibration.train_quantile_model
+
+        def fit(samples, tau, params):
+            if tau == failing:
+                raise RuntimeError("fit failed")
+            return train(samples, tau, params)
+
+        monkeypatch.setattr(riskcast.calibration, "train_quantile_model", fit)
+        config = bundle.output_dir / "config.json"
+        assert main(["run", "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error [run]: candidate evaluation failed at tau={failing}: "
+                                "RuntimeError: fit failed\n")
+
     def test_csv_json_reports_agree(self, bundle):
         with open(bundle.output_dir / "metrics_long.json") as fh:
             json_rows = json.load(fh)
@@ -236,14 +268,10 @@ class TestProtocolSeparation:
 
 class TestCalibrateBudgets:
     def test_bins_the_training_split_once(self, tmp_path, monkeypatch):
-        shapes, root_rows = [], []
+        shapes = []
         bin_features = riskcast.backbone._bin_features
         monkeypatch.setattr(riskcast.backbone, "_bin_features",
                             lambda X: shapes.append(X.shape) or bin_features(X))
-        root_counts = BinnedFeatures.root_counts.func
-        counting = cached_property(lambda binned: root_rows.append(len(binned.codes)) or root_counts(binned))
-        counting.__set_name__(BinnedFeatures, "root_counts")
-        monkeypatch.setattr(BinnedFeatures, "root_counts", counting)
         config = load_config(write_config(tmp_path))
         dataset = make_windows(generate_synthetic(config.dataset),
                                config.history, config.horizon, config.split_ratios)
@@ -251,8 +279,6 @@ class TestCalibrateBudgets:
         quantile_fits = sum(o.selection.n_trainings for o in outcomes)
         assert quantile_fits >= 2  # plus the point model, all on one training split
         assert shapes == [dataset.train.X.shape]
-        # Every tree of every fit starts from the same root count histogram.
-        assert root_rows == [len(dataset.train)]
 
 
 class TestDeterminism:
@@ -346,6 +372,7 @@ class TestCommands:
         (f"{SYNTH}\nrisk: {{M: null}}", "M"),
         (f"{SYNTH}\nbackbone: {{n_trees: '40'}}", "n_trees"),
         (f"{SYNTH}\nbackbone: {{kind: linear}}", "backbone.kind"),
+        (f"{SYNTH}\nbackbone: {{subsample: 0.8}}", "backbone.subsample: the only subsample is 1.0, got 0.8"),
         (f"{SYNTH}\nbackbone: {{steps: 10}}", "unknown backbone keys: ['steps']"),
         (f"{SYNTH}\nbaselines: [[1]]", "baselines"),
         (f"{SYNTH}\nadmission_b: 0", "admission_b"),
@@ -383,7 +410,8 @@ class TestCommands:
     ], ids=["dataset-kind", "backbone-key", "gaussian-sigma", "uniform-half-width", "cyclic-base",
             "risk-key", "top-key", "top-key-admission", "dataset-key", "noise-key",
             "backbone-not-mapping", "risk-not-mapping", "dataset-not-mapping", "risk-null-value",
-            "backbone-string-value", "backbone-kind-linear", "backbone-steps-key", "baselines-list-value",
+            "backbone-string-value", "backbone-kind-linear", "backbone-subsample-0.8", "backbone-steps-key",
+            "baselines-list-value",
             "admission-b-zero", "admission-b-negative", "admission-b-nan", "admission-b-inf",
             "history-zero", "horizon-zero",
             "split-ratios-length", "split-ratios-negative", "split-ratios-sum", "dataset-name-list",
@@ -436,6 +464,14 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith("error [ingest]: timestamp gap before row 60: step 11")
         assert captured.out == ""
+
+    def test_ingest_timestamps_an_int64_difference_would_wrap_on(self, tmp_path, capsys):
+        trace_csv = tmp_path / "wide.csv"
+        trace_csv.write_text("timestamp,throughput_mbps\n-9000000000000000000,5\n9000000000000000000,7\n")
+        assert main(["ingest", "--csv", str(trace_csv)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"trace {trace_csv}: 2 rows")
+        assert captured.err == ""
 
     def test_ingest_header_only_csv_fails_with_stage(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

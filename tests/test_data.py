@@ -61,6 +61,14 @@ class TestIngest:
         with pytest.raises(NonMonotoneTimestamps):
             ingest_csv(path)
 
+    def test_timestamps_an_int64_difference_would_wrap_on(self, tmp_path):
+        # 9e18 - (-9e18) exceeds the int64 range.
+        path = write_csv(tmp_path / "t.csv", ["9000000000000000000,20", "-9000000000000000000,10"])
+        trace = ingest_csv(path)
+        assert trace.timestamps.tolist() == [-9 * 10**18, 9 * 10**18]
+        assert trace.throughput.tolist() == [10.0, 20.0]
+        check_timestamp_gaps(trace)
+
     def test_unsorted_rows_are_sorted(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["5,50", "1,10", "3,30"])
         trace = ingest_csv(path)
@@ -303,6 +311,20 @@ class TestTraceInvariants:
     def test_rejects_decreasing_timestamps(self):
         with pytest.raises(NonMonotoneTimestamps):
             Trace("bad", np.array([3, 2, 1]), np.array([1.0, 2.0, 3.0]))
+
+    def test_timestamps_are_ordered_without_subtracting(self):
+        # np.diff of these int64 timestamps wraps: to a negative step when
+        # they ascend, to a positive one when they descend.
+        wide = np.array([-9 * 10**18, 9 * 10**18])
+        assert Trace("wide", wide, np.ones(2)).timestamps.tolist() == wide.tolist()
+        with pytest.raises(NonMonotoneTimestamps):
+            Trace("bad", wide[::-1], np.ones(2))
+
+    def test_gap_steps_are_exact_across_the_int64_range(self):
+        check_timestamp_gaps(Trace("even", np.array([-9 * 10**18, 0, 9 * 10**18]), np.ones(3)))
+        trace = Trace("gap", np.array([-9 * 10**18, -9 * 10**18 + 1, 9 * 10**18]), np.ones(3))
+        with pytest.raises(TimestampGap, match="before row 2: step 17999999999999999999 "):
+            check_timestamp_gaps(trace)
 
     def test_rejects_negative_throughput(self):
         with pytest.raises(NegativeThroughput):
