@@ -40,6 +40,7 @@ from .errors import (
     EmptyTrainingSet,
     InvalidTau,
     LayoutMismatch,
+    NonFiniteFeatures,
 )
 
 _MAX_BINS = 256
@@ -93,7 +94,13 @@ class BackboneParams:
 
 @dataclass
 class DecisionTree:
-    """Flat-array binary tree; feature < 0 marks a leaf."""
+    """Flat-array binary tree; feature < 0 marks a leaf.
+
+    An internal node sends x[feature] <= threshold to `left`, anything else
+    (NaN too) to `right`. `predict` partitions the rows as `_grow_tree`
+    does, node by node from the root, so each row is compared once per
+    level of its own path: O(depth * rows) for any tree shape.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -102,15 +109,19 @@ class DecisionTree:
     value: np.ndarray
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(len(X), dtype=np.int32)
-        rows = np.arange(len(X))
-        while True:
-            at_leaf = self.feature[idx] < 0
-            if at_leaf.all():
-                return self.value[idx]
-            go_left = X[rows, np.maximum(self.feature[idx], 0)] <= self.threshold[idx]
-            nxt = np.where(go_left, self.left[idx], self.right[idx])
-            idx = np.where(at_leaf, idx, nxt).astype(np.int32)
+        out = np.empty(len(X), dtype=np.float64)
+        # An explicit stack, not recursion: max_depth has no upper bound.
+        stack = [(0, np.arange(len(X)))]
+        while stack:
+            node, idx = stack.pop()
+            f = self.feature[node]
+            if f < 0:
+                out[idx] = self.value[node]
+            elif idx.size:
+                go_left = X[idx, f] <= self.threshold[node]
+                stack.append((self.left[node], idx[go_left]))
+                stack.append((self.right[node], idx[~go_left]))
+        return out
 
 
 def _bin_features(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -138,8 +149,9 @@ class _WidthGroup:
     """Features whose bin count fits in `width`, a power of two.
 
     Their histograms lie side by side from cell `start` on, `width` cells
-    per feature; valid[k, b] marks the split candidates, the bins below
-    feature k's cut count.
+    per feature. valid, shape (features, width), marks the split
+    candidates: the bins below feature k's cut count. A feature has at most
+    width - 1 cuts, so the last bin is never a candidate.
     """
 
     features: np.ndarray
@@ -178,7 +190,7 @@ class BinnedFeatures:
         groups, start, column = [], 0, 0
         for width in np.unique(widths[n_cuts > 0]).tolist():
             features = np.flatnonzero((widths == width) & (n_cuts > 0))
-            valid = np.arange(width - 1)[None, :] < n_cuts[features][:, None]
+            valid = np.arange(width)[None, :] < n_cuts[features][:, None]
             groups.append(_WidthGroup(features, width, start, valid))
             offsets = start + np.arange(features.size, dtype=np.int64) * width
             cells[:, column : column + features.size] = codes[:, features] + offsets
@@ -211,6 +223,12 @@ def _best_splits(
     grid's row-major argmax sends them, to the lowest feature index, then
     the lowest bin. The order of `nodes` only decides which histogram row
     each node uses.
+
+    Each width group is scanned over all `width` bins of its features, the
+    last never valid. The counts' cumsums are taken in float64, exact for
+    counts below 2**53, and the gains are computed in place over those
+    buffers, every cell through the same float operations in the same order
+    as the formula written out; cells that are not candidates get -inf.
 
     Counts are exact, so the last len(parents) nodes are not counted: each
     takes its parent's histograms, parents[j], minus those of its smaller
@@ -268,33 +286,39 @@ def _best_splits(
     for group in binned.groups:
         m, width = group.features.size, group.width
         cells = slice(group.start, group.start + m * width)
-        cum = hist[:, :, cells].reshape(k, c, m, width).cumsum(axis=3)[..., :-1]
+        cum = hist[:, :, cells].reshape(k, c, m, width).cumsum(axis=3, dtype=np.float64)
         cum_n = cum[:, 0]
         n_right = n - cum_n
-        ok = (cum_n >= min_samples_leaf) & (n_right >= min_samples_leaf) & group.valid
+        ok = cum_n >= min_samples_leaf
+        ok &= n_right >= min_samples_leaf
+        ok &= group.valid
         any_ok |= ok.any(axis=(1, 2))
         if tau is None:
-            cum_g = hist_g[:, cells].reshape(k, m, width).cumsum(axis=2)[:, :, :-1]
+            cum_g = hist_g[:, cells].reshape(k, m, width).cumsum(axis=2)
             g_right = total_g[:, None, None] - cum_g
         else:
             cum_p = cum[:, 1]
-            cum_g = (1.0 - tau) * cum_n - cum_p
-            g_right = (1.0 - tau) * n_right - (p_total[:, None, None] - cum_p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = np.where(
-                ok,
-                cum_g**2 / np.maximum(cum_n, 1)
-                + g_right**2 / np.maximum(n_right, 1)
-                - base_score[:, None, None],
-                -np.inf,
-            ).reshape(k, -1)
+            cum_g = (1.0 - tau) * cum_n
+            cum_g -= cum_p
+            g_right = (1.0 - tau) * n_right
+            g_right -= p_total[:, None, None] - cum_p
+        # cum_g**2 / max(cum_n, 1) + g_right**2 / max(n_right, 1) - base_score,
+        # taken in place, in that order.
+        gain = np.square(cum_g, out=cum_g)
+        gain /= np.maximum(cum_n, 1.0, out=cum_n)
+        np.square(g_right, out=g_right)
+        g_right /= np.maximum(n_right, 1.0, out=n_right)
+        gain += g_right
+        gain -= base_score[:, None, None]
+        np.copyto(gain, -np.inf, where=~ok)
+        gain = gain.reshape(k, -1)
         pos = gain.argmax(axis=1)
         gain_at = gain[np.arange(k), pos]
-        feature = group.features[pos // (width - 1)]
+        feature = group.features[pos // width]
         better = (gain_at > best_gain) | ((gain_at == best_gain) & (feature < best_feature))
         best_gain = np.where(better, gain_at, best_gain)
         best_feature = np.where(better, feature, best_feature)
-        best_bin = np.where(better, pos % (width - 1), best_bin)
+        best_bin = np.where(better, pos % width, best_bin)
     splits = [
         (int(best_feature[s]), int(best_bin[s]))
         if any_ok[s] and best_gain[s] > 1e-9 * max(1.0, abs(base_score[s]))
@@ -461,6 +485,7 @@ class QuantileModel:
 
     Predictions are clamped below at zero (throughput is non-negative), and
     the feature layout seen at training time is enforced at prediction time.
+    Features must be finite: a tree would send NaN right at every split.
     """
 
     tau: float
@@ -488,6 +513,13 @@ class QuantileModel:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self.feature_layout):
             raise LayoutMismatch(f"feature matrix width {X.shape} does not match layout")
+        bad = ~np.isfinite(X)
+        if bad.any():
+            column = self.feature_layout[int(np.argmax(bad.any(axis=0)))]
+            raise NonFiniteFeatures(
+                f"feature matrix holds {np.count_nonzero(bad)} non-finite values, "
+                f"the first in column {column!r}"
+            )
         out = np.column_stack([m.predict(X) for m in self.horizon_models])
         return np.maximum(out, 0.0)
 

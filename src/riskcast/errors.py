@@ -58,6 +58,10 @@ class LayoutMismatch(RiskcastError):
     """Feature layout differs from the one the model was trained on."""
 
 
+class NonFiniteFeatures(RiskcastError):
+    """A feature matrix passed for prediction holds NaN or infinite values."""
+
+
 class EmptyBatch(RiskcastError):
     """A prediction batch contains no elements."""
 

@@ -4,7 +4,7 @@ This is the trainer the level-wise one in `riskcast.backbone` replaced,
 kept as a test oracle: both must grow the same trees, node for node, and
 give bit-identical predictions. `fit_boosted_column` is the boosting loop
 around it, which bins X on every call and takes training predictions from
-`DecisionTree.predict`.
+`route`, the level-by-level router `DecisionTree.predict` replaced.
 
 A quantile fit's gradient sums are taken as (1 - tau) * N - P from the
 integer counts N (rows) and P (rows with a positive residual), the
@@ -39,6 +39,27 @@ def _bin_features(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         binned[:, j] = np.searchsorted(c, col, side="left")
         cuts.append(c)
     return binned, cuts
+
+
+def route(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
+    """The tree's output for each row of X, every row moved one level a step."""
+    idx = np.zeros(len(X), dtype=np.int32)
+    rows = np.arange(len(X))
+    while True:
+        at_leaf = tree.feature[idx] < 0
+        if at_leaf.all():
+            return tree.value[idx]
+        go_left = X[rows, np.maximum(tree.feature[idx], 0)] <= tree.threshold[idx]
+        nxt = np.where(go_left, tree.left[idx], tree.right[idx])
+        idx = np.where(at_leaf, idx, nxt).astype(np.int32)
+
+
+def predict(model: BoostedTreesRegressor, X: np.ndarray) -> np.ndarray:
+    """`model.predict(X)`, each tree's output taken from `route`."""
+    out = np.full(len(X), model.base_score, dtype=np.float64)
+    for tree in model.trees:
+        out += model.learning_rate * route(tree, X)
+    return out
 
 
 def _grow_tree(
@@ -147,6 +168,6 @@ def fit_boosted_column(
         if not np.any(resid):
             break
         tree = _grow_tree(binned, cuts, resid, tau, params.max_depth, params.min_samples_leaf)
-        pred += params.learning_rate * tree.predict(X)
+        pred += params.learning_rate * route(tree, X)
         model.trees.append(tree)
     return model

@@ -32,7 +32,7 @@ from riskcast.backbone import (
     train_quantile_model,
 )
 from riskcast.data import Samples
-from riskcast.errors import EmptyTrainingSet, InvalidTau, LayoutMismatch
+from riskcast.errors import EmptyTrainingSet, InvalidTau, LayoutMismatch, NonFiniteFeatures
 
 from conftest import iid_samples
 
@@ -113,6 +113,66 @@ class TestPredict:
             model.predict(np.array([[1.0, 2.0]]), ("f0", "other"))
         with pytest.raises(LayoutMismatch):
             model.predict(np.array([[1.0, 2.0, 3.0]]), ("f0", "f1", "f2"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features(self, bad):
+        model = stump_model()
+        X = np.array([[1.0, 2.0], [3.0, bad], [4.0, bad]])
+        with pytest.raises(NonFiniteFeatures, match="holds 2 non-finite values, the first in column 'f1'"):
+            model.predict(X, ("f0", "f1"))
+        X[0, 0] = bad
+        with pytest.raises(NonFiniteFeatures, match="holds 3 non-finite values, the first in column 'f0'"):
+            model.predict(X, ("f0", "f1"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_depth=st.integers(0, 10),
+        n_rows=st.integers(0, 300),
+        n_features=st.integers(1, 4),
+    )
+    @example(seed=0, max_depth=0, n_rows=20, n_features=1)  # a single leaf
+    @example(seed=1, max_depth=10, n_rows=0, n_features=3)
+    @example(seed=2, max_depth=10, n_rows=1, n_features=3)
+    def test_matches_level_by_level_routing(self, seed, max_depth, n_rows, n_features):
+        # Thresholds and half of the feature values come from one grid, so
+        # many rows sit exactly on a threshold and must go left.
+        rng = np.random.default_rng(seed)
+        grid = np.arange(-4, 5) * 0.25
+        tree = random_tree(rng, max_depth, n_features, grid)
+        shape = (n_rows, n_features)
+        X = np.where(rng.random(shape) < 0.5, rng.choice(grid, shape), rng.normal(size=shape))
+        out = tree.predict(X)
+        assert out.dtype == np.float64 and out.shape == (n_rows,)
+        assert out.tobytes() == reference_trainer.route(tree, X).tobytes()
+
+
+def random_tree(rng, max_depth, n_features, grid) -> DecisionTree:
+    """A valid tree no deeper than max_depth; each node below it splits with
+    probability 0.7, so most trees are unbalanced. Nodes are numbered depth-first."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def build(depth: int) -> int:
+        node = len(feature)
+        for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (value, 0.0)):
+            column.append(blank)
+        if depth < max_depth and rng.random() < 0.7:
+            feature[node] = int(rng.integers(n_features))
+            threshold[node] = float(rng.choice(grid))
+            left[node] = build(depth + 1)
+            right[node] = build(depth + 1)
+        else:
+            value[node] = float(rng.normal())
+        return node
+
+    build(0)
+    return DecisionTree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=np.float64),
+    )
 
 
 def constant_samples(n=200, value=40.0, horizon=2, n_features=3):
@@ -268,8 +328,8 @@ class TestExactTrainer:
         model = _fit_boosted_column(BinnedFeatures.of(X), y, tau, params)
         oracle = reference_trainer.fit_boosted_column(X, y, tau, params)
         assert [t.feature.size for t in model.trees] == [t.feature.size for t in oracle.trees]
-        assert np.array_equal(model.predict(X), oracle.predict(X))
-        assert np.array_equal(model.predict(held), oracle.predict(held))
+        assert np.array_equal(model.predict(X), reference_trainer.predict(oracle, X))
+        assert np.array_equal(model.predict(held), reference_trainer.predict(oracle, held))
 
     @pytest.mark.parametrize("wide_first", [True, False])
     def test_equal_gains_across_width_groups_go_to_the_lower_feature(self, wide_first):
