@@ -10,6 +10,7 @@ from .admission import AdmissionOutcome, AdmissionReport, admit, compare, simula
 from .backbone import (
     BackboneParams,
     QuantileModel,
+    Workers,
     pinball_loss,
     pinball_subgradient,
     train_point_model,

@@ -22,8 +22,11 @@ feature, then the lowest bin.
 
 Every tree fits every training row, and nothing in training is random.
 On Linux a model's H horizon columns are fitted on up to min(H, usable
-CPUs) forked worker processes, which inherit the binned split, so the
-models do not depend on where they were fitted.
+CPUs) forked worker processes, so the models do not depend on where they
+were fitted. A `Workers` set is forked once per training split and serves
+every fit its caller makes; the workers inherit the binned split and the
+calibration features, and predict each column they fit on the calibration
+rows. A fit given no worker set forks one of its own.
 """
 
 from __future__ import annotations
@@ -491,6 +494,10 @@ class QuantileModel:
     tau: float
     feature_layout: tuple[str, ...]
     horizon_models: list[BoostedTreesRegressor]
+    # (X, its columns) that the fitting workers predicted, taken and dropped
+    # by the first predict of that very X, once its checks pass. X is a
+    # Samples' frozen matrix, so the same object still holds the same values.
+    _premade: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_tau(self.tau)
@@ -510,7 +517,7 @@ class QuantileModel:
 
     def predict(self, X: np.ndarray, layout) -> np.ndarray:
         self._check_layout(layout)
-        X = np.asarray(X, dtype=np.float64)
+        given, X = X, np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self.feature_layout):
             raise LayoutMismatch(f"feature matrix width {X.shape} does not match layout")
         bad = ~np.isfinite(X)
@@ -520,13 +527,16 @@ class QuantileModel:
                 f"feature matrix holds {np.count_nonzero(bad)} non-finite values, "
                 f"the first in column {column!r}"
             )
-        out = np.column_stack([m.predict(X) for m in self.horizon_models])
-        return np.maximum(out, 0.0)
+        if self._premade is not None and self._premade[0] is given:
+            columns, self._premade = self._premade[1], None
+        else:
+            columns = [m.predict(X) for m in self.horizon_models]
+        return np.maximum(np.column_stack(columns), 0.0)
 
 
-# The split (binned, Y, tau, params) a fit's worker processes share, set
-# in each worker by the pool's initializer. Under fork its arguments are
-# inherited, not pickled; the parent never sets it.
+# The split (binned, Y, calibration X or None) a worker set's processes
+# share, set in each worker by the pool's initializer. Under fork its
+# arguments are inherited, not pickled; the parent never sets it.
 _shared: tuple | None = None
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
@@ -548,12 +558,14 @@ def _share(parent: int, *split) -> None:
         os._exit(1)
 
 
-def _fit_column(h: int, binned, Y, tau, params) -> BoostedTreesRegressor:
-    return _fit_boosted_column(binned, Y[:, h], tau, params)
+def _fit_column(h: int, tau, params, binned, Y, cal_X) -> tuple[BoostedTreesRegressor, np.ndarray | None]:
+    """Fit horizon column h, and predict it on the calibration rows, if any."""
+    model = _fit_boosted_column(binned, Y[:, h], tau, params)
+    return model, None if cal_X is None else model.predict(cal_X)
 
 
-def _fit_shared_column(h: int) -> BoostedTreesRegressor:
-    return _fit_column(h, *_shared)
+def _fit_shared_column(h: int, tau, params) -> tuple[BoostedTreesRegressor, np.ndarray | None]:
+    return _fit_column(h, tau, params, *_shared)
 
 
 def _workers(horizon: int) -> int:
@@ -572,45 +584,86 @@ def _workers(horizon: int) -> int:
     return min(horizon, cpus)
 
 
-def _train(train: Samples, tau: float | None, params: BackboneParams) -> QuantileModel:
-    """Fit the H columns on _workers(H) processes, forked for this call.
+class Workers:
+    """The processes that fit models on one training split, used as a context manager.
 
-    The workers inherit the binned split, and only the fitted models are
-    pickled back. A worker's exception is raised here, a killed worker gives
-    BrokenProcessPool, and no worker outlives the call or its caller.
+    Entering makes a pool of _workers(H) processes, forked once, at the
+    first fit; they inherit the binned split, Y and the calibration
+    features, so nothing big is pickled. Leaving shuts them down. A task
+    fits one horizon column at the level it is given and predicts that
+    column on the calibration rows, so a model comes back with its
+    calibration columns, which the first `predict` of `cal.X` takes. Only
+    the fitted columns and their predictions are pickled back. Where
+    _workers(H) is 1, and outside the `with` block, the same task runs
+    in-process. A worker's exception is raised by `fit`, a killed worker
+    gives BrokenProcessPool (for this and every later fit), and no worker
+    outlives the block or its caller.
     """
-    if len(train) == 0:
-        raise EmptyTrainingSet("training split is empty")
-    Y = np.asarray(train.Y, dtype=np.float64)
-    split, horizon = (train.binned, Y, tau, params), Y.shape[1]
-    workers = _workers(horizon)
-    if workers == 1:
-        models = [_fit_column(h, *split) for h in range(horizon)]
-    else:
-        # Deferred: these imports take about 30 ms, over a tenth of importing riskcast.cli.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"), initializer=_share,
-            initargs=(os.getpid(), *split),
+    def __init__(self, train: Samples, cal: Samples | None = None):
+        if len(train) == 0:
+            raise EmptyTrainingSet("training split is empty")
+        if cal is not None and tuple(cal.layout) != tuple(train.layout):
+            raise LayoutMismatch("the calibration layout differs from the training layout")
+        self.train, self.cal = train, cal
+        Y = np.asarray(train.Y, dtype=np.float64)
+        self.horizon = Y.shape[1]
+        self._split = (train.binned, Y, None if cal is None else np.asarray(cal.X, dtype=np.float64))
+        self._executor = None
+
+    def __enter__(self) -> "Workers":
+        workers = _workers(self.horizon)
+        if workers > 1:
+            # Deferred: these imports take about 30 ms, over a tenth of importing riskcast.cli.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._executor = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"), initializer=_share,
+                initargs=(os.getpid(), *self._split),
+            )
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
+
+    def fit(self, tau: float | None, params: BackboneParams) -> QuantileModel:
+        """The H columns fitted at level tau (None for the point fit)."""
+        horizon = self.horizon
+        if self._executor is None:
+            columns = [_fit_column(h, tau, params, *self._split) for h in range(horizon)]
+        else:
+            columns = list(self._executor.map(_fit_shared_column, range(horizon), [tau] * horizon,
+                                              [params] * horizon))
+        model = QuantileModel(
+            tau=tau if tau is not None else 0.5,
+            feature_layout=tuple(self.train.layout),
+            horizon_models=[regressor for regressor, _ in columns],
         )
-        try:
-            models = list(executor.map(_fit_shared_column, range(horizon)))
-        finally:
-            executor.shutdown(cancel_futures=True)
-    return QuantileModel(
-        tau=tau if tau is not None else 0.5,
-        feature_layout=tuple(train.layout),
-        horizon_models=models,
-    )
+        if self.cal is not None:
+            model._premade = (self.cal.X, [predicted for _, predicted in columns])
+        return model
 
 
-def train_quantile_model(train: Samples, tau: float, params: BackboneParams) -> QuantileModel:
-    """Fit one pinball-loss regressor per horizon step at level tau."""
-    return _train(train, _check_tau(tau), params)
+def _train(train: Samples, tau: float | None, params: BackboneParams, workers: Workers | None) -> QuantileModel:
+    if workers is None:
+        with Workers(train) as own:
+            return own.fit(tau, params)
+    if workers.train is not train:
+        raise ValueError("the worker set holds another training split")
+    return workers.fit(tau, params)
 
 
-def train_point_model(train: Samples, params: BackboneParams) -> QuantileModel:
+def train_quantile_model(
+    train: Samples, tau: float, params: BackboneParams, workers: Workers | None = None
+) -> QuantileModel:
+    """Fit one pinball-loss regressor per horizon step at level tau, on
+    `workers` if given, else on a worker set of its own."""
+    return _train(train, _check_tau(tau), params, workers)
+
+
+def train_point_model(train: Samples, params: BackboneParams, workers: Workers | None = None) -> QuantileModel:
     """Fit the squared-error point predictor (same shape as a quantile model)."""
-    return _train(train, None, params)
+    return _train(train, None, params, workers)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .backbone import BackboneParams, QuantileModel, train_quantile_model
+from .backbone import BackboneParams, QuantileModel, Workers, train_quantile_model
 from .data import Samples
 from .errors import EmptyGrid, EvaluatorFailure, InvalidGrid, RiskcastError
 from .metrics import PredictionBatch, mae, over_rate
@@ -80,13 +80,16 @@ class QuantileEvaluator:
 
     Repeated requests for the same tau (same data, seed, and params by
     construction) train at most once; n_trainings counts actual fits, so
-    cache hits are visible to training-budget assertions.
+    cache hits are visible to training-budget assertions. Given `workers`
+    (a Workers set of train and cal), every fit runs on them, and they
+    predict it on cal as they fit it.
     """
 
-    def __init__(self, train: Samples, cal: Samples, params: BackboneParams):
+    def __init__(self, train: Samples, cal: Samples, params: BackboneParams, workers: Workers | None = None):
         self.train = train
         self.cal = cal
         self.params = params
+        self.workers = workers
         self.n_trainings = 0
         self._cache: dict[float, CandidateEvaluation] = {}
 
@@ -95,7 +98,7 @@ class QuantileEvaluator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        model = train_quantile_model(self.train, tau, self.params)
+        model = train_quantile_model(self.train, tau, self.params, workers=self.workers)
         self.n_trainings += 1
         preds = model.predict(self.cal.X, self.cal.layout)
         batch = PredictionBatch(preds, self.cal.Y)

@@ -25,7 +25,7 @@ import yaml
 from . import admission as admission_mod
 from . import data as data_mod
 from .admission import ADMISSION_METRICS, AdmissionReport
-from .backbone import BackboneParams, train_point_model
+from .backbone import BackboneParams, Workers, train_point_model
 from .calibration import (
     BudgetScaleResult,
     QuantileEvaluator,
@@ -35,7 +35,7 @@ from .calibration import (
     resolve_penalty,
     run_selection,
 )
-from .errors import ConfigError, EmptySweep, RiskcastError
+from .errors import ConfigError, EmptySweep, PointFitFailure, RiskcastError
 from .metrics import METRIC_NAMES, PredictionBatch, SafetyReport, safety_report, subsets
 
 METHOD_POINT = "point"
@@ -308,23 +308,31 @@ def calibrate_budgets(
 
     One evaluator serves every budget, so a level shared between budgets is
     trained once; the point model is trained once and predicted once per split.
+    One worker set fits every model and predicts it on the calibration
+    split; it is shut down before the first test prediction.
     """
     train, cal, test = dataset.train, dataset.calibration, dataset.test
-    evaluator = QuantileEvaluator(train, cal, config.backbone)
     penalty = resolve_penalty(config.risk, train)
     point_model = cal_point = None
-    if METHOD_POINT in config.baselines or METHOD_BUDGET_SCALE in config.baselines:
-        point_model = train_point_model(train, config.backbone)
-    if METHOD_BUDGET_SCALE in config.baselines:
-        cal_point = PredictionBatch(point_model.predict(cal.X, cal.layout), cal.Y)
-    controls = [
-        (
-            e,
-            run_selection(config.risk.with_epsilon(e), evaluator, penalty=penalty),
-            budget_scale_search(cal_point, e) if cal_point is not None else None,
-        )
-        for e in epsilons
-    ]
+    with Workers(train, cal) as workers:
+        evaluator = QuantileEvaluator(train, cal, config.backbone, workers)
+        if METHOD_POINT in config.baselines or METHOD_BUDGET_SCALE in config.baselines:
+            try:
+                point_model = train_point_model(train, config.backbone, workers=workers)
+            except RiskcastError:
+                raise
+            except Exception as exc:
+                raise PointFitFailure(f"point model fit failed: {type(exc).__name__}: {exc}") from exc
+        if METHOD_BUDGET_SCALE in config.baselines:
+            cal_point = PredictionBatch(point_model.predict(cal.X, cal.layout), cal.Y)
+        controls = [
+            (
+                e,
+                run_selection(config.risk.with_epsilon(e), evaluator, penalty=penalty),
+                budget_scale_search(cal_point, e) if cal_point is not None else None,
+            )
+            for e in epsilons
+        ]
 
     # Test predictions are made only after every calibration decision: the
     # protocol guard that keeps test data out of risk control.

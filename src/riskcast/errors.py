@@ -74,6 +74,10 @@ class EvaluatorFailure(RiskcastError):
     """A candidate evaluation raised during quantile selection."""
 
 
+class PointFitFailure(RiskcastError):
+    """Fitting the point model raised, for example because a worker process died."""
+
+
 class EmptyGrid(RiskcastError):
     """A scale-factor grid contains no values."""
 

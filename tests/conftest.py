@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,18 @@ def iid_samples(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240521)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of each process pool made while the test runs."""
+    made = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Recorded(real):
+        def __init__(self, max_workers, *args, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return made

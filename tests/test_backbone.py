@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import concurrent.futures
 import multiprocessing
 import os
 import subprocess
@@ -23,6 +22,7 @@ from riskcast.backbone import (
     BoostedTreesRegressor,
     DecisionTree,
     QuantileModel,
+    Workers,
     pinball_loss,
     pinball_subgradient,
     _fit_boosted_column,
@@ -31,6 +31,7 @@ from riskcast.backbone import (
     train_point_model,
     train_quantile_model,
 )
+from riskcast.calibration import QuantileEvaluator
 from riskcast.data import Samples
 from riskcast.errors import EmptyTrainingSet, InvalidTau, LayoutMismatch, NonFiniteFeatures
 
@@ -409,20 +410,6 @@ def running(pid: int) -> bool:
 class TestParallelTrainer:
     """A model's horizon columns are fitted on forked worker processes."""
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The max_workers of each process pool made while the test runs."""
-        made = []
-        real = concurrent.futures.ProcessPoolExecutor
-
-        class Recorded(real):
-            def __init__(self, max_workers, *args, **kwargs):
-                made.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-        return made
-
     @staticmethod
     def cpus(monkeypatch, n: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
@@ -521,6 +508,61 @@ class TestParallelTrainer:
         train = iid_samples(rng, 100, horizon=2)
         with pytest.raises(ColumnFailure if fail == "raise" else BrokenProcessPool):
             train_quantile_model(train, 0.5, BackboneParams(n_trees=2, max_depth=2))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
+    @pytest.mark.parametrize("tau", [0.3, None], ids=["quantile", "point"])
+    def test_calibration_columns_made_by_the_workers_equal_the_callers(self, rng, monkeypatch, pools, tau, cpus):
+        # H = 3 on two workers: one fits and predicts two columns, the other one.
+        self.cpus(monkeypatch, cpus)
+        train, cal = iid_samples(rng, 400, horizon=3, n_features=5), iid_samples(rng, 150, horizon=3, n_features=5)
+        params = BackboneParams(n_trees=5, max_depth=3, min_samples_leaf=15)
+        with Workers(train, cal) as workers:
+            if tau is None:
+                model = train_point_model(train, params, workers=workers)
+            else:
+                model = train_quantile_model(train, tau, params, workers=workers)
+        assert pools == ([] if cpus == 1 else [2])
+        assert multiprocessing.active_children() == []
+
+        def here(self, X):
+            raise AssertionError("predicted in the calling process")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BoostedTreesRegressor, "predict", here)
+            with pytest.raises(AssertionError, match="calling process"):
+                model.predict(train.X, train.layout)  # only cal.X was predicted on the workers
+            made = model.predict(cal.X, cal.layout)
+            with pytest.raises(AssertionError, match="calling process"):
+                model.predict(cal.X, cal.layout)  # taken once, then dropped
+        assert made.tobytes() == model.predict(cal.X, cal.layout).tobytes()
+
+    def test_the_prediction_checks_run_on_worker_made_columns(self, rng, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        train, cal = iid_samples(rng, 200, horizon=2), iid_samples(rng, 60, horizon=2)
+        X = cal.X.copy()
+        X[7, 2] = np.nan
+        holey = Samples(X, cal.Y, cal.origin_index, cal.layout)
+        params = BackboneParams(n_trees=3, max_depth=2)
+        with Workers(train, holey) as workers:
+            with pytest.raises(NonFiniteFeatures, match="junk.lag2"):
+                QuantileEvaluator(train, holey, params, workers)(0.3)
+        with Workers(train, cal) as workers:
+            model = train_quantile_model(train, 0.3, params, workers=workers)
+            with pytest.raises(ValueError, match="another training split"):
+                train_quantile_model(cal, 0.3, params, workers=workers)
+        with pytest.raises(LayoutMismatch):
+            model.predict(cal.X, cal.layout[::-1])
+        with pytest.raises(LayoutMismatch):
+            model.predict(cal.X[:, :-1], cal.layout)
+        # A failed check leaves the columns to the next call.
+        with monkeypatch.context() as patch:
+            patch.setattr(BoostedTreesRegressor, "predict", None)
+            made = model.predict(cal.X, cal.layout)
+        assert made.tobytes() == model.predict(cal.X, cal.layout).tobytes()
+        renamed = Samples(cal.X, cal.Y, cal.origin_index, cal.layout[::-1])
+        with pytest.raises(LayoutMismatch):
+            Workers(train, renamed)
         assert multiprocessing.active_children() == []
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -40,7 +41,7 @@ from riskcast.cli import (
 from riskcast.admission import AdmissionReport
 from riskcast.calibration import QuantileEvaluator, budget_scale_search, run_selection
 from riskcast.data import CyclicScaleNoise, GaussianNoise, WindowedDataset, make_windows, generate_synthetic
-from riskcast.errors import EmptySweep
+from riskcast.errors import EmptySweep, EvaluatorFailure
 from riskcast.metrics import SafetyReport
 
 BASE_CONFIG = {
@@ -64,6 +65,7 @@ BASE_CONFIG = {
 
 SYNTH = "dataset: {kind: synthetic, length: 100, base_level: 10.0}"
 ROOT = Path(__file__).resolve().parents[1]
+forking = pytest.mark.skipif(sys.platform != "linux", reason="columns are fitted on forked workers on Linux only")
 
 
 def write_config(tmp_path, overrides=None, name="config.yaml"):
@@ -201,10 +203,10 @@ class TestRunExperiment:
         failing = bundle.selection.fine_grid[2].tau
         train = riskcast.calibration.train_quantile_model
 
-        def fit(samples, tau, params):
+        def fit(samples, tau, params, workers=None):
             if tau == failing:
                 raise RuntimeError("fit failed")
-            return train(samples, tau, params)
+            return train(samples, tau, params, workers=workers)
 
         monkeypatch.setattr(riskcast.calibration, "train_quantile_model", fit)
         config = bundle.output_dir / "config.json"
@@ -279,6 +281,59 @@ class TestCalibrateBudgets:
         quantile_fits = sum(o.selection.n_trainings for o in outcomes)
         assert quantile_fits >= 2  # plus the point model, all on one training split
         assert shapes == [dataset.train.X.shape]
+
+    @staticmethod
+    def dataset(config):
+        return make_windows(generate_synthetic(config.dataset), config.history, config.horizon, config.split_ratios)
+
+    @forking
+    @pytest.mark.parametrize("epsilons", [[0.35], [0.25, 0.35]], ids=["one-budget", "two-budgets"])
+    def test_forks_one_pool_per_call(self, tmp_path, monkeypatch, pools, epsilons):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        config = load_config(write_config(tmp_path))
+        outcomes = calibrate_budgets(config, self.dataset(config), epsilons)
+        assert sum(o.selection.n_trainings for o in outcomes) >= 2  # plus the point model
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    @forking
+    def test_a_failed_fit_leaves_no_process(self, tmp_path, monkeypatch, pools):
+        # Patched before the pool forks, so the workers inherit the patch.
+        fit = riskcast.backbone._fit_boosted_column
+
+        def failing(binned, y, tau, params):
+            if tau == 0.40:  # tau_max, which every search evaluates
+                raise RuntimeError("fit failed")
+            return fit(binned, y, tau, params)
+
+        monkeypatch.setattr(riskcast.backbone, "_fit_boosted_column", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        config = load_config(write_config(tmp_path))
+        with pytest.raises(EvaluatorFailure, match="tau=0.4: RuntimeError: fit failed"):
+            calibrate_budgets(config, self.dataset(config), [0.35])
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    @forking
+    @pytest.mark.parametrize("command, dies_in", [("run", "point"), ("frontier", "quantile")])
+    def test_a_killed_worker_fails_with_stage(self, tmp_path, monkeypatch, capsys, command, dies_in):
+        caller = os.getpid()
+        fit = riskcast.backbone._fit_boosted_column
+
+        def dying(binned, y, tau, params):
+            if os.getpid() != caller and (tau is None) == (dies_in == "point"):
+                os._exit(1)
+            return fit(binned, y, tau, params)
+
+        monkeypatch.setattr(riskcast.backbone, "_fit_boosted_column", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        argv = [command, "--config", write_config(tmp_path), "--output", str(tmp_path / "out")]
+        if command == "frontier":
+            argv += ["--epsilons", "0.25,0.35"]
+        assert main(argv) == 2
+        failed = {"point": "point model fit failed", "quantile": "candidate evaluation failed at tau=0.15"}
+        assert capsys.readouterr().err.startswith(f"error [{command}]: {failed[dies_in]}: BrokenProcessPool: ")
+        assert multiprocessing.active_children() == []
 
 
 class TestDeterminism:
