@@ -15,10 +15,12 @@ quantile fit's histograms are integer counts: N, the rows, and P, the rows
 with a positive residual, since the pinball subgradient sums to
 (1 - tau) * N - P. A point fit counts N and sums its float gradients. Counts
 are shared and subtracted without changing any sum: the root's N is counted
-once per split, and the larger of two growing siblings takes its parent's
-counts minus the smaller one's. As every quantile gain is a function of the
-counts alone, equal counts give equal gains, and ties go to the lowest
-feature, then the lowest bin.
+once per split, a quantile fit carries its root's P from one boosting round
+to the next by counting only the rows whose residual changed sign, and the
+larger of two growing siblings takes its parent's counts minus the smaller
+one's. Each depth's splits come from one flat scan over every feature's
+bins. As every quantile gain is a function of the counts alone, equal counts
+give equal gains, and ties go to the lowest feature, then the lowest bin.
 
 Every tree fits every training row, and nothing in training is random.
 On Linux a model's H horizon columns are fitted on up to min(H, usable
@@ -152,15 +154,13 @@ class _WidthGroup:
     """Features whose bin count fits in `width`, a power of two.
 
     Their histograms lie side by side from cell `start` on, `width` cells
-    per feature. valid, shape (features, width), marks the split
-    candidates: the bins below feature k's cut count. A feature has at most
-    width - 1 cuts, so the last bin is never a candidate.
+    per feature. A feature has at most width - 1 cuts, so its last bin is
+    never a split candidate.
     """
 
     features: np.ndarray
     width: int
     start: int
-    valid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,13 @@ class BinnedFeatures:
     width instead of padding every feature to the widest. cells[i] holds
     the histogram cell of each such feature's bin in row i, out of n_cells,
     and root_counts the rows in each cell: the N of every tree's root.
+
+    Each such feature owns one segment of `width` consecutive cells, the
+    first of them at `starts`. For each cell, `feature` and `bin` hold what
+    it counts, and `valid` whether it is a split candidate (a bin below the
+    feature's cut count), so `_best_splits` scans all cells in one flat
+    pass. They are fields of the split, made once with it, so forked
+    workers inherit them.
     """
 
     codes: np.ndarray
@@ -182,25 +189,36 @@ class BinnedFeatures:
     cells: np.ndarray
     n_cells: int
     root_counts: np.ndarray
+    starts: np.ndarray
+    feature: np.ndarray
+    bin: np.ndarray
+    valid: np.ndarray
 
     @staticmethod
     def of(X: np.ndarray) -> "BinnedFeatures":
         codes, cuts = _bin_features(np.asarray(X, dtype=np.float64))
         n_cuts = np.asarray([c.size for c in cuts], dtype=np.int64)
         widths = np.asarray([1 << int(c).bit_length() for c in n_cuts], dtype=np.int64)
+        # One segment of cells per feature with a cut, in order of width, then of feature.
+        used = np.flatnonzero(n_cuts)
+        used = used[np.argsort(widths[used], kind="stable")]
+        starts = np.cumsum(widths[used]) - widths[used]
+        n_cells = int(widths[used].sum())
         # C order, so gathering a node's rows copies whole rows.
-        cells = np.empty((len(codes), int(np.count_nonzero(n_cuts))), dtype=np.int64)
-        groups, start, column = [], 0, 0
-        for width in np.unique(widths[n_cuts > 0]).tolist():
-            features = np.flatnonzero((widths == width) & (n_cuts > 0))
-            valid = np.arange(width)[None, :] < n_cuts[features][:, None]
-            groups.append(_WidthGroup(features, width, start, valid))
-            offsets = start + np.arange(features.size, dtype=np.int64) * width
-            cells[:, column : column + features.size] = codes[:, features] + offsets
-            start += features.size * width
-            column += features.size
-        root_counts = np.bincount(cells.ravel(), minlength=start)
-        return BinnedFeatures(codes, cuts, tuple(groups), cells, start, root_counts)
+        cells = codes[:, used].astype(np.int64, order="C")
+        cells += starts
+        groups = []
+        for width in np.unique(widths[used]).tolist():
+            in_group = widths[used] == width
+            groups.append(_WidthGroup(used[in_group], width, int(starts[in_group][0])))
+        segment = np.repeat(np.arange(used.size), widths[used])
+        bin_ = np.arange(n_cells) - starts[segment]
+        feature = used[segment]
+        return BinnedFeatures(
+            codes, cuts, tuple(groups), cells, n_cells,
+            root_counts=np.bincount(cells.ravel(), minlength=n_cells),
+            starts=starts, feature=feature, bin=bin_, valid=bin_ < n_cuts[feature],
+        )
 
 
 def _best_splits(
@@ -227,11 +245,18 @@ def _best_splits(
     the lowest bin. The order of `nodes` only decides which histogram row
     each node uses.
 
-    Each width group is scanned over all `width` bins of its features, the
-    last never valid. The counts' cumsums are taken in float64, exact for
-    counts below 2**53, and the gains are computed in place over those
-    buffers, every cell through the same float operations in the same order
-    as the formula written out; cells that are not candidates get -inf.
+    Every cell of every width group is scanned in one flat pass. The counts
+    take one int64 cumsum along all cells. Each feature's segment holds each
+    of a node's rows once, so at segment s that running sum would be s node
+    totals ahead; the totals come off the first cell of every later segment
+    for the cumsum and go back after it, all in exact integers. One cast to
+    float64 follows (exact for counts below 2**53). A point fit's gradient
+    sums run within each feature from its bin 0, group by group into one
+    buffer. The gains are then computed in place over (nodes, cells), every
+    cell through the same float operations in the same order as the formula
+    written out; cells that are not candidates get -inf. Each group's argmax
+    takes the lowest feature and bin of its best gain, and ties between
+    groups go to the lower feature.
 
     Counts are exact, so the last len(parents) nodes are not counted: each
     takes its parent's histograms, parents[j], minus those of its smaller
@@ -272,58 +297,56 @@ def _best_splits(
         hist[counted:] = parents
         if counted:
             hist[counted:] -= hist[: len(parents)]
+    totals = hist[:, :, : binned.groups[0].width].sum(axis=2)  # each node's N (and P)
+    later = binned.starts[1:]  # taken off there for the cumsum only, so it restarts at each feature
+    hist[:, :, later] -= totals[:, :, None]
+    cum = hist.cumsum(axis=2)
+    hist[:, :, later] += totals[:, :, None]
+    cum = cum.astype(np.float64)
+    cum_n = cum[:, 0]
+    n_right = sizes[:, None] - cum_n
+    ok = cum_n >= min_samples_leaf
+    ok &= n_right >= min_samples_leaf
+    ok &= binned.valid
     if tau is None:
         total_g = np.asarray([target[idx].sum() for idx in nodes], dtype=np.float64)
+        cum_g = np.empty((k, n_cells))
+        for group in binned.groups:
+            m, width = group.features.size, group.width
+            cells = slice(group.start, group.start + m * width)
+            np.cumsum(hist_g[:, cells].reshape(k, m, width), axis=2, out=cum_g[:, cells].reshape(k, m, width))
+        g_right = total_g[:, None] - cum_g
     else:
-        # Each row lies in one bin of every feature, so any one feature's P
-        # cells sum to the node's P.
-        first = binned.groups[0]
-        p_total = hist[:, 1, first.start : first.start + first.width].sum(axis=1)
+        p_total = totals[:, 1]
         total_g = (1.0 - tau) * sizes - p_total
+        cum_p = cum[:, 1]
+        cum_g = (1.0 - tau) * cum_n
+        cum_g -= cum_p
+        g_right = (1.0 - tau) * n_right
+        g_right -= p_total[:, None] - cum_p
     base_score = total_g * total_g / sizes
-    n = sizes[:, None, None]
-    best_gain = np.full(k, -np.inf)
-    best_feature = np.full(k, binned.codes.shape[1], dtype=np.int64)
-    best_bin = np.zeros(k, dtype=np.int64)
-    any_ok = np.zeros(k, dtype=bool)
-    for group in binned.groups:
-        m, width = group.features.size, group.width
-        cells = slice(group.start, group.start + m * width)
-        cum = hist[:, :, cells].reshape(k, c, m, width).cumsum(axis=3, dtype=np.float64)
-        cum_n = cum[:, 0]
-        n_right = n - cum_n
-        ok = cum_n >= min_samples_leaf
-        ok &= n_right >= min_samples_leaf
-        ok &= group.valid
-        any_ok |= ok.any(axis=(1, 2))
-        if tau is None:
-            cum_g = hist_g[:, cells].reshape(k, m, width).cumsum(axis=2)
-            g_right = total_g[:, None, None] - cum_g
-        else:
-            cum_p = cum[:, 1]
-            cum_g = (1.0 - tau) * cum_n
-            cum_g -= cum_p
-            g_right = (1.0 - tau) * n_right
-            g_right -= p_total[:, None, None] - cum_p
-        # cum_g**2 / max(cum_n, 1) + g_right**2 / max(n_right, 1) - base_score,
-        # taken in place, in that order.
-        gain = np.square(cum_g, out=cum_g)
-        gain /= np.maximum(cum_n, 1.0, out=cum_n)
-        np.square(g_right, out=g_right)
-        g_right /= np.maximum(n_right, 1.0, out=n_right)
-        gain += g_right
-        gain -= base_score[:, None, None]
-        np.copyto(gain, -np.inf, where=~ok)
-        gain = gain.reshape(k, -1)
-        pos = gain.argmax(axis=1)
-        gain_at = gain[np.arange(k), pos]
-        feature = group.features[pos // width]
-        better = (gain_at > best_gain) | ((gain_at == best_gain) & (feature < best_feature))
-        best_gain = np.where(better, gain_at, best_gain)
-        best_feature = np.where(better, feature, best_feature)
-        best_bin = np.where(better, pos % width, best_bin)
+    # cum_g**2 / max(cum_n, 1) + g_right**2 / max(n_right, 1) - base_score,
+    # taken in place, in that order.
+    gain = np.square(cum_g, out=cum_g)
+    gain /= np.maximum(cum_n, 1.0, out=cum_n)
+    np.square(g_right, out=g_right)
+    g_right /= np.maximum(n_right, 1.0, out=n_right)
+    gain += g_right
+    gain -= base_score[:, None]
+    np.copyto(gain, -np.inf, where=~ok)
+    at = np.empty((k, len(binned.groups)), dtype=np.int64)  # each group's best cell
+    for j, group in enumerate(binned.groups):
+        at[:, j] = gain[:, group.start : group.start + group.features.size * group.width].argmax(axis=1)
+        at[:, j] += group.start
+    node = np.arange(k)
+    gain_at = gain[node[:, None], at]
+    gain_at[np.isnan(gain_at)] = -np.inf  # a NaN gain never wins
+    best_gain = gain_at.max(axis=1)
+    tied = np.where(gain_at == best_gain[:, None], binned.feature[at], binned.codes.shape[1])
+    best = at[node, tied.argmin(axis=1)]
+    any_ok = ok.any(axis=1)
     splits = [
-        (int(best_feature[s]), int(best_bin[s]))
+        (int(binned.feature[best[s]]), int(binned.bin[best[s]]))
         if any_ok[s] and best_gain[s] > 1e-9 * max(1.0, abs(base_score[s]))
         else None
         for s in range(k)
@@ -331,18 +354,36 @@ def _best_splits(
     return splits, hist
 
 
-def _root_histograms(binned: BinnedFeatures, target: np.ndarray, tau: float | None) -> np.ndarray:
+def _root_histograms(
+    binned: BinnedFeatures, target: np.ndarray, tau: float | None, last: tuple | None = None
+) -> np.ndarray:
     """The histograms of a root holding every row, as _best_splits takes them.
 
     N is the split's root_counts. A quantile fit's P counts only the
-    minority sign of `target` (resid > 0), taking the majority's as N minus it.
+    minority sign of `target` (resid > 0), taking the majority's as N minus
+    it. Given `last`, the (target, histograms) of the same fit's previous
+    round, P instead moves by the rows whose sign flipped since: up by the
+    cells of the rows turned positive, down by those turned non-positive.
+    Rounds whose flips outnumber the minority count afresh. Either way P is
+    the same integers.
     """
     n = binned.root_counts
     if tau is None:
         return n[None]
-    minority = target if 2 * np.count_nonzero(target) <= target.size else ~target
-    counts = np.bincount(binned.cells[minority].ravel(), minlength=binned.n_cells)
-    return np.stack([n, counts if minority is target else n - counts])
+    positive = int(np.count_nonzero(target))
+    minority = min(positive, target.size - positive)
+    if last is not None:
+        last_target, last_hist = last
+        flipped = np.flatnonzero(target != last_target)
+        if flipped.size <= minority:
+            # Slot 0 counts the rows turned non-positive, slot 1 those turned positive.
+            turned = binned.cells[flipped]
+            turned += target[flipped, None] * binned.n_cells
+            down, up = np.bincount(turned.ravel(), minlength=2 * binned.n_cells).reshape(2, -1)
+            return np.stack([n, last_hist[1] + up - down])
+    counted = target if positive == minority else ~target
+    counts = np.bincount(binned.cells[counted].ravel(), minlength=binned.n_cells)
+    return np.stack([n, counts if counted is target else n - counts])
 
 
 def _leaf_quantile(r: np.ndarray, tau: float) -> float:
@@ -369,13 +410,15 @@ def _grow_tree(
     tau: float | None,
     max_depth: int,
     min_samples_leaf: int,
+    root: np.ndarray | None = None,
 ) -> tuple[DecisionTree, np.ndarray]:
     """Grow one tree level by level over every row.
 
     A quantile fit splits on the signs of `resid` (zero counts as
     non-positive, as in pinball_subgradient); a point fit on the gradients
-    -resid. Nodes are numbered breadth-first. Returns the tree and the leaf
-    of each row.
+    -resid. `root` holds the root's histograms, as _root_histograms gives
+    them, if the caller has them. Nodes are numbered breadth-first. Returns
+    the tree and the leaf of each row.
     """
     feature = [-1]
     threshold = [0.0]
@@ -400,7 +443,9 @@ def _grow_tree(
     # takes its counts by subtraction and the smaller is counted; the rest
     # are counted alone. Node ids follow `growing`, whatever order
     # _best_splits sees them in.
-    level = [(_root_histograms(binned, target, tau), [(0, np.arange(len(resid), dtype=np.int64))])]
+    if root is None:
+        root = _root_histograms(binned, target, tau)
+    level = [(root, [(0, np.arange(len(resid), dtype=np.int64))])]
     for depth in range(max_depth + 1):
         growing, smaller, lone, larger, parents = [], [], [], [], []
         for counts, siblings in level:
@@ -467,11 +512,17 @@ def _fit_boosted_column(
     base = float(np.quantile(y, tau)) if tau is not None else float(y.mean())
     model = BoostedTreesRegressor(base_score=base, learning_rate=params.learning_rate)
     pred = np.full(len(y), base, dtype=np.float64)
+    root = last = None
     for _ in range(params.n_trees):
         resid = y - pred
         if not np.any(resid):
             break
-        tree, leaf_of = _grow_tree(binned, resid, tau, params.max_depth, params.min_samples_leaf)
+        if tau is not None:
+            # The root's P carries from round to round: only rows whose sign flipped are counted.
+            positive = resid > 0
+            root = _root_histograms(binned, positive, tau, last)
+            last = positive, root
+        tree, leaf_of = _grow_tree(binned, resid, tau, params.max_depth, params.min_samples_leaf, root)
         pred += params.learning_rate * tree.value[leaf_of]
         model.trees.append(tree)
     return model

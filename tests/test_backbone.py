@@ -26,8 +26,10 @@ from riskcast.backbone import (
     pinball_loss,
     pinball_subgradient,
     _fit_boosted_column,
+    _best_splits,
     _grow_tree,
     _leaf_quantile,
+    _root_histograms,
     train_point_model,
     train_quantile_model,
 )
@@ -319,6 +321,10 @@ class TestExactTrainer:
     # counted and taking their histograms by subtraction.
     @example(seed=7, n=600, kinds=["many", "tied", "two_valued"], tau=0.9,
              max_depth=6, min_samples_leaf=1, n_trees=2)
+    # Three width groups (2, 16 and 256 bins) and six rounds, so the root's
+    # counts carry from round to round.
+    @example(seed=8, n=600, kinds=["two_valued", "many", "constant", "tied"], tau=0.3,
+             max_depth=4, min_samples_leaf=7, n_trees=6)
     def test_matches_reference_trainer(self, seed, n, kinds, tau, max_depth, min_samples_leaf, n_trees):
         rng = np.random.default_rng(seed)
         X = np.column_stack([make_column(k, rng, n) for k in kinds])
@@ -348,6 +354,82 @@ class TestExactTrainer:
         oracle = reference_trainer._grow_tree(codes, cuts, resid, None, 1, 1)
         assert tree.feature[0] == oracle.feature[0] == 0
         assert tree.threshold[0] == oracle.threshold[0] == (1.5 if wide_first else 0.5)
+
+    @pytest.mark.parametrize("tau", [None, 0.3], ids=["point", "quantile"])
+    @pytest.mark.parametrize("flag_first", [True, False])
+    def test_equal_gains_in_the_first_and_last_of_three_width_groups_go_to_the_lower_feature(
+        self, flag_first, tau
+    ):
+        # flag (width 2) and level (width 8) split the rows into the same
+        # halves, so their best gains are equal; mid (width 4) splits every
+        # half evenly and gains nothing. The lower of flag and level wins,
+        # whether the first or the last width group holds it.
+        level = np.repeat(np.arange(8.0), 25)
+        flag = (level >= 4.0) * 1.0
+        mid = level % 4
+        X = np.column_stack([flag, mid, level] if flag_first else [level, mid, flag])
+        resid = np.where(flag > 0, 5.0, -5.0)
+        binned = BinnedFeatures.of(X)
+        assert [g.width for g in binned.groups] == [2, 4, 8]
+        tree, _ = _grow_tree(binned, resid, tau, 1, 1)
+        codes, cuts = reference_trainer._bin_features(X)
+        oracle = reference_trainer._grow_tree(codes, cuts, resid, tau, 1, 1)
+        assert tree.feature[0] == oracle.feature[0] == 0
+        assert tree.threshold[0] == oracle.threshold[0] == (0.5 if flag_first else 3.5)
+
+    @pytest.mark.parametrize("tau", [None, 0.3], ids=["point", "quantile"])
+    def test_equal_gains_along_a_run_of_empty_bins_go_to_the_lowest_bin(self, tau):
+        # The node holds no row with level 3 to 6, so the splits at bins 2 to
+        # 6 of level all send the same rows left, and the lowest of them
+        # wins. level's cells follow junk's, so its running counts start one
+        # node total ahead.
+        level = np.repeat(np.arange(10.0), 20)
+        junk = np.tile([0.0, 1.0], 100)
+        binned = BinnedFeatures.of(np.column_stack([junk, level]))
+        assert [g.width for g in binned.groups] == [2, 16]
+        node = np.flatnonzero((level <= 2) | (level >= 7))
+        resid = np.where(level >= 7, 5.0, -5.0)
+        target = resid > 0 if tau is not None else -resid
+        splits, _ = _best_splits(binned, [node], target, tau, 1, [])
+        assert splits == [(1, 2)]
+
+    def test_carried_root_counts_equal_a_fresh_count_every_round(self, monkeypatch):
+        # Each round's root histograms, as _grow_tree receives them, against
+        # _root_histograms counting the round's signs afresh. The fits take
+        # every path of the carry, and the test checks that they do.
+        signs = []
+
+        def spy(binned, resid, tau, max_depth, min_samples_leaf, root=None):
+            signs.append(resid > 0)
+            assert root.dtype == np.int64
+            assert np.array_equal(root, _root_histograms(binned, resid > 0, tau))
+            return grow(binned, resid, tau, max_depth, min_samples_leaf, root)
+
+        grow = riskcast.backbone._grow_tree
+        monkeypatch.setattr(riskcast.backbone, "_grow_tree", spy)
+        rng = np.random.default_rng(4)
+        X = np.column_stack([rng.uniform(0, 1, 400), rng.integers(0, 9, 400) * 0.25])
+        y = np.round(100.0 * X[:, 0] + rng.normal(0.0, 3.0, 400), 1)
+        binned = BinnedFeatures.of(X)
+        seen = set()
+        for tau, learning_rate in ((0.1, 1.0), (0.9, 0.05)):
+            signs.clear()
+            params = BackboneParams(n_trees=8, max_depth=3, learning_rate=learning_rate, min_samples_leaf=10)
+            _fit_boosted_column(binned, y, tau, params)
+            assert len(signs) == 8
+            for before, after in zip(signs, signs[1:]):
+                up, down = np.count_nonzero(after & ~before), np.count_nonzero(before & ~after)
+                minority = min(np.count_nonzero(after), np.count_nonzero(~after))
+                seen.add(("flips outnumber the minority" if up + down > minority
+                          else "no flips" if up + down == 0
+                          else "flips both ways" if up and down else "flips one way",
+                          "positive minority" if np.count_nonzero(after) == minority else "non-positive minority"))
+        assert {
+            ("flips outnumber the minority", "non-positive minority"),  # tau 0.1, learning rate 1
+            ("flips both ways", "non-positive minority"),
+            ("no flips", "positive minority"),  # tau 0.9, learning rate 0.05
+            ("flips both ways", "positive minority"),
+        } <= seen
 
     def test_equal_counts_go_to_the_lower_feature_whatever_the_row_order(self):
         # Both binary features put 34 rows, 15 of them with a positive
@@ -479,13 +561,14 @@ class TestParallelTrainer:
             samples = Samples(X, np.ones((10, 2)), np.arange(10), ("a", "b"))
             train_quantile_model(samples, 0.5, BackboneParams(n_trees=1))
         """))
-        caller = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True,
-                                  env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-        try:
-            workers = [int(caller.stdout.readline()) for _ in range(2)]
-        finally:
-            caller.kill()
-            caller.wait(timeout=60)
+        # Leaving the with block closes the caller's stdout pipe.
+        with subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}) as caller:
+            try:
+                workers = [int(caller.stdout.readline()) for _ in range(2)]
+            finally:
+                caller.kill()
+                caller.wait(timeout=60)
         deadline = time.monotonic() + 30
         while any(running(pid) for pid in workers) and time.monotonic() < deadline:
             time.sleep(0.05)
