@@ -23,7 +23,6 @@ from .calibration import (
     RiskBudgetConfig,
     SelectionResult,
     boundary_search,
-    budget_scale_calibrate,
     budget_scale_search,
     lin_space,
     run_selection,

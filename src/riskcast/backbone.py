@@ -9,7 +9,7 @@ zero almost everywhere), then each leaf value is refit to the tau-quantile of
 the residuals that landed in it.
 
 Trees are grown exactly, level by level, over (feature, bin) histograms of
-a training split that is binned once (`Samples.binned`); every split and
+a training split that is binned once (`BinnedFeatures`); every split and
 leaf equals what a node-at-a-time scan of the same bins would pick. A
 quantile fit's histograms are integer counts: N, the rows, and P, the rows
 with a positive residual, since the pinball subgradient sums to
@@ -25,10 +25,11 @@ give equal gains, and ties go to the lowest feature, then the lowest bin.
 Every tree fits every training row, and nothing in training is random.
 On Linux a model's H horizon columns are fitted on up to min(H, usable
 CPUs) forked worker processes, so the models do not depend on where they
-were fitted. A `Workers` set is forked once per training split and serves
-every fit its caller makes; the workers inherit the binned split and the
-calibration features, and predict each column they fit on the calibration
-rows. A fit given no worker set forks one of its own.
+were fitted. A `Workers` set bins its training split and is forked once,
+serving every fit its caller makes; the workers inherit the binned split and
+the calibration features, and predict each column they fit on the
+calibration rows, which the model keeps as `calibration_preds`. A fit given
+no worker set makes one of its own.
 """
 
 from __future__ import annotations
@@ -533,22 +534,46 @@ def _fit_boosted_column(
 # ---------------------------------------------------------------------------
 
 
+def _checked_features(X, layout, feature_layout: tuple[str, ...]) -> np.ndarray:
+    """X as float64, once its layout, width and values fit `feature_layout`.
+    Features must be finite: a tree would send NaN right at every split."""
+    if tuple(layout) != feature_layout:
+        raise LayoutMismatch(
+            f"feature layout has {len(tuple(layout))} names and differs from "
+            f"the training layout of {len(feature_layout)} names"
+        )
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(feature_layout):
+        raise LayoutMismatch(f"feature matrix width {X.shape} does not match layout")
+    bad = ~np.isfinite(X)
+    if bad.any():
+        column = feature_layout[int(np.argmax(bad.any(axis=0)))]
+        raise NonFiniteFeatures(
+            f"feature matrix holds {np.count_nonzero(bad)} non-finite values, "
+            f"the first in column {column!r}"
+        )
+    return X
+
+
+def _clamped(columns: list[np.ndarray]) -> np.ndarray:
+    """The horizon columns side by side, clamped below at zero (throughput is non-negative)."""
+    return np.maximum(np.column_stack(columns), 0.0)
+
+
 @dataclass
 class QuantileModel:
     """One regressor per horizon step, all trained at the same quantile level.
 
-    Predictions are clamped below at zero (throughput is non-negative), and
-    the feature layout seen at training time is enforced at prediction time.
-    Features must be finite: a tree would send NaN right at every split.
+    Predictions are clamped below at zero, and X must pass the feature
+    checks against the training layout. `calibration_preds` holds the
+    predictions on the calibration split of the worker set that fitted the
+    model, bit-equal to predicting that split, or None if it had none.
     """
 
     tau: float
     feature_layout: tuple[str, ...]
     horizon_models: list[BoostedTreesRegressor]
-    # (X, its columns) that the fitting workers predicted, taken and dropped
-    # by the first predict of that very X, once its checks pass. X is a
-    # Samples' frozen matrix, so the same object still holds the same values.
-    _premade: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    calibration_preds: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_tau(self.tau)
@@ -559,30 +584,9 @@ class QuantileModel:
     def horizon(self) -> int:
         return len(self.horizon_models)
 
-    def _check_layout(self, layout) -> None:
-        if tuple(layout) != self.feature_layout:
-            raise LayoutMismatch(
-                f"feature layout has {len(tuple(layout))} names and differs from "
-                f"the training layout of {len(self.feature_layout)} names"
-            )
-
     def predict(self, X: np.ndarray, layout) -> np.ndarray:
-        self._check_layout(layout)
-        given, X = X, np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != len(self.feature_layout):
-            raise LayoutMismatch(f"feature matrix width {X.shape} does not match layout")
-        bad = ~np.isfinite(X)
-        if bad.any():
-            column = self.feature_layout[int(np.argmax(bad.any(axis=0)))]
-            raise NonFiniteFeatures(
-                f"feature matrix holds {np.count_nonzero(bad)} non-finite values, "
-                f"the first in column {column!r}"
-            )
-        if self._premade is not None and self._premade[0] is given:
-            columns, self._premade = self._premade[1], None
-        else:
-            columns = [m.predict(X) for m in self.horizon_models]
-        return np.maximum(np.column_stack(columns), 0.0)
+        X = _checked_features(X, layout, self.feature_layout)
+        return _clamped([m.predict(X) for m in self.horizon_models])
 
 
 # The split (binned, Y, calibration X or None) a worker set's processes
@@ -638,28 +642,28 @@ def _workers(horizon: int) -> int:
 class Workers:
     """The processes that fit models on one training split, used as a context manager.
 
-    Entering makes a pool of _workers(H) processes, forked once, at the
-    first fit; they inherit the binned split, Y and the calibration
-    features, so nothing big is pickled. Leaving shuts them down. A task
-    fits one horizon column at the level it is given and predicts that
-    column on the calibration rows, so a model comes back with its
-    calibration columns, which the first `predict` of `cal.X` takes. Only
-    the fitted columns and their predictions are pickled back. Where
-    _workers(H) is 1, and outside the `with` block, the same task runs
-    in-process. A worker's exception is raised by `fit`, a killed worker
-    gives BrokenProcessPool (for this and every later fit), and no worker
-    outlives the block or its caller.
+    Making the set bins the training split and checks the calibration
+    features, so bad ones fail before any fork. Entering makes a pool of
+    _workers(H) processes, forked once, at the first fit; they inherit the
+    binned split, Y and the calibration features, so nothing big is
+    pickled. Leaving shuts them down. A task fits one horizon column at the
+    level it is given and predicts that column on the calibration rows, so
+    a model comes back with its `calibration_preds`. Only the fitted
+    columns and their predictions are pickled back. Where _workers(H) is 1,
+    and outside the `with` block, the same task runs in-process. A worker's
+    exception is raised by `fit`, a killed worker gives BrokenProcessPool
+    (for this and every later fit), and no worker outlives the block or its
+    caller.
     """
 
     def __init__(self, train: Samples, cal: Samples | None = None):
         if len(train) == 0:
             raise EmptyTrainingSet("training split is empty")
-        if cal is not None and tuple(cal.layout) != tuple(train.layout):
-            raise LayoutMismatch("the calibration layout differs from the training layout")
+        cal_X = None if cal is None else _checked_features(cal.X, cal.layout, tuple(train.layout))
         self.train, self.cal = train, cal
         Y = np.asarray(train.Y, dtype=np.float64)
         self.horizon = Y.shape[1]
-        self._split = (train.binned, Y, None if cal is None else np.asarray(cal.X, dtype=np.float64))
+        self._split = (BinnedFeatures.of(train.X), Y, cal_X)
         self._executor = None
 
     def __enter__(self) -> "Workers":
@@ -688,14 +692,12 @@ class Workers:
         else:
             columns = list(self._executor.map(_fit_shared_column, range(horizon), [tau] * horizon,
                                               [params] * horizon))
-        model = QuantileModel(
+        return QuantileModel(
             tau=tau if tau is not None else 0.5,
             feature_layout=tuple(self.train.layout),
             horizon_models=[regressor for regressor, _ in columns],
+            calibration_preds=None if self.cal is None else _clamped([predicted for _, predicted in columns]),
         )
-        if self.cal is not None:
-            model._premade = (self.cal.X, [predicted for _, predicted in columns])
-        return model
 
 
 def _train(train: Samples, tau: float | None, params: BackboneParams, workers: Workers | None) -> QuantileModel:

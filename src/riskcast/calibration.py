@@ -78,18 +78,19 @@ Evaluator = Callable[[float], CandidateEvaluation]
 class QuantileEvaluator:
     """Trains and scores quantile models on demand, caching by level.
 
-    Repeated requests for the same tau (same data, seed, and params by
-    construction) train at most once; n_trainings counts actual fits, so
-    cache hits are visible to training-budget assertions. Given `workers`
-    (a Workers set of train and cal), every fit runs on them, and they
-    predict it on cal as they fit it.
+    Every fit runs on `workers`, a Workers set of a training and a
+    calibration split, and is scored on the calibration predictions its
+    workers make as they fit it. Repeated requests for the same tau (same
+    data, seed, and params by construction) train at most once; n_trainings
+    counts actual fits, so cache hits are visible to training-budget
+    assertions.
     """
 
-    def __init__(self, train: Samples, cal: Samples, params: BackboneParams, workers: Workers | None = None):
-        self.train = train
-        self.cal = cal
-        self.params = params
+    def __init__(self, workers: Workers, params: BackboneParams):
+        if workers.cal is None:
+            raise ValueError("the evaluator scores on a calibration split, and the worker set holds none")
         self.workers = workers
+        self.params = params
         self.n_trainings = 0
         self._cache: dict[float, CandidateEvaluation] = {}
 
@@ -98,10 +99,9 @@ class QuantileEvaluator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        model = train_quantile_model(self.train, tau, self.params, workers=self.workers)
+        model = train_quantile_model(self.workers.train, tau, self.params, workers=self.workers)
         self.n_trainings += 1
-        preds = model.predict(self.cal.X, self.cal.layout)
-        batch = PredictionBatch(preds, self.cal.Y)
+        batch = PredictionBatch(model.calibration_preds, self.workers.cal.Y)
         ev = CandidateEvaluation(tau=float(tau), mae=mae(batch), over_rate=over_rate(batch), model=model)
         self._cache[key] = ev
         return ev
@@ -183,7 +183,7 @@ class SelectionResult:
 
 
 def select_from_grid(
-    candidates: list[CandidateEvaluation], epsilon: float, penalty: float | None
+    candidates: list[CandidateEvaluation], epsilon: float, penalty: float
 ) -> tuple[CandidateEvaluation, bool]:
     """Constrained pick over evaluated candidates.
 
@@ -197,11 +197,6 @@ def select_from_grid(
     feasible = [e for e in candidates if e.over_rate <= epsilon]
     if feasible:
         return min(feasible, key=lambda e: (e.mae, -e.tau)), True
-    if penalty is None:
-        raise ValueError(
-            "no feasible candidate and no penalty weight configured; "
-            "set RiskBudgetConfig.penalty or pass penalty="
-        )
     best = min(
         candidates,
         key=lambda e: (e.mae + penalty * max(e.over_rate - epsilon, 0.0), e.tau),
@@ -209,15 +204,13 @@ def select_from_grid(
     return best, False
 
 
-def run_selection(
-    config: RiskBudgetConfig, evaluator: Evaluator, penalty: float | None = None
-) -> SelectionResult:
-    """Coarse-to-fine selection against an arbitrary candidate evaluator.
+def run_selection(config: RiskBudgetConfig, evaluator: Evaluator, penalty: float) -> SelectionResult:
+    """Coarse-to-fine selection against an arbitrary candidate evaluator,
+    with the fallback's `penalty` weight as resolve_penalty gives it.
 
     Each level is evaluated once, by memo_ev, which raises an evaluator error
     that is not a RiskcastError as EvaluatorFailure, naming the level.
     """
-    lam = penalty if penalty is not None else config.penalty
     memo: dict[float, CandidateEvaluation] = {}
 
     def memo_ev(tau: float) -> CandidateEvaluation:
@@ -237,7 +230,7 @@ def run_selection(
     boundary = boundary_search(config, memo_ev)
     lo, hi = boundary.tau_lo, boundary.tau_hi
     fine = [memo_ev(t) for t in lin_space(lo, hi, 1 if lo == hi else config.grid_size)]
-    best, is_feasible = select_from_grid(fine, config.epsilon, lam)
+    best, is_feasible = select_from_grid(fine, config.epsilon, penalty)
     return SelectionResult(
         tau_star=best.tau,
         boundary=(lo, hi),
@@ -260,9 +253,10 @@ def resolve_penalty(config: RiskBudgetConfig, train: Samples) -> float:
 def select_quantile(
     config: RiskBudgetConfig, train: Samples, cal: Samples, params: BackboneParams
 ) -> SelectionResult:
-    """Train/evaluate candidates on real splits and select the operating level."""
-    evaluator = QuantileEvaluator(train, cal, params)
-    return run_selection(config, evaluator, penalty=resolve_penalty(config, train))
+    """Train/evaluate candidates on real splits and select the operating level,
+    every fit on one worker set."""
+    with Workers(train, cal) as workers:
+        return run_selection(config, QuantileEvaluator(workers, params), resolve_penalty(config, train))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +311,3 @@ def budget_scale_search(
         if row.over_rate < best.over_rate:
             best = row
     return BudgetScaleResult(best.factor, False, rows)
-
-
-def budget_scale_calibrate(cal_batch: PredictionBatch, epsilon: float, c_grid=None) -> float:
-    """The selected multiplicative factor for a point predictor."""
-    return budget_scale_search(cal_batch, epsilon, c_grid).c_star

@@ -315,7 +315,7 @@ def calibrate_budgets(
     penalty = resolve_penalty(config.risk, train)
     point_model = cal_point = None
     with Workers(train, cal) as workers:
-        evaluator = QuantileEvaluator(train, cal, config.backbone, workers)
+        evaluator = QuantileEvaluator(workers, config.backbone)
         if METHOD_POINT in config.baselines or METHOD_BUDGET_SCALE in config.baselines:
             try:
                 point_model = train_point_model(train, config.backbone, workers=workers)
@@ -324,7 +324,7 @@ def calibrate_budgets(
             except Exception as exc:
                 raise PointFitFailure(f"point model fit failed: {type(exc).__name__}: {exc}") from exc
         if METHOD_BUDGET_SCALE in config.baselines:
-            cal_point = PredictionBatch(point_model.predict(cal.X, cal.layout), cal.Y)
+            cal_point = PredictionBatch(point_model.calibration_preds, cal.Y)
         controls = [
             (
                 e,

@@ -129,13 +129,6 @@ class Samples:
     def __len__(self) -> int:
         return len(self.X)
 
-    @cached_property
-    def binned(self):
-        """X binned for the tree trainer, once per split; X is frozen, so it stays valid."""
-        from .backbone import BinnedFeatures  # deferred: backbone imports this module
-
-        return BinnedFeatures.of(self.X)
-
 
 @dataclass(frozen=True)
 class WindowedDataset:
@@ -174,7 +167,7 @@ class WindowedDataset:
     def _slice(self, lo: int, hi: int) -> Samples:
         return Samples(self.X[lo:hi], self.Y[lo:hi], self.origin_index[lo:hi], self.layout)
 
-    # Cached, so every reader of a split shares one Samples and so one binning.
+    # Cached, so every reader of a split gets the same Samples, which a trainer can tell by identity.
     @cached_property
     def train(self) -> Samples:
         return self._slice(0, self.train_end)

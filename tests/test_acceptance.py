@@ -19,7 +19,6 @@ from riskcast.calibration import (
     QuantileEvaluator,
     RiskBudgetConfig,
     boundary_search,
-    budget_scale_calibrate,
     run_selection,
     budget_scale_search,
 )
@@ -120,18 +119,19 @@ def test_c04_point_predictor_unsafety():
         params = rc.BackboneParams(n_trees=40, max_depth=3, min_samples_leaf=60, seed=5)
         epsilon = 0.35
 
-        point = rc.train_point_model(ds.train, params)
+        with rc.Workers(ds.train, ds.calibration) as workers:
+            point = rc.train_point_model(ds.train, params, workers=workers)
+            evaluator = QuantileEvaluator(workers, params)
+            sel = run_selection(
+                RiskBudgetConfig(epsilon=epsilon), evaluator,
+                penalty=1000.0 * float(np.mean(ds.train.Y)),
+            )
         point_rate = rc.over_rate(
             PredictionBatch(point.predict(ds.test.X, ds.test.layout), ds.test.Y)
         )
         assert 0.45 <= point_rate <= 0.55
         assert point_rate > epsilon
 
-        evaluator = QuantileEvaluator(ds.train, ds.calibration, params)
-        sel = run_selection(
-            RiskBudgetConfig(epsilon=epsilon), evaluator,
-            penalty=1000.0 * float(np.mean(ds.train.Y)),
-        )
         safe_rate = rc.over_rate(
             PredictionBatch(sel.model.predict(ds.test.X, ds.test.layout), ds.test.Y)
         )
@@ -247,7 +247,7 @@ def test_c07_budget_scale_oracle():
             else:
                 best_rate = min(r[2] for r in rows)
                 expected = min(r[0] for r in rows if r[2] == best_rate)
-            assert budget_scale_calibrate(batch, eps, grid) == expected
+            assert budget_scale_search(batch, eps, grid).c_star == expected
 
 
 def test_c08_safety_dominance_on_heteroscedastic_data():
@@ -263,18 +263,17 @@ def test_c08_safety_dominance_on_heteroscedastic_data():
             ds = rc.make_windows(trace, 8, 2, (0.5, 0.25, 0.25))
             params = rc.BackboneParams(n_trees=40, max_depth=3, min_samples_leaf=60, seed=seed)
 
-            evaluator = QuantileEvaluator(ds.train, ds.calibration, params)
-            sel = run_selection(
-                RiskBudgetConfig(epsilon=0.35), evaluator,
-                penalty=1000.0 * float(np.mean(ds.train.Y)),
-            )
+            with rc.Workers(ds.train, ds.calibration) as workers:
+                evaluator = QuantileEvaluator(workers, params)
+                sel = run_selection(
+                    RiskBudgetConfig(epsilon=0.35), evaluator,
+                    penalty=1000.0 * float(np.mean(ds.train.Y)),
+                )
+                point = rc.train_point_model(ds.train, params, workers=workers)
             achieved_cal_rate = next(
                 e.over_rate for e in sel.fine_grid if e.tau == sel.tau_star
             )
-            point = rc.train_point_model(ds.train, params)
-            cal_batch = PredictionBatch(
-                point.predict(ds.calibration.X, ds.calibration.layout), ds.calibration.Y
-            )
+            cal_batch = PredictionBatch(point.calibration_preds, ds.calibration.Y)
             # match the scale baseline to the same achieved calibration risk
             scale = budget_scale_search(cal_batch, achieved_cal_rate, np.linspace(0.5, 1.0, 501))
 

@@ -505,7 +505,7 @@ class TestParallelTrainer:
         assert pools == [2]
         assert len(model.horizon_models) == 3
         for h, fitted in enumerate(model.horizon_models):
-            expected = _fit_boosted_column(train.binned, train.Y[:, h], tau, params)
+            expected = _fit_boosted_column(BinnedFeatures.of(train.X), train.Y[:, h], tau, params)
             assert regressor_bytes(fitted) == regressor_bytes(expected), h
 
     @pytest.mark.parametrize("cpus, horizon, workers", [(1, 3, None), (4, 1, None), (2, 3, 2), (4, 3, 3)],
@@ -595,7 +595,7 @@ class TestParallelTrainer:
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
     @pytest.mark.parametrize("tau", [0.3, None], ids=["quantile", "point"])
-    def test_calibration_columns_made_by_the_workers_equal_the_callers(self, rng, monkeypatch, pools, tau, cpus):
+    def test_calibration_preds_equal_predicting_the_calibration_split(self, rng, monkeypatch, pools, tau, cpus):
         # H = 3 on two workers: one fits and predicts two columns, the other one.
         self.cpus(monkeypatch, cpus)
         train, cal = iid_samples(rng, 400, horizon=3, n_features=5), iid_samples(rng, 150, horizon=3, n_features=5)
@@ -607,29 +607,28 @@ class TestParallelTrainer:
                 model = train_quantile_model(train, tau, params, workers=workers)
         assert pools == ([] if cpus == 1 else [2])
         assert multiprocessing.active_children() == []
+        assert model.calibration_preds.shape == (150, 3)
+        assert model.calibration_preds.tobytes() == model.predict(cal.X, cal.layout).tobytes()
+        alone = train_point_model(train, params) if tau is None else train_quantile_model(train, tau, params)
+        assert alone.calibration_preds is None  # a worker set of its own, without a calibration split
 
-        def here(self, X):
-            raise AssertionError("predicted in the calling process")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(BoostedTreesRegressor, "predict", here)
-            with pytest.raises(AssertionError, match="calling process"):
-                model.predict(train.X, train.layout)  # only cal.X was predicted on the workers
-            made = model.predict(cal.X, cal.layout)
-            with pytest.raises(AssertionError, match="calling process"):
-                model.predict(cal.X, cal.layout)  # taken once, then dropped
-        assert made.tobytes() == model.predict(cal.X, cal.layout).tobytes()
-
-    def test_the_prediction_checks_run_on_worker_made_columns(self, rng, monkeypatch):
+    def test_bad_calibration_features_fail_before_any_fork(self, rng, monkeypatch, pools):
         self.cpus(monkeypatch, 2)
         train, cal = iid_samples(rng, 200, horizon=2), iid_samples(rng, 60, horizon=2)
         X = cal.X.copy()
         X[7, 2] = np.nan
-        holey = Samples(X, cal.Y, cal.origin_index, cal.layout)
+        with pytest.raises(NonFiniteFeatures, match="junk.lag2"):
+            Workers(train, Samples(X, cal.Y, cal.origin_index, cal.layout))
+        with pytest.raises(LayoutMismatch):
+            Workers(train, Samples(cal.X, cal.Y, cal.origin_index, cal.layout[::-1]))
+        with pytest.raises(LayoutMismatch):
+            Workers(train, Samples(cal.X[:, :-1], cal.Y, cal.origin_index, cal.layout[:-1]))
+        assert pools == []
+
+    def test_a_worker_set_fits_its_own_training_split_only(self, rng, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        train, cal = iid_samples(rng, 200, horizon=2), iid_samples(rng, 60, horizon=2)
         params = BackboneParams(n_trees=3, max_depth=2)
-        with Workers(train, holey) as workers:
-            with pytest.raises(NonFiniteFeatures, match="junk.lag2"):
-                QuantileEvaluator(train, holey, params, workers)(0.3)
         with Workers(train, cal) as workers:
             model = train_quantile_model(train, 0.3, params, workers=workers)
             with pytest.raises(ValueError, match="another training split"):
@@ -638,15 +637,13 @@ class TestParallelTrainer:
             model.predict(cal.X, cal.layout[::-1])
         with pytest.raises(LayoutMismatch):
             model.predict(cal.X[:, :-1], cal.layout)
-        # A failed check leaves the columns to the next call.
-        with monkeypatch.context() as patch:
-            patch.setattr(BoostedTreesRegressor, "predict", None)
-            made = model.predict(cal.X, cal.layout)
-        assert made.tobytes() == model.predict(cal.X, cal.layout).tobytes()
-        renamed = Samples(cal.X, cal.Y, cal.origin_index, cal.layout[::-1])
-        with pytest.raises(LayoutMismatch):
-            Workers(train, renamed)
         assert multiprocessing.active_children() == []
+
+    def test_the_evaluator_needs_a_calibration_split(self, rng):
+        train = iid_samples(rng, 100, horizon=2)
+        with Workers(train) as workers:
+            with pytest.raises(ValueError, match="calibration split"):
+                QuantileEvaluator(workers, BackboneParams(n_trees=2))
 
 
 @st.composite

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from riskcast.backbone import BackboneParams
+from riskcast.backbone import BackboneParams, Workers
 from riskcast.calibration import (
     CandidateEvaluation,
     QuantileEvaluator,
     RiskBudgetConfig,
     boundary_search,
-    budget_scale_calibrate,
     budget_scale_search,
     lin_space,
     run_selection,
@@ -167,13 +169,13 @@ class TestSelectFromGrid:
 
     def test_feasible_min_mae(self):
         best, feasible = select_from_grid(
-            self.grid([(0.2, 5.0, 0.2), (0.3, 4.0, 0.3), (0.4, 3.0, 0.5)]), 0.35, None
+            self.grid([(0.2, 5.0, 0.2), (0.3, 4.0, 0.3), (0.4, 3.0, 0.5)]), 0.35, 1e6
         )
         assert feasible and best.tau == 0.3
 
     def test_feasible_tie_takes_larger_tau(self):
         best, _ = select_from_grid(
-            self.grid([(0.2, 4.0, 0.1), (0.3, 4.0, 0.2)]), 0.35, None
+            self.grid([(0.2, 4.0, 0.1), (0.3, 4.0, 0.2)]), 0.35, 1e6
         )
         assert best.tau == 0.3
 
@@ -241,10 +243,11 @@ class TestEvaluatorCache:
         train = iid_samples(rng, n=300)
         cal = iid_samples(rng, n=200)
         params = BackboneParams(n_trees=5, max_depth=2, seed=1)
-        ev = QuantileEvaluator(train, cal, params)
-        first = ev(0.25)
-        assert ev.n_trainings == 1
-        second = ev(0.25)
+        with Workers(train, cal) as workers:
+            ev = QuantileEvaluator(workers, params)
+            first = ev(0.25)
+            assert ev.n_trainings == 1
+            second = ev(0.25)
         assert ev.n_trainings == 1
         assert second is first
 
@@ -252,7 +255,8 @@ class TestEvaluatorCache:
         train = iid_samples(rng, n=400)
         cal = iid_samples(rng, n=300)
         params = BackboneParams(n_trees=10, max_depth=2, min_samples_leaf=50, seed=2)
-        ev = QuantileEvaluator(train, cal, params)(0.25)
+        with Workers(train, cal) as workers:
+            ev = QuantileEvaluator(workers, params)(0.25)
         preds = ev.model.predict(cal.X, cal.layout)
         batch = PredictionBatch(preds, cal.Y)
         assert ev.mae == mae(batch)
@@ -270,6 +274,15 @@ class TestEvaluatorCache:
         assert selected.over_rate <= 0.35
         assert result.model is not None
         assert result.n_trainings <= 10
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="columns are fitted on forked workers on Linux only")
+    def test_select_quantile_forks_one_pool(self, rng, monkeypatch, pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        train, cal = iid_samples(rng, n=300, horizon=2), iid_samples(rng, n=200, horizon=2)
+        result = select_quantile(RiskBudgetConfig(epsilon=0.35), train, cal, BackboneParams(n_trees=3, max_depth=2))
+        assert result.n_trainings >= 2
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
 
 
 def brute_force_scale(batch, epsilon, grid):
@@ -297,7 +310,7 @@ class TestBudgetScale:
         truths = rng.uniform(10, 100, size=(50, 3))
         batch = PredictionBatch(2.0 * truths, truths)
         grid = np.linspace(0.40, 1.00, 61)
-        assert budget_scale_calibrate(batch, 0.35, grid) <= 0.5
+        assert budget_scale_search(batch, 0.35, grid).c_star <= 0.5
 
     def test_matches_brute_force(self, rng):
         grid = np.linspace(0.5, 1.0, 51)
@@ -307,7 +320,7 @@ class TestBudgetScale:
             preds = np.maximum(preds, 0)
             batch = PredictionBatch(preds, truths)
             eps = float(rng.uniform(0.05, 0.6))
-            assert budget_scale_calibrate(batch, eps, grid) == brute_force_scale(batch, eps, grid)
+            assert budget_scale_search(batch, eps, grid).c_star == brute_force_scale(batch, eps, grid)
 
     def test_empty_grid(self, rng):
         truths = rng.uniform(10, 100, size=(5, 2))

@@ -255,13 +255,14 @@ class TestProtocolSeparation:
 
         results = []
         for ds in (full, truncated):
-            evaluator = QuantileEvaluator(ds.train, ds.calibration, config.backbone)
-            penalty = 1000.0 * float(np.mean(ds.train.Y))
-            sel = run_selection(config.risk, evaluator, penalty=penalty)
-            from riskcast.backbone import train_point_model
+            from riskcast.backbone import Workers, train_point_model
             from riskcast.metrics import PredictionBatch
 
-            pm = train_point_model(ds.train, config.backbone)
+            with Workers(ds.train, ds.calibration) as workers:
+                evaluator = QuantileEvaluator(workers, config.backbone)
+                penalty = 1000.0 * float(np.mean(ds.train.Y))
+                sel = run_selection(config.risk, evaluator, penalty=penalty)
+                pm = train_point_model(ds.train, config.backbone, workers=workers)
             cal_b = PredictionBatch(pm.predict(ds.calibration.X, ds.calibration.layout), ds.calibration.Y)
             scale = budget_scale_search(cal_b, config.risk.epsilon)
             results.append((sel.tau_star, scale.c_star))

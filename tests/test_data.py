@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import riskcast.backbone
-from riskcast.backbone import BackboneParams, train_point_model
+from riskcast.backbone import BackboneParams, Workers, train_point_model
 from riskcast.calibration import QuantileEvaluator
 from riskcast.data import (
     CyclicScaleNoise,
@@ -164,7 +164,7 @@ class TestWindows:
         ds = make_windows(constant_trace(length), history, horizon)
         assert len(ds) == length - history - horizon + 1
 
-    def test_splits_are_built_and_binned_once(self, monkeypatch):
+    def test_splits_are_built_once_and_one_worker_set_bins_once(self, monkeypatch):
         shapes = []
         bin_features = riskcast.backbone._bin_features
         monkeypatch.setattr(riskcast.backbone, "_bin_features",
@@ -173,8 +173,9 @@ class TestWindows:
         assert ds.train is ds.train
         assert ds.calibration is ds.calibration and ds.test is ds.test
         params = BackboneParams(n_trees=2, max_depth=2, min_samples_leaf=5)
-        QuantileEvaluator(ds.train, ds.calibration, params)(0.3)
-        train_point_model(ds.train, params)
+        with Workers(ds.train, ds.calibration) as workers:
+            QuantileEvaluator(workers, params)(0.3)
+            train_point_model(ds.train, params, workers=workers)
         assert shapes == [ds.train.X.shape]
 
     def test_split_chronology(self):
