@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Samples
+from .data import Samples, WindowMatrix
 from .errors import (
     EmptyTrainingSet,
     InvalidTau,
@@ -130,7 +130,7 @@ class DecisionTree:
         return out
 
 
-def _bin_features(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _bin_features(X: WindowMatrix | np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Quantile-bin each column; a split at bin b means x <= cuts[b]."""
     n, n_feat = X.shape
     binned = np.empty((n, n_feat), dtype=np.uint8)
@@ -196,8 +196,8 @@ class BinnedFeatures:
     valid: np.ndarray
 
     @staticmethod
-    def of(X: np.ndarray) -> "BinnedFeatures":
-        codes, cuts = _bin_features(np.asarray(X, dtype=np.float64))
+    def of(X: WindowMatrix | np.ndarray) -> "BinnedFeatures":
+        codes, cuts = _bin_features(X)
         n_cuts = np.asarray([c.size for c in cuts], dtype=np.int64)
         widths = np.asarray([1 << int(c).bit_length() for c in n_cuts], dtype=np.int64)
         # One segment of cells per feature with a cut, in order of width, then of feature.
@@ -534,19 +534,22 @@ def _fit_boosted_column(
 # ---------------------------------------------------------------------------
 
 
-def _checked_features(X, layout, feature_layout: tuple[str, ...]) -> np.ndarray:
-    """X as float64, once its layout, width and values fit `feature_layout`.
-    Features must be finite: a tree would send NaN right at every split."""
+def _checked_features(X, layout, feature_layout: tuple[str, ...]) -> WindowMatrix | np.ndarray:
+    """X, an array as float64, once its layout, width and values fit
+    `feature_layout`. Features must be finite: a tree would send NaN right
+    at every split. A WindowMatrix is finite by construction and passes
+    as it is, so its matrix is never built."""
     if tuple(layout) != feature_layout:
         raise LayoutMismatch(
             f"feature layout has {len(tuple(layout))} names and differs from "
             f"the training layout of {len(feature_layout)} names"
         )
-    X = np.asarray(X, dtype=np.float64)
+    if not isinstance(X, WindowMatrix):
+        X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(feature_layout):
         raise LayoutMismatch(f"feature matrix width {X.shape} does not match layout")
-    bad = ~np.isfinite(X)
-    if bad.any():
+    if isinstance(X, np.ndarray) and not np.isfinite(X).all():
+        bad = ~np.isfinite(X)
         column = feature_layout[int(np.argmax(bad.any(axis=0)))]
         raise NonFiniteFeatures(
             f"feature matrix holds {np.count_nonzero(bad)} non-finite values, "
@@ -613,6 +616,39 @@ def _share(parent: int, *split) -> None:
         os._exit(1)
 
 
+# glibc's mallopt parameters, from <malloc.h>, and the values they are set to.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's largest on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX)
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc serve blocks below 32 MiB from the heap and keep up to
+    64 MiB freed at its top, for this process and every worker it forks.
+
+    The split scan allocates and frees temporaries of several MB at every
+    depth. glibc maps blocks above its mmap threshold afresh each time, and
+    that threshold starts at 128 KiB, rising only when a larger mapped block
+    is freed; every fresh mapping faults its pages in again. Without this, a
+    paper-shaped run (bench/paper_shape.yaml, 2 workers) took about 735k
+    minor faults and 1.4 s of system time in its workers, against 14k and
+    0.06 s with it. The values are glibc's 64-bit maximum threshold and
+    twice it for trimming, where glibc's own dynamic rule would set them;
+    fixed values also stop that rule. Setting them again changes nothing.
+    Off Linux, and where the C library has no mallopt, this does nothing.
+    """
+    if sys.platform != "linux":
+        return
+    import ctypes  # numpy imports it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
 def _fit_column(h: int, tau, params, binned, Y, cal_X) -> tuple[BoostedTreesRegressor, np.ndarray | None]:
     """Fit horizon column h, and predict it on the calibration rows, if any."""
     model = _fit_boosted_column(binned, Y[:, h], tau, params)
@@ -642,8 +678,9 @@ def _workers(horizon: int) -> int:
 class Workers:
     """The processes that fit models on one training split, used as a context manager.
 
-    Making the set bins the training split and checks the calibration
-    features, so bad ones fail before any fork. Entering makes a pool of
+    Making the set checks the training and calibration features, so bad
+    ones fail before any fork, sets the allocator (_keep_freed_heap) and
+    bins the training split. Entering makes a pool of
     _workers(H) processes, forked once, at the first fit; they inherit the
     binned split, Y and the calibration features, so nothing big is
     pickled. Leaving shuts them down. A task fits one horizon column at the
@@ -659,11 +696,14 @@ class Workers:
     def __init__(self, train: Samples, cal: Samples | None = None):
         if len(train) == 0:
             raise EmptyTrainingSet("training split is empty")
-        cal_X = None if cal is None else _checked_features(cal.X, cal.layout, tuple(train.layout))
+        layout = tuple(train.layout)
+        train_X = _checked_features(train.X, layout, layout)
+        cal_X = None if cal is None else _checked_features(cal.X, cal.layout, layout)
         self.train, self.cal = train, cal
         Y = np.asarray(train.Y, dtype=np.float64)
         self.horizon = Y.shape[1]
-        self._split = (BinnedFeatures.of(train.X), Y, cal_X)
+        _keep_freed_heap()
+        self._split = (BinnedFeatures.of(train_X), Y, cal_X)
         self._executor = None
 
     def __enter__(self) -> "Workers":

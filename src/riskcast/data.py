@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -21,6 +22,7 @@ from .errors import (
     InvalidSpec,
     MissingColumn,
     NegativeThroughput,
+    NonFiniteFeatures,
     NonMonotoneTimestamps,
     ParseError,
     TimestampGap,
@@ -46,7 +48,9 @@ THROUGHPUT_COLUMN = "throughput_mbps"
 _SECONDS_PER_DAY = 86_400
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr):
+    if isinstance(arr, WindowMatrix):  # read-only already; a copy would build the matrix
+        return arr
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
@@ -112,11 +116,79 @@ def derive_time_features(timestamps: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
+@dataclass(frozen=True, eq=False)
+class WindowMatrix:
+    """The windowed feature matrix of `rows` samples, read in place from its series.
+
+    Column j is lag j % history of series j // history, and row i of that
+    column is series[j // history][start + i + j % history], so a column is
+    a contiguous slice of one series and no rows x columns float matrix is
+    ever held. The series are frozen, finite float64 arrays, so every
+    feature is finite. It answers what the trainer and predictor read: len,
+    shape, nbytes (the matrix's size), X[:, j] (a read-only slice),
+    X[rows, j] (a gather) and X[lo:hi] (another view). np.asarray(X) builds
+    the matrix.
+    """
+
+    series: tuple[np.ndarray, ...]
+    history: int
+    start: int
+    rows: int
+
+    ndim = 2
+
+    def __post_init__(self) -> None:
+        series = tuple(_freeze(np.asarray(s, dtype=np.float64)) for s in self.series)
+        if self.history < 1 or self.start < 0 or self.rows < 0:
+            raise ValueError("history must be >= 1, and start and rows >= 0")
+        if any(s.ndim != 1 or len(s) < max(self.start + self.rows, 1) + self.history - 1 for s in series):
+            raise ValueError("every series must be 1-D and cover the windows of every row")
+        if not all(np.isfinite(s).all() for s in series):
+            raise NonFiniteFeatures("window series hold non-finite values")
+        object.__setattr__(self, "series", series)
+
+    def __len__(self) -> int:
+        return self.rows
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows, len(self.series) * self.history
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows * self.shape[1] * 8  # float64
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(self.rows)
+            if step != 1:
+                raise IndexError("a window view slices rows with step 1 only")
+            return WindowMatrix(self.series, self.history, self.start + lo, max(hi - lo, 0))
+        rows, j = key
+        s, lag = divmod(operator.index(j), self.history)  # an s out of range raises IndexError
+        lo = self.start + lag
+        return self.series[s][lo : lo + self.rows][rows]
+
+    def __setitem__(self, key, value) -> None:
+        raise ValueError("a window view is read-only")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a window view holds no matrix to share; np.asarray builds one")
+        X = np.hstack([
+            np.lib.stride_tricks.sliding_window_view(s, self.history)[self.start : self.start + self.rows]
+            for s in self.series
+        ])
+        return X if dtype is None else X.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class Samples:
-    """A view over one split: feature matrix X, targets Y, and origins."""
+    """A view over one split: feature matrix X, targets Y, and origins.
 
-    X: np.ndarray
+    X is a WindowMatrix for the splits of a WindowedDataset, or an array."""
+
+    X: WindowMatrix | np.ndarray
     Y: np.ndarray
     origin_index: np.ndarray
     layout: tuple[str, ...]
@@ -140,7 +212,7 @@ class WindowedDataset:
     contiguous in time.
     """
 
-    X: np.ndarray
+    X: WindowMatrix | np.ndarray
     Y: np.ndarray
     origin_index: np.ndarray
     layout: tuple[str, ...]
@@ -244,20 +316,15 @@ def make_windows(
         )
     check_timestamp_gaps(trace)
 
-    series: list[np.ndarray] = [trace.throughput]
     aux_keys = trace.aux_keys
-    series.extend(trace.aux[k] for k in aux_keys)
     clock = derive_time_features(trace.timestamps)
-    series.extend(clock[k] for k in TIME_FEATURES)
-
-    blocks = [np.lib.stride_tricks.sliding_window_view(s, history)[:n] for s in series]
-    X = np.hstack(blocks).astype(np.float64)
+    series = (trace.throughput, *(trace.aux[k] for k in aux_keys), *(clock[k] for k in TIME_FEATURES))
     Y = np.lib.stride_tricks.sliding_window_view(trace.throughput, horizon)[
         history : history + n
     ].astype(np.float64)
     origins = np.arange(history - 1, history - 1 + n, dtype=np.int64)
     return WindowedDataset(
-        X=X,
+        X=WindowMatrix(series, history, 0, n),
         Y=Y,
         origin_index=origins,
         layout=build_layout(history, aux_keys),

@@ -59,7 +59,7 @@ class LayoutMismatch(RiskcastError):
 
 
 class NonFiniteFeatures(RiskcastError):
-    """A feature matrix passed for prediction holds NaN or infinite values."""
+    """A feature matrix passed for training or prediction holds NaN or infinite values."""
 
 
 class EmptyBatch(RiskcastError):

@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -34,7 +35,7 @@ from riskcast.backbone import (
     train_quantile_model,
 )
 from riskcast.calibration import QuantileEvaluator
-from riskcast.data import Samples
+from riskcast.data import GaussianNoise, Samples, SyntheticSpec, generate_synthetic, make_windows
 from riskcast.errors import EmptyTrainingSet, InvalidTau, LayoutMismatch, NonFiniteFeatures
 
 from conftest import iid_samples
@@ -625,6 +626,16 @@ class TestParallelTrainer:
             Workers(train, Samples(cal.X[:, :-1], cal.Y, cal.origin_index, cal.layout[:-1]))
         assert pools == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_training_features_fail_before_any_fork(self, rng, monkeypatch, pools, bad):
+        self.cpus(monkeypatch, 2)
+        train = iid_samples(rng, 200, horizon=2)
+        X = train.X.copy()
+        X[3, 1] = bad
+        with pytest.raises(NonFiniteFeatures, match="the first in column 'junk.lag1'"):
+            train_quantile_model(Samples(X, train.Y, train.origin_index, train.layout), 0.3, BackboneParams(n_trees=2))
+        assert pools == []
+
     def test_a_worker_set_fits_its_own_training_split_only(self, rng, monkeypatch):
         self.cpus(monkeypatch, 2)
         train, cal = iid_samples(rng, 200, horizon=2), iid_samples(rng, 60, horizon=2)
@@ -644,6 +655,56 @@ class TestParallelTrainer:
         with Workers(train) as workers:
             with pytest.raises(ValueError, match="calibration split"):
                 QuantileEvaluator(workers, BackboneParams(n_trees=2))
+
+
+def paper_shaped_windows(length: int = 10_000):
+    """Windows at bench/paper_shape.yaml's shape: L=75, H=15, 375 columns and a small train split."""
+    spec = SyntheticSpec(length=length, seed=5, base_level=230.0, handover_drop=30.0, noise=GaussianNoise(38.0))
+    return make_windows(generate_synthetic(spec), 75, 15, (0.16, 0.42, 0.42))
+
+
+PAPER_SHAPED_PARAMS = BackboneParams(n_trees=1, max_depth=6, learning_rate=0.5, min_samples_leaf=20)
+
+
+class TestMemory:
+    def test_no_float_feature_matrix_is_built(self):
+        small = paper_shaped_windows(400)  # so that what a first fit imports is not counted
+        Workers(small.train, small.calibration).fit(0.3, PAPER_SHAPED_PARAMS).predict(small.test.X, small.test.layout)
+        tracemalloc.start()
+        try:
+            ds = paper_shaped_windows()
+            workers = Workers(ds.train, ds.calibration)
+            building = tracemalloc.get_traced_memory()[1]
+            model = workers.fit(0.3, PAPER_SHAPED_PARAMS)  # in this process: the set is not entered
+            del workers  # as a run shuts its worker set down before the first test prediction
+            tracemalloc.reset_peak()
+            model.predict(ds.test.X, ds.test.layout)
+            predicting = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.X.nbytes == 9911 * 375 * 8
+        assert building < ds.X.nbytes / 4
+        assert predicting < ds.X.nbytes / 4
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the allocator is set on Linux (glibc) only")
+    def test_the_split_scan_does_not_fault_its_temporaries_in_afresh(self):
+        # A fresh process, so no earlier test has shaped its heap.
+        script = textwrap.dedent("""
+            import resource
+            from riskcast.backbone import Workers
+            from test_backbone import PAPER_SHAPED_PARAMS, paper_shaped_windows
+
+            ds = paper_shaped_windows()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            workers = Workers(ds.train, ds.calibration)  # not entered: every column is fitted in this process
+            for tau in (0.2, 0.3, None):
+                workers.fit(tau, PAPER_SHAPED_PARAMS)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 150_000
 
 
 @st.composite

@@ -90,8 +90,8 @@ class TestConfig:
         assert config.risk.delta == 0.05 and config.risk.grid_size == 5
         assert config.backbone.n_trees == 200
 
-    @pytest.mark.parametrize("path", ["configs/synthetic-demo.yaml", "bench/paper_shape.yaml"],
-                             ids=["demo", "paper_shape"])
+    @pytest.mark.parametrize("path", ["configs/synthetic-demo.yaml", "bench/paper_shape.yaml",
+                                      "configs/paper-default.yaml"], ids=["demo", "paper_shape", "paper_default"])
     def test_shipped_configs_name_the_one_backbone_kind(self, path):
         # And the one subsample: both are fixed keys, which config.json leaves out.
         raw = yaml.safe_load((ROOT / path).read_text())
@@ -127,6 +127,7 @@ class TestConfig:
     @pytest.mark.parametrize("source", [
         "configs/synthetic-demo.yaml",
         "bench/paper_shape.yaml",
+        "configs/paper-default.yaml",
         BASE_CONFIG,
         {"dataset": {"kind": "csv", "path": "trace.csv", "schema": {"throughput": "rate"}, "name": "site"},
          "risk": {"lambda": 250, "M": 4}},
@@ -136,7 +137,7 @@ class TestConfig:
         {"dataset": {"kind": "synthetic", "length": 500, "base_level": 80, "noise_model": {
             "kind": "cyclic_scale", "base": {"kind": "uniform", "half_width": 9.5}, "period": 900,
             "depth": 0.3}}},
-    ], ids=["demo", "paper_shape", "uniform", "csv", "no-noise", "gaussian", "cyclic-uniform"])
+    ], ids=["demo", "paper_shape", "paper_default", "uniform", "csv", "no-noise", "gaussian", "cyclic-uniform"])
     def test_config_json_reads_back_as_the_same_config(self, source):
         config = load_config(str(ROOT / source)) if isinstance(source, str) else config_from_dict(source)
         written = json.loads(json.dumps(config_dict(config)))
@@ -249,7 +250,7 @@ class TestProtocolSeparation:
         full = make_windows(trace, config.history, config.horizon, config.split_ratios)
         # The same windows with the test partition dropped.
         end = full.cal_end
-        truncated = WindowedDataset(full.X[:end].copy(), full.Y[:end].copy(), full.origin_index[:end].copy(),
+        truncated = WindowedDataset(np.asarray(full.X[:end]), full.Y[:end].copy(), full.origin_index[:end].copy(),
                                     full.layout, full.history, full.horizon, full.train_end, end)
         assert len(truncated.test) == 0
 

@@ -5,11 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import riskcast.backbone
 from riskcast.backbone import BackboneParams, Workers, train_point_model
 from riskcast.calibration import QuantileEvaluator
 from riskcast.data import (
+    AUX_KEYS,
+    TIME_FEATURES,
     CyclicScaleNoise,
     GaussianNoise,
     NoNoise,
@@ -17,6 +21,7 @@ from riskcast.data import (
     SyntheticSpec,
     Trace,
     UniformNoise,
+    WindowMatrix,
     build_layout,
     check_timestamp_gaps,
     derive_time_features,
@@ -30,6 +35,7 @@ from riskcast.errors import (
     InvalidSpec,
     MissingColumn,
     NegativeThroughput,
+    NonFiniteFeatures,
     NonMonotoneTimestamps,
     ParseError,
     TimestampGap,
@@ -198,7 +204,7 @@ class TestWindows:
                 clock["hour"][t - history + 1 : t + 1],
                 clock["day_of_week"][t - history + 1 : t + 1],
             ])
-            assert np.array_equal(ds.X[i], expected_x)
+            assert np.array_equal(np.asarray(ds.X)[i], expected_x)
             assert np.array_equal(ds.Y[i], trace.throughput[t + 1 : t + 1 + horizon])
 
     def test_layout_shape_and_round_trip(self):
@@ -238,6 +244,73 @@ class TestWindows:
     def test_bad_ratios(self):
         with pytest.raises(ValueError):
             make_windows(constant_trace(100), 4, 2, (0.5, 0.2, 0.2))
+
+
+def hstacked_windows(trace: Trace, history: int, n: int) -> np.ndarray:
+    """The feature matrix as it was built before the window view: each
+    series' sliding windows side by side."""
+    clock = derive_time_features(trace.timestamps)
+    series = [trace.throughput, *(trace.aux[k] for k in trace.aux_keys), *(clock[k] for k in TIME_FEATURES)]
+    blocks = [np.lib.stride_tricks.sliding_window_view(s, history)[:n] for s in series]
+    return np.hstack(blocks).astype(np.float64)
+
+
+def assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestWindowMatrix:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        history=st.integers(1, 12),
+        horizon=st.integers(1, 6),
+        aux_keys=st.lists(st.sampled_from(AUX_KEYS), max_size=2, unique=True),
+        length=st.integers(20, 160),
+        start=st.integers(0, 10**9),
+        twentieths=st.integers(1, 18).flatmap(lambda t: st.tuples(st.just(t), st.integers(1, 19 - t))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_view_is_the_hstacked_matrix(self, history, horizon, aux_keys, length, start, twentieths, seed):
+        train, cal = twentieths[0] / 20, twentieths[1] / 20
+        rng = np.random.default_rng(seed)
+        trace = Trace("random", np.arange(start, start + length),
+                      np.round(rng.uniform(0.0, 300.0, length), 1),
+                      aux={k: rng.normal(0.0, 50.0, length) for k in aux_keys})
+        try:
+            ds = make_windows(trace, history, horizon, (train, cal, 1 - train - cal))
+        except TraceTooShort:
+            assume(False)
+        expected = hstacked_windows(trace, history, len(ds))
+        view = ds.X
+        assert isinstance(view, WindowMatrix)
+        assert view.shape == expected.shape and len(view) == len(expected)
+        assert view.nbytes == expected.nbytes
+        assert_same_bits(np.asarray(view), expected)
+        for j in range(expected.shape[1]):
+            assert_same_bits(view[:, j], expected[:, j])
+            rows = rng.integers(-len(expected), len(expected), size=rng.integers(0, 2 * len(expected)))
+            assert_same_bits(view[rows, j], expected[rows, j])
+        for split, lo, hi in ((ds.train, 0, ds.train_end), (ds.calibration, ds.train_end, ds.cal_end),
+                              (ds.test, ds.cal_end, len(ds))):
+            assert split.X.shape == expected[lo:hi].shape and split.X.nbytes == expected[lo:hi].nbytes
+            assert_same_bits(np.asarray(split.X), expected[lo:hi])
+            j = int(rng.integers(expected.shape[1]))
+            assert_same_bits(split.X[:, j], expected[lo:hi, j])
+        lo, hi = sorted(rng.integers(-len(expected) - 2, len(expected) + 2, size=2))
+        assert_same_bits(np.asarray(view[lo:hi]), expected[lo:hi])
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            view[:, 0][0] = 1.0
+
+    def test_only_finite_series_covering_every_window(self):
+        with pytest.raises(NonFiniteFeatures):
+            WindowMatrix((np.array([1.0, np.nan, 2.0]),), 1, 0, 3)
+        with pytest.raises(ValueError, match="cover"):
+            WindowMatrix((np.arange(5.0),), 3, 1, 3)
+        with pytest.raises(IndexError):
+            WindowMatrix((np.arange(5.0),), 3, 0, 3)[:, 3]
 
 
 class TestSynthetic:
