@@ -25,11 +25,11 @@ give equal gains, and ties go to the lowest feature, then the lowest bin.
 Every tree fits every training row, and nothing in training is random.
 On Linux a model's H horizon columns are fitted on up to min(H, usable
 CPUs) forked worker processes, so the models do not depend on where they
-were fitted. A `Workers` set bins its training split and is forked once,
-serving every fit its caller makes; the workers inherit the binned split and
-the calibration features, and predict each column they fit on the
-calibration rows, which the model keeps as `calibration_preds`. A fit given
-no worker set makes one of its own.
+were fitted. A `Workers` set of a training and a calibration split bins the
+training split and is forked once, serving every fit its caller makes; the
+workers inherit the binned split and the calibration features, and predict
+each column they fit on the calibration rows, which the model keeps as
+`calibration_preds`.
 """
 
 from __future__ import annotations
@@ -42,12 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Samples, WindowMatrix
-from .errors import (
-    EmptyTrainingSet,
-    InvalidTau,
-    LayoutMismatch,
-    NonFiniteFeatures,
-)
+from .errors import EmptyTrainingSet, InvalidTau, LayoutMismatch, NonFiniteFeatures, NonFiniteTargets
 
 _MAX_BINS = 256
 
@@ -78,13 +73,12 @@ def pinball_subgradient(y, y_hat, tau: float):
 @dataclass(frozen=True)
 class BackboneParams:
     """Boosted-tree hyperparameters. Every tree fits every training row, so
-    training draws nothing from `seed`, the stage seed config.json records."""
+    training draws nothing at random and takes no seed."""
 
     n_trees: int = 200
     max_depth: int = 6
     learning_rate: float = 0.1
     min_samples_leaf: int = 20
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if min(self.n_trees, self.max_depth, self.min_samples_leaf) < 1:
@@ -534,6 +528,14 @@ def _fit_boosted_column(
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(M: np.ndarray, error: type, what: str, columns) -> None:
+    """Raise `error` if M holds NaN or an infinity, naming the first such column."""
+    bad = ~np.isfinite(M)
+    if bad.any():
+        column = columns[int(np.argmax(bad.any(axis=0)))]
+        raise error(f"{what} holds {np.count_nonzero(bad)} non-finite values, the first in column {column!r}")
+
+
 def _checked_features(X, layout, feature_layout: tuple[str, ...]) -> WindowMatrix | np.ndarray:
     """X, an array as float64, once its layout, width and values fit
     `feature_layout`. Features must be finite: a tree would send NaN right
@@ -548,13 +550,8 @@ def _checked_features(X, layout, feature_layout: tuple[str, ...]) -> WindowMatri
         X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(feature_layout):
         raise LayoutMismatch(f"feature matrix width {X.shape} does not match layout")
-    if isinstance(X, np.ndarray) and not np.isfinite(X).all():
-        bad = ~np.isfinite(X)
-        column = feature_layout[int(np.argmax(bad.any(axis=0)))]
-        raise NonFiniteFeatures(
-            f"feature matrix holds {np.count_nonzero(bad)} non-finite values, "
-            f"the first in column {column!r}"
-        )
+    if isinstance(X, np.ndarray):
+        _check_finite(X, NonFiniteFeatures, "feature matrix", feature_layout)
     return X
 
 
@@ -570,7 +567,7 @@ class QuantileModel:
     Predictions are clamped below at zero, and X must pass the feature
     checks against the training layout. `calibration_preds` holds the
     predictions on the calibration split of the worker set that fitted the
-    model, bit-equal to predicting that split, or None if it had none.
+    model, bit-equal to predicting that split.
     """
 
     tau: float
@@ -592,7 +589,7 @@ class QuantileModel:
         return _clamped([m.predict(X) for m in self.horizon_models])
 
 
-# The split (binned, Y, calibration X or None) a worker set's processes
+# The split (binned, Y, calibration X) a worker set's processes
 # share, set in each worker by the pool's initializer. Under fork its
 # arguments are inherited, not pickled; the parent never sets it.
 _shared: tuple | None = None
@@ -649,14 +646,11 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
-def _fit_column(h: int, tau, params, binned, Y, cal_X) -> tuple[BoostedTreesRegressor, np.ndarray | None]:
-    """Fit horizon column h, and predict it on the calibration rows, if any."""
+def _fit_column(h: int, tau, params, split: tuple | None = None) -> tuple[BoostedTreesRegressor, np.ndarray]:
+    """Fit horizon column h on `split` (in a worker, _shared) and predict it on the calibration rows."""
+    binned, Y, cal_X = _shared if split is None else split
     model = _fit_boosted_column(binned, Y[:, h], tau, params)
-    return model, None if cal_X is None else model.predict(cal_X)
-
-
-def _fit_shared_column(h: int, tau, params) -> tuple[BoostedTreesRegressor, np.ndarray | None]:
-    return _fit_column(h, tau, params, *_shared)
+    return model, model.predict(cal_X)
 
 
 def _workers(horizon: int) -> int:
@@ -678,7 +672,8 @@ def _workers(horizon: int) -> int:
 class Workers:
     """The processes that fit models on one training split, used as a context manager.
 
-    Making the set checks the training and calibration features, so bad
+    Making the set checks the training and calibration features and targets
+    (a non-finite target would make its column's predictions NaN), so bad
     ones fail before any fork, sets the allocator (_keep_freed_heap) and
     bins the training split. Entering makes a pool of
     _workers(H) processes, forked once, at the first fit; they inherit the
@@ -688,19 +683,21 @@ class Workers:
     a model comes back with its `calibration_preds`. Only the fitted
     columns and their predictions are pickled back. Where _workers(H) is 1,
     and outside the `with` block, the same task runs in-process. A worker's
-    exception is raised by `fit`, a killed worker gives BrokenProcessPool
+    exception is raised by the fit call, a killed worker gives BrokenProcessPool
     (for this and every later fit), and no worker outlives the block or its
     caller.
     """
 
-    def __init__(self, train: Samples, cal: Samples | None = None):
+    def __init__(self, train: Samples, cal: Samples):
         if len(train) == 0:
             raise EmptyTrainingSet("training split is empty")
-        layout = tuple(train.layout)
-        train_X = _checked_features(train.X, layout, layout)
-        cal_X = None if cal is None else _checked_features(cal.X, cal.layout, layout)
-        self.train, self.cal = train, cal
+        self.layout = tuple(train.layout)
+        train_X = _checked_features(train.X, self.layout, self.layout)
+        cal_X = _checked_features(cal.X, cal.layout, self.layout)
         Y = np.asarray(train.Y, dtype=np.float64)
+        for split, targets in (("training", Y), ("calibration", cal.Y)):
+            _check_finite(targets, NonFiniteTargets, f"the {split} split's Y", range(targets.shape[1]))
+        self.cal = cal
         self.horizon = Y.shape[1]
         _keep_freed_heap()
         self._split = (BinnedFeatures.of(train_X), Y, cal_X)
@@ -724,39 +721,26 @@ class Workers:
             self._executor.shutdown(cancel_futures=True)
             self._executor = None
 
-    def fit(self, tau: float | None, params: BackboneParams) -> QuantileModel:
+    def _fit(self, tau: float | None, params: BackboneParams) -> QuantileModel:
         """The H columns fitted at level tau (None for the point fit)."""
         horizon = self.horizon
         if self._executor is None:
-            columns = [_fit_column(h, tau, params, *self._split) for h in range(horizon)]
+            columns = [_fit_column(h, tau, params, self._split) for h in range(horizon)]
         else:
-            columns = list(self._executor.map(_fit_shared_column, range(horizon), [tau] * horizon,
-                                              [params] * horizon))
+            columns = list(self._executor.map(_fit_column, range(horizon), [tau] * horizon, [params] * horizon))
         return QuantileModel(
             tau=tau if tau is not None else 0.5,
-            feature_layout=tuple(self.train.layout),
+            feature_layout=self.layout,
             horizon_models=[regressor for regressor, _ in columns],
-            calibration_preds=None if self.cal is None else _clamped([predicted for _, predicted in columns]),
+            calibration_preds=_clamped([predicted for _, predicted in columns]),
         )
 
 
-def _train(train: Samples, tau: float | None, params: BackboneParams, workers: Workers | None) -> QuantileModel:
-    if workers is None:
-        with Workers(train) as own:
-            return own.fit(tau, params)
-    if workers.train is not train:
-        raise ValueError("the worker set holds another training split")
-    return workers.fit(tau, params)
+def train_quantile_model(workers: Workers, tau: float, params: BackboneParams) -> QuantileModel:
+    """Fit one pinball-loss regressor per horizon step at level tau."""
+    return workers._fit(_check_tau(tau), params)
 
 
-def train_quantile_model(
-    train: Samples, tau: float, params: BackboneParams, workers: Workers | None = None
-) -> QuantileModel:
-    """Fit one pinball-loss regressor per horizon step at level tau, on
-    `workers` if given, else on a worker set of its own."""
-    return _train(train, _check_tau(tau), params, workers)
-
-
-def train_point_model(train: Samples, params: BackboneParams, workers: Workers | None = None) -> QuantileModel:
+def train_point_model(workers: Workers, params: BackboneParams) -> QuantileModel:
     """Fit the squared-error point predictor (same shape as a quantile model)."""
-    return _train(train, None, params, workers)
+    return workers._fit(None, params)

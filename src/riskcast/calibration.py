@@ -87,8 +87,6 @@ class QuantileEvaluator:
     """
 
     def __init__(self, workers: Workers, params: BackboneParams):
-        if workers.cal is None:
-            raise ValueError("the evaluator scores on a calibration split, and the worker set holds none")
         self.workers = workers
         self.params = params
         self.n_trainings = 0
@@ -99,7 +97,7 @@ class QuantileEvaluator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        model = train_quantile_model(self.workers.train, tau, self.params, workers=self.workers)
+        model = train_quantile_model(self.workers, tau, self.params)
         self.n_trainings += 1
         batch = PredictionBatch(model.calibration_preds, self.workers.cal.Y)
         ev = CandidateEvaluation(tau=float(tau), mae=mae(batch), over_rate=over_rate(batch), model=model)

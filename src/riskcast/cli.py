@@ -95,7 +95,8 @@ _RISK_KEYS = _keys(RiskBudgetConfig)
 # this value only, and is not written to config.json. Every tree fits every
 # training row, so subsample is 1.0.
 _BACKBONE_FIXED = {"kind": "boosted_trees", "subsample": 1.0}
-_BACKBONE_KEYS = (*_BACKBONE_FIXED, *_keys(BackboneParams))
+# backbone.seed, which older bundles name and training never read, takes any int and is dropped.
+_BACKBONE_KEYS = (*_BACKBONE_FIXED, "seed", *_keys(BackboneParams))
 _DATASET_KEYS = {"csv": _keys(data_mod.CsvSource),
                  "synthetic": (*_keys(data_mod.SyntheticSpec), "noise_model")}
 _NOISES = {cls.kind: cls for cls in (data_mod.NoNoise, data_mod.UniformNoise, data_mod.GaussianNoise,
@@ -221,7 +222,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         value = backbone_get(key, partial(_exact, kind=type(only)), only)
         if value != only:
             raise ConfigError(f"backbone.{key}: the only {key} is {only}, got {value!r}")
-    backbone = _read(BackboneParams, backbone_get, "backbone", {"seed": stage_seed(seed, "backbone")})
+    backbone_get("seed", partial(_exact, kind=int), 0)
+    backbone = _read(BackboneParams, backbone_get, "backbone")
     baselines = get("baselines", _list_of(str), (METHOD_POINT, METHOD_BUDGET_SCALE))
     unknown = set(baselines) - {METHOD_POINT, METHOD_BUDGET_SCALE}
     if unknown:
@@ -257,8 +259,8 @@ def load_config(
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping")
     if seed is not None:
-        # Derived stage seeds follow the override; an explicit backbone.seed
-        # in the file stays pinned.
+        # The derived dataset.seed follows the override; one explicit in the
+        # file stays pinned.
         raw = {**raw, "seed": seed}
     config = config_from_dict(raw)
     if output_dir is not None:
@@ -318,7 +320,7 @@ def calibrate_budgets(
         evaluator = QuantileEvaluator(workers, config.backbone)
         if METHOD_POINT in config.baselines or METHOD_BUDGET_SCALE in config.baselines:
             try:
-                point_model = train_point_model(train, config.backbone, workers=workers)
+                point_model = train_point_model(workers, config.backbone)
             except RiskcastError:
                 raise
             except Exception as exc:

@@ -66,7 +66,14 @@ class Trace:
     aux: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        ts = np.asarray(self.timestamps, dtype=np.int64)
+        given = np.asarray(self.timestamps)
+        try:
+            with np.errstate(invalid="ignore"):
+                ts = given.astype(np.int64)
+        except OverflowError:  # a Python int past 64 bits
+            ts = None
+        if ts is None or not np.all(ts == given):  # the cast truncates 1.7 to 1, and NaN to anything
+            raise ValueError("timestamps must be finite whole numbers of seconds within the 64-bit integer range")
         tp = np.asarray(self.throughput, dtype=np.float64)
         if ts.ndim != 1 or tp.ndim != 1 or len(ts) != len(tp):
             raise ValueError("timestamps and throughput must be 1-D and equal length")
@@ -239,7 +246,7 @@ class WindowedDataset:
     def _slice(self, lo: int, hi: int) -> Samples:
         return Samples(self.X[lo:hi], self.Y[lo:hi], self.origin_index[lo:hi], self.layout)
 
-    # Cached, so every reader of a split gets the same Samples, which a trainer can tell by identity.
+    # Cached, so every reader of a split gets the same Samples.
     @cached_property
     def train(self) -> Samples:
         return self._slice(0, self.train_end)

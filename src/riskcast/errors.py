@@ -62,6 +62,10 @@ class NonFiniteFeatures(RiskcastError):
     """A feature matrix passed for training or prediction holds NaN or infinite values."""
 
 
+class NonFiniteTargets(RiskcastError):
+    """A split passed for training or calibration holds NaN or infinite targets."""
+
+
 class EmptyBatch(RiskcastError):
     """A prediction batch contains no elements."""
 

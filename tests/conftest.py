@@ -5,6 +5,7 @@ import concurrent.futures
 import numpy as np
 import pytest
 
+from riskcast.backbone import Workers, train_point_model, train_quantile_model
 from riskcast.data import Samples
 
 
@@ -21,6 +22,13 @@ def iid_samples(
     X = rng.uniform(0.0, 1.0, size=(n, n_features))
     Y = rng.uniform(low, high, size=(n, horizon))
     return Samples(X=X, Y=Y, origin_index=np.arange(n), layout=layout)
+
+
+def fit_model(train: Samples, tau: float | None, params, cal: Samples | None = None):
+    """One fit at level tau (None for the point fit) on a worker set of its
+    own, whose calibration split is `cal`, else the training split itself."""
+    with Workers(train, train if cal is None else cal) as workers:
+        return train_point_model(workers, params) if tau is None else train_quantile_model(workers, tau, params)
 
 
 @pytest.fixture

@@ -102,25 +102,26 @@ def _stationary_dataset(length, seed, noise, history=8, horizon=2, ratios=(0.6, 
 def test_c03_quantile_coverage():
     with criterion(3, "held-out coverage within tau +/- 0.05"):
         ds = _stationary_dataset(60_000, seed=11, noise=rc.UniformNoise(40.0))
-        params = rc.BackboneParams(n_trees=60, max_depth=3, min_samples_leaf=100, seed=3)
-        for tau in (0.15, 0.25, 0.40):
-            start = time.perf_counter()
-            model = rc.train_quantile_model(ds.train, tau, params)
-            preds = model.predict(ds.test.X, ds.test.layout)
-            rate = rc.over_rate(PredictionBatch(preds, ds.test.Y))
-            elapsed = time.perf_counter() - start
-            assert abs(rate - tau) <= 0.05, f"tau={tau}: held-out over_rate {rate:.4f}"
-            assert elapsed < 120.0, f"tau={tau} took {elapsed:.0f}s"
+        params = rc.BackboneParams(n_trees=60, max_depth=3, min_samples_leaf=100)
+        with rc.Workers(ds.train, ds.calibration) as workers:
+            for tau in (0.15, 0.25, 0.40):
+                start = time.perf_counter()
+                model = rc.train_quantile_model(workers, tau, params)
+                preds = model.predict(ds.test.X, ds.test.layout)
+                rate = rc.over_rate(PredictionBatch(preds, ds.test.Y))
+                elapsed = time.perf_counter() - start
+                assert abs(rate - tau) <= 0.05, f"tau={tau}: held-out over_rate {rate:.4f}"
+                assert elapsed < 120.0, f"tau={tau} took {elapsed:.0f}s"
 
 
 def test_c04_point_predictor_unsafety():
     with criterion(4, "point backbone violates the budget; selected quantile does not"):
         ds = _stationary_dataset(20_000, seed=21, noise=rc.UniformNoise(40.0))
-        params = rc.BackboneParams(n_trees=40, max_depth=3, min_samples_leaf=60, seed=5)
+        params = rc.BackboneParams(n_trees=40, max_depth=3, min_samples_leaf=60)
         epsilon = 0.35
 
         with rc.Workers(ds.train, ds.calibration) as workers:
-            point = rc.train_point_model(ds.train, params, workers=workers)
+            point = rc.train_point_model(workers, params)
             evaluator = QuantileEvaluator(workers, params)
             sel = run_selection(
                 RiskBudgetConfig(epsilon=epsilon), evaluator,
@@ -261,7 +262,7 @@ def test_c08_safety_dominance_on_heteroscedastic_data():
             )
             trace = rc.generate_synthetic(spec)
             ds = rc.make_windows(trace, 8, 2, (0.5, 0.25, 0.25))
-            params = rc.BackboneParams(n_trees=40, max_depth=3, min_samples_leaf=60, seed=seed)
+            params = rc.BackboneParams(n_trees=40, max_depth=3, min_samples_leaf=60)
 
             with rc.Workers(ds.train, ds.calibration) as workers:
                 evaluator = QuantileEvaluator(workers, params)
@@ -269,7 +270,7 @@ def test_c08_safety_dominance_on_heteroscedastic_data():
                     RiskBudgetConfig(epsilon=0.35), evaluator,
                     penalty=1000.0 * float(np.mean(ds.train.Y)),
                 )
-                point = rc.train_point_model(ds.train, params, workers=workers)
+                point = rc.train_point_model(workers, params)
             achieved_cal_rate = next(
                 e.over_rate for e in sel.fine_grid if e.tau == sel.tau_star
             )

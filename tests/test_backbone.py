@@ -34,11 +34,10 @@ from riskcast.backbone import (
     train_point_model,
     train_quantile_model,
 )
-from riskcast.calibration import QuantileEvaluator
 from riskcast.data import GaussianNoise, Samples, SyntheticSpec, generate_synthetic, make_windows
-from riskcast.errors import EmptyTrainingSet, InvalidTau, LayoutMismatch, NonFiniteFeatures
+from riskcast.errors import EmptyTrainingSet, InvalidTau, LayoutMismatch, NonFiniteFeatures, NonFiniteTargets
 
-from conftest import iid_samples
+from conftest import fit_model, iid_samples
 
 
 class TestPinball:
@@ -192,44 +191,46 @@ class TestTraining:
     def test_constant_target(self, tau):
         train = constant_samples(value=40.0)
         params = BackboneParams(n_trees=20, max_depth=3, min_samples_leaf=5)
-        model = train_quantile_model(train, tau, params)
+        model = fit_model(train, tau, params)
         preds = model.predict(train.X, train.layout)
         assert np.all(np.abs(preds - 40.0) < 1e-6)
 
     def test_constant_target_point(self):
         train = constant_samples(value=25.0)
-        model = train_point_model(train, BackboneParams(n_trees=10))
+        model = fit_model(train, None, BackboneParams(n_trees=10))
         preds = model.predict(train.X, train.layout)
         assert np.all(np.abs(preds - 25.0) < 1e-6)
 
     def test_uninformative_features_hit_target_quantile(self, rng):
         train = iid_samples(rng, n=4000, low=50.0, high=150.0)
         tau = 0.3
-        params = BackboneParams(n_trees=30, max_depth=3, min_samples_leaf=200, seed=5)
-        model = train_quantile_model(train, tau, params)
+        params = BackboneParams(n_trees=30, max_depth=3, min_samples_leaf=200)
+        model = fit_model(train, tau, params)
         preds = model.predict(train.X, train.layout)
         target = np.quantile(train.Y[:, 0], tau)
         assert abs(preds.mean() - target) <= 0.02 * 100.0  # 2% of target range
 
     def test_uninformative_features_hit_mean(self, rng):
         train = iid_samples(rng, n=4000, low=50.0, high=150.0)
-        params = BackboneParams(n_trees=30, max_depth=3, min_samples_leaf=200, seed=5)
-        model = train_point_model(train, params)
+        params = BackboneParams(n_trees=30, max_depth=3, min_samples_leaf=200)
+        model = fit_model(train, None, params)
         preds = model.predict(train.X, train.layout)
         assert abs(preds.mean() - train.Y[:, 0].mean()) <= 0.02 * 100.0
 
     def test_determinism(self, rng):
-        # Training draws nothing from the seed, so fits at two seeds agree bit for bit.
+        # Training draws nothing at random, so two fits of one split agree bit for bit.
         train = iid_samples(rng, n=500, horizon=2)
-        for fit in (lambda p: train_quantile_model(train, 0.25, p), lambda p: train_point_model(train, p)):
-            a, b = (fit(BackboneParams(n_trees=15, max_depth=4, seed=s)).horizon_models for s in (11, 12))
+        params = BackboneParams(n_trees=15, max_depth=4)
+        for tau in (0.25, None):
+            a, b = (fit_model(train, tau, params).horizon_models for _ in range(2))
             assert [regressor_bytes(m) for m in a] == [regressor_bytes(m) for m in b]
 
     def test_quantile_monotonicity_on_aggregate(self, rng):
         train = iid_samples(rng, n=2000)
-        params = BackboneParams(n_trees=20, max_depth=3, min_samples_leaf=50, seed=2)
-        low = train_quantile_model(train, 0.2, params)
-        high = train_quantile_model(train, 0.45, params)
+        params = BackboneParams(n_trees=20, max_depth=3, min_samples_leaf=50)
+        with Workers(train, train) as workers:
+            low = train_quantile_model(workers, 0.2, params)
+            high = train_quantile_model(workers, 0.45, params)
         mean_low = low.predict(train.X, train.layout).mean()
         mean_high = high.predict(train.X, train.layout).mean()
         assert mean_low <= mean_high
@@ -242,7 +243,7 @@ class TestTraining:
         X[:, 1] = rng.uniform(0, 1, size=n)
         Y = np.where(X[:, 0] > 0.5, 80.0, 20.0).reshape(-1, 1)
         train = Samples(X=X, Y=Y, origin_index=np.arange(n), layout=("flag", "junk"))
-        model = train_point_model(train, BackboneParams(n_trees=60, max_depth=2, min_samples_leaf=10))
+        model = fit_model(train, None, BackboneParams(n_trees=60, max_depth=2, min_samples_leaf=10))
         preds = model.predict(np.array([[1.0, 0.3], [0.0, 0.9]]), ("flag", "junk"))
         assert preds[0, 0] == pytest.approx(80.0, abs=0.5)
         assert preds[1, 0] == pytest.approx(20.0, abs=0.5)
@@ -253,11 +254,12 @@ class TestTraining:
             layout=("a", "b"),
         )
         with pytest.raises(EmptyTrainingSet):
-            train_quantile_model(empty, 0.3, BackboneParams())
+            Workers(empty, empty)
 
     def test_invalid_tau(self):
+        train = constant_samples()
         with pytest.raises(InvalidTau):
-            train_quantile_model(constant_samples(), 1.2, BackboneParams())
+            train_quantile_model(Workers(train, train), 1.2, BackboneParams())
 
     def test_coverage_on_feature_independent_noise(self, rng):
         # fraction of targets below the forecast should track tau out of sample
@@ -267,12 +269,13 @@ class TestTraining:
         samples = Samples(X=X, Y=Y, origin_index=np.arange(n), layout=("a", "b", "c"))
         train = Samples(samples.X[:8000], samples.Y[:8000], samples.origin_index[:8000], samples.layout)
         held = Samples(samples.X[8000:], samples.Y[8000:], samples.origin_index[8000:], samples.layout)
-        params = BackboneParams(n_trees=25, max_depth=3, min_samples_leaf=200, seed=3)
-        for tau in (0.15, 0.25, 0.40):
-            model = train_quantile_model(train, tau, params)
-            preds = model.predict(held.X, held.layout)
-            below = np.mean(held.Y < preds)
-            assert abs(below - tau) <= 0.05
+        params = BackboneParams(n_trees=25, max_depth=3, min_samples_leaf=200)
+        with Workers(train, held) as workers:
+            for tau in (0.15, 0.25, 0.40):
+                model = train_quantile_model(workers, tau, params)
+                preds = model.predict(held.X, held.layout)
+                below = np.mean(held.Y < preds)
+                assert abs(below - tau) <= 0.05
 
 
 COLUMN_KINDS = ("constant", "two_valued", "tied", "many")
@@ -501,8 +504,8 @@ class TestParallelTrainer:
     def test_each_column_equals_a_fit_in_this_process(self, rng, monkeypatch, pools, tau):
         self.cpus(monkeypatch, 2)
         train = iid_samples(rng, 400, horizon=3, n_features=5)
-        params = BackboneParams(n_trees=5, max_depth=3, min_samples_leaf=15, seed=9)
-        model = train_point_model(train, params) if tau is None else train_quantile_model(train, tau, params)
+        params = BackboneParams(n_trees=5, max_depth=3, min_samples_leaf=15)
+        model = fit_model(train, tau, params)
         assert pools == [2]
         assert len(model.horizon_models) == 3
         for h, fitted in enumerate(model.horizon_models):
@@ -515,7 +518,7 @@ class TestParallelTrainer:
                                                           workers):
         self.cpus(monkeypatch, cpus)
         train = iid_samples(rng, 100, horizon=horizon)
-        train_quantile_model(train, 0.5, BackboneParams(n_trees=2, max_depth=2))
+        fit_model(train, 0.5, BackboneParams(n_trees=2, max_depth=2))
         assert pools == ([] if workers is None else [workers])  # one worker fits in this process
         assert multiprocessing.active_children() == []
 
@@ -525,7 +528,7 @@ class TestParallelTrainer:
         other = threading.Thread(target=release.wait, args=(60,))
         other.start()
         try:
-            model = train_quantile_model(iid_samples(rng, 100, horizon=2), 0.5, BackboneParams(n_trees=2))
+            model = fit_model(iid_samples(rng, 100, horizon=2), 0.5, BackboneParams(n_trees=2))
         finally:
             release.set()
             other.join(timeout=60)
@@ -537,7 +540,7 @@ class TestParallelTrainer:
         self.cpus(monkeypatch, 2)
         train = iid_samples(rng, 100, horizon=2)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            model = pool.apply_async(train_quantile_model, (train, 0.5, BackboneParams(n_trees=2))).get(60)
+            model = pool.apply_async(fit_model, (train, 0.5, BackboneParams(n_trees=2))).get(60)
         assert model.horizon == 2
 
     def test_workers_die_with_a_killed_caller(self, tmp_path):
@@ -547,7 +550,7 @@ class TestParallelTrainer:
             import os, sys, time
             import numpy as np
             import riskcast.backbone
-            from riskcast.backbone import BackboneParams, train_quantile_model
+            from riskcast.backbone import BackboneParams, Workers, train_quantile_model
             from riskcast.data import Samples
 
             def fit(*args):
@@ -560,7 +563,8 @@ class TestParallelTrainer:
             riskcast.backbone._fit_boosted_column = fit
             X = np.arange(20.0).reshape(10, 2)
             samples = Samples(X, np.ones((10, 2)), np.arange(10), ("a", "b"))
-            train_quantile_model(samples, 0.5, BackboneParams(n_trees=1))
+            with Workers(samples, samples) as workers:
+                train_quantile_model(workers, 0.5, BackboneParams(n_trees=1))
         """))
         # Leaving the with block closes the caller's stdout pipe.
         with subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True,
@@ -591,7 +595,7 @@ class TestParallelTrainer:
         self.cpus(monkeypatch, 2)
         train = iid_samples(rng, 100, horizon=2)
         with pytest.raises(ColumnFailure if fail == "raise" else BrokenProcessPool):
-            train_quantile_model(train, 0.5, BackboneParams(n_trees=2, max_depth=2))
+            fit_model(train, 0.5, BackboneParams(n_trees=2, max_depth=2))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
@@ -601,17 +605,11 @@ class TestParallelTrainer:
         self.cpus(monkeypatch, cpus)
         train, cal = iid_samples(rng, 400, horizon=3, n_features=5), iid_samples(rng, 150, horizon=3, n_features=5)
         params = BackboneParams(n_trees=5, max_depth=3, min_samples_leaf=15)
-        with Workers(train, cal) as workers:
-            if tau is None:
-                model = train_point_model(train, params, workers=workers)
-            else:
-                model = train_quantile_model(train, tau, params, workers=workers)
+        model = fit_model(train, tau, params, cal)
         assert pools == ([] if cpus == 1 else [2])
         assert multiprocessing.active_children() == []
         assert model.calibration_preds.shape == (150, 3)
         assert model.calibration_preds.tobytes() == model.predict(cal.X, cal.layout).tobytes()
-        alone = train_point_model(train, params) if tau is None else train_quantile_model(train, tau, params)
-        assert alone.calibration_preds is None  # a worker set of its own, without a calibration split
 
     def test_bad_calibration_features_fail_before_any_fork(self, rng, monkeypatch, pools):
         self.cpus(monkeypatch, 2)
@@ -633,28 +631,34 @@ class TestParallelTrainer:
         X = train.X.copy()
         X[3, 1] = bad
         with pytest.raises(NonFiniteFeatures, match="the first in column 'junk.lag1'"):
-            train_quantile_model(Samples(X, train.Y, train.origin_index, train.layout), 0.3, BackboneParams(n_trees=2))
+            fit_model(Samples(X, train.Y, train.origin_index, train.layout), 0.3, BackboneParams(n_trees=2))
+        assert pools == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("split", ["training", "calibration"])
+    def test_non_finite_targets_fail_before_any_fork(self, rng, monkeypatch, pools, split, bad):
+        # A non-finite target would make every prediction of its column NaN.
+        self.cpus(monkeypatch, 2)
+        splits = {"training": iid_samples(rng, 200, horizon=3), "calibration": iid_samples(rng, 60, horizon=3)}
+        Y = splits[split].Y.copy()
+        Y[5, 1] = Y[9, 2] = bad
+        splits[split] = Samples(splits[split].X, Y, splits[split].origin_index, splits[split].layout)
+        match = f"^the {split} split's Y holds 2 non-finite values, the first in column 1$"
+        for tau in (0.3, None):
+            with pytest.raises(NonFiniteTargets, match=match):
+                fit_model(splits["training"], tau, BackboneParams(n_trees=2), splits["calibration"])
         assert pools == []
 
     def test_a_worker_set_fits_its_own_training_split_only(self, rng, monkeypatch):
         self.cpus(monkeypatch, 2)
         train, cal = iid_samples(rng, 200, horizon=2), iid_samples(rng, 60, horizon=2)
-        params = BackboneParams(n_trees=3, max_depth=2)
-        with Workers(train, cal) as workers:
-            model = train_quantile_model(train, 0.3, params, workers=workers)
-            with pytest.raises(ValueError, match="another training split"):
-                train_quantile_model(cal, 0.3, params, workers=workers)
+        model = fit_model(train, 0.3, BackboneParams(n_trees=3, max_depth=2), cal)
+        assert model.feature_layout == train.layout
         with pytest.raises(LayoutMismatch):
             model.predict(cal.X, cal.layout[::-1])
         with pytest.raises(LayoutMismatch):
             model.predict(cal.X[:, :-1], cal.layout)
         assert multiprocessing.active_children() == []
-
-    def test_the_evaluator_needs_a_calibration_split(self, rng):
-        train = iid_samples(rng, 100, horizon=2)
-        with Workers(train) as workers:
-            with pytest.raises(ValueError, match="calibration split"):
-                QuantileEvaluator(workers, BackboneParams(n_trees=2))
 
 
 def paper_shaped_windows(length: int = 10_000):
@@ -669,13 +673,14 @@ PAPER_SHAPED_PARAMS = BackboneParams(n_trees=1, max_depth=6, learning_rate=0.5, 
 class TestMemory:
     def test_no_float_feature_matrix_is_built(self):
         small = paper_shaped_windows(400)  # so that what a first fit imports is not counted
-        Workers(small.train, small.calibration).fit(0.3, PAPER_SHAPED_PARAMS).predict(small.test.X, small.test.layout)
+        model = train_quantile_model(Workers(small.train, small.calibration), 0.3, PAPER_SHAPED_PARAMS)
+        model.predict(small.test.X, small.test.layout)
         tracemalloc.start()
         try:
             ds = paper_shaped_windows()
             workers = Workers(ds.train, ds.calibration)
             building = tracemalloc.get_traced_memory()[1]
-            model = workers.fit(0.3, PAPER_SHAPED_PARAMS)  # in this process: the set is not entered
+            model = train_quantile_model(workers, 0.3, PAPER_SHAPED_PARAMS)  # in this process: the set is not entered
             del workers  # as a run shuts its worker set down before the first test prediction
             tracemalloc.reset_peak()
             model.predict(ds.test.X, ds.test.layout)
@@ -691,14 +696,15 @@ class TestMemory:
         # A fresh process, so no earlier test has shaped its heap.
         script = textwrap.dedent("""
             import resource
-            from riskcast.backbone import Workers
+            from riskcast.backbone import Workers, train_point_model, train_quantile_model
             from test_backbone import PAPER_SHAPED_PARAMS, paper_shaped_windows
 
             ds = paper_shaped_windows()
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             workers = Workers(ds.train, ds.calibration)  # not entered: every column is fitted in this process
-            for tau in (0.2, 0.3, None):
-                workers.fit(tau, PAPER_SHAPED_PARAMS)
+            train_quantile_model(workers, 0.2, PAPER_SHAPED_PARAMS)
+            train_quantile_model(workers, 0.3, PAPER_SHAPED_PARAMS)
+            train_point_model(workers, PAPER_SHAPED_PARAMS)
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """)
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,

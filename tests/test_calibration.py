@@ -242,7 +242,7 @@ class TestEvaluatorCache:
     def test_cache_hits_do_not_retrain(self, rng):
         train = iid_samples(rng, n=300)
         cal = iid_samples(rng, n=200)
-        params = BackboneParams(n_trees=5, max_depth=2, seed=1)
+        params = BackboneParams(n_trees=5, max_depth=2)
         with Workers(train, cal) as workers:
             ev = QuantileEvaluator(workers, params)
             first = ev(0.25)
@@ -254,7 +254,7 @@ class TestEvaluatorCache:
     def test_evaluate_candidate_scores_calibration_split(self, rng):
         train = iid_samples(rng, n=400)
         cal = iid_samples(rng, n=300)
-        params = BackboneParams(n_trees=10, max_depth=2, min_samples_leaf=50, seed=2)
+        params = BackboneParams(n_trees=10, max_depth=2, min_samples_leaf=50)
         with Workers(train, cal) as workers:
             ev = QuantileEvaluator(workers, params)(0.25)
         preds = ev.model.predict(cal.X, cal.layout)
@@ -267,7 +267,7 @@ class TestEvaluatorCache:
     def test_select_quantile_end_to_end(self, rng):
         train = iid_samples(rng, n=3000)
         cal = iid_samples(rng, n=2000)
-        params = BackboneParams(n_trees=20, max_depth=2, min_samples_leaf=200, seed=7)
+        params = BackboneParams(n_trees=20, max_depth=2, min_samples_leaf=200)
         result = select_quantile(RiskBudgetConfig(epsilon=0.35), train, cal, params)
         assert result.feasible
         selected = next(e for e in result.fine_grid if e.tau == result.tau_star)

@@ -105,9 +105,8 @@ class TestConfig:
         a = load_config(path)
         b = load_config(path, seed=99)
         assert b.seed == 99
-        assert b.backbone.seed == stage_seed(99, "backbone")
-        assert a.backbone.seed != b.backbone.seed
         assert b.dataset.seed == stage_seed(99, "data")
+        assert a.dataset.seed != b.dataset.seed
 
     def test_epsilon_and_output_overrides(self, tmp_path):
         path = write_config(tmp_path)
@@ -196,6 +195,18 @@ class TestRunExperiment:
         for name in ("selection.json", "reports.json", "metrics_long.csv", "config.json"):
             assert (out / name).read_bytes() == (bundle.output_dir / name).read_bytes(), name
 
+    def test_old_config_json_naming_backbone_seed_repeats_the_run(self, bundle, tmp_path):
+        # Bundles written while BackboneParams took a seed record the derived
+        # one, which training never read; config.json no longer names it.
+        old = json.loads((bundle.output_dir / "config.json").read_text())
+        assert "seed" not in old["backbone"]
+        old["backbone"]["seed"] = stage_seed(old["seed"], "backbone")
+        path, out = tmp_path / "config.json", tmp_path / "rerun"
+        path.write_text(json.dumps(old))
+        assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+        for name in ("selection.json", "reports.json", "metrics_long.csv", "config.json"):
+            assert (out / name).read_bytes() == (bundle.output_dir / name).read_bytes(), name
+
     def test_a_failed_fine_grid_fit_fails_with_stage(self, bundle, tmp_path, monkeypatch, capsys):
         # The middle of a five-level fine grid is the bracket's midpoint,
         # which bisection stopped short of evaluating.
@@ -204,10 +215,10 @@ class TestRunExperiment:
         failing = bundle.selection.fine_grid[2].tau
         train = riskcast.calibration.train_quantile_model
 
-        def fit(samples, tau, params, workers=None):
+        def fit(workers, tau, params):
             if tau == failing:
                 raise RuntimeError("fit failed")
-            return train(samples, tau, params, workers=workers)
+            return train(workers, tau, params)
 
         monkeypatch.setattr(riskcast.calibration, "train_quantile_model", fit)
         config = bundle.output_dir / "config.json"
@@ -263,7 +274,7 @@ class TestProtocolSeparation:
                 evaluator = QuantileEvaluator(workers, config.backbone)
                 penalty = 1000.0 * float(np.mean(ds.train.Y))
                 sel = run_selection(config.risk, evaluator, penalty=penalty)
-                pm = train_point_model(ds.train, config.backbone, workers=workers)
+                pm = train_point_model(workers, config.backbone)
             cal_b = PredictionBatch(pm.predict(ds.calibration.X, ds.calibration.layout), ds.calibration.Y)
             scale = budget_scale_search(cal_b, config.risk.epsilon)
             results.append((sel.tau_star, scale.c_star))
@@ -464,6 +475,7 @@ class TestCommands:
         ("dataset: {kind: synthetic, length: 100, base_level: .nan}", "dataset.base_level"),
         ("dataset: {kind: synthetic, length: 100, base_level: .inf}", "dataset.base_level"),
         (f"dataset: {{kind: synthetic, length: 100, base_level: 1{'0' * 400}}}", "dataset.base_level"),
+        (f"{SYNTH}\nbackbone: {{seed: 1.5}}", "backbone.seed"),
     ], ids=["dataset-kind", "backbone-key", "gaussian-sigma", "uniform-half-width", "cyclic-base",
             "risk-key", "top-key", "top-key-admission", "dataset-key", "noise-key",
             "backbone-not-mapping", "risk-not-mapping", "dataset-not-mapping", "risk-null-value",
@@ -475,7 +487,7 @@ class TestCommands:
             "history-bool", "seed-float", "length-float", "grid-size-float", "horizon-float",
             "epsilon-string", "sigma-string", "n-trees-bool", "learning-rate-bool", "delta-nan", "lambda-nan",
             "sigma-nan", "half-width-nan", "period-nan", "base-level-nan", "base-level-inf",
-            "base-level-int-beyond-float"])
+            "base-level-int-beyond-float", "backbone-seed-float"])
     def test_run_with_bad_config_fails_with_stage(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text + "\n")
@@ -861,7 +873,7 @@ class TestCorruptInputs:
     def test_broken_config_fails_before_training(self, tmp_path, capsys, raw):
         path = tmp_path / "broken.yaml"
         path.write_text(yaml.safe_dump({**raw, "output_dir": str(tmp_path / "out")}))
-        with mock.patch.object(riskcast.backbone, "_train", side_effect=AssertionError("trained")):
+        with mock.patch.object(riskcast.backbone.Workers, "__init__", side_effect=AssertionError("trained")):
             code = main(["run", "--config", str(path)])
         captured = capsys.readouterr()
         assert code in (2, 3)

@@ -181,7 +181,7 @@ class TestWindows:
         params = BackboneParams(n_trees=2, max_depth=2, min_samples_leaf=5)
         with Workers(ds.train, ds.calibration) as workers:
             QuantileEvaluator(workers, params)(0.3)
-            train_point_model(ds.train, params, workers=workers)
+            train_point_model(workers, params)
         assert shapes == [ds.train.X.shape]
 
     def test_split_chronology(self):
@@ -385,6 +385,28 @@ class TestTraceInvariants:
     def test_rejects_decreasing_timestamps(self):
         with pytest.raises(NonMonotoneTimestamps):
             Trace("bad", np.array([3, 2, 1]), np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("timestamps", [
+        [0.5, 1.7, 2.2],  # was truncated to [0, 1, 2]
+        [0.0, 1.0, 2.5],
+        [0.0, 1.0, np.nan],
+        [0.0, 1.0, np.inf],
+        [-np.inf, 0.0, 1.0],
+        [0.0, 1.0, 2.0**63],  # one past int64's largest
+        np.array([0, 1, 2**63], dtype=np.uint64),
+        [0, 1, 2**70],
+    ], ids=["fractions", "one-fraction", "nan", "inf", "-inf", "float-past-int64", "uint64-past-int64",
+            "int-past-int64"])
+    def test_rejects_timestamps_that_are_not_whole_int64_seconds(self, timestamps):
+        with pytest.raises(ValueError, match="whole numbers of seconds within the 64-bit integer range"):
+            Trace("bad", timestamps, [1.0, 2.0, 3.0])
+
+    def test_whole_float_timestamps_pass(self):
+        assert Trace("whole", [0.0, 1.0, 3.0], [1.0, 2.0, 3.0]).timestamps.tolist() == [0, 1, 3]
+        low = Trace("low", [-(2.0**63), 0.0], [1.0, 2.0])
+        assert low.timestamps.tolist() == [-(2**63), 0] and low.timestamps.dtype == np.int64
+        top = np.array([0, 2**63 - 1], dtype=np.uint64)
+        assert Trace("top", top, [1.0, 2.0]).timestamps.tolist() == [0, 2**63 - 1]
 
     def test_timestamps_are_ordered_without_subtracting(self):
         # np.diff of these int64 timestamps wraps: to a negative step when
