@@ -172,10 +172,8 @@ class BinnedFeatures:
 
     Each such feature owns one segment of `width` consecutive cells, the
     first of them at `starts`. For each cell, `feature` and `bin` hold what
-    it counts, and `valid` whether it is a split candidate (a bin below the
-    feature's cut count), so `_best_splits` scans all cells in one flat
-    pass. They are fields of the split, made once with it, so forked
-    workers inherit them.
+    it counts, so `_best_splits` scans all cells in one flat pass. They are
+    fields of the split, made once with it, so forked workers inherit them.
     """
 
     codes: np.ndarray
@@ -187,7 +185,6 @@ class BinnedFeatures:
     starts: np.ndarray
     feature: np.ndarray
     bin: np.ndarray
-    valid: np.ndarray
 
     @staticmethod
     def of(X: WindowMatrix | np.ndarray) -> "BinnedFeatures":
@@ -212,7 +209,7 @@ class BinnedFeatures:
         return BinnedFeatures(
             codes, cuts, tuple(groups), cells, n_cells,
             root_counts=np.bincount(cells.ravel(), minlength=n_cells),
-            starts=starts, feature=feature, bin=bin_, valid=bin_ < n_cuts[feature],
+            starts=starts, feature=feature, bin=bin_,
         )
 
 
@@ -249,7 +246,10 @@ def _best_splits(
     sums run within each feature from its bin 0, group by group into one
     buffer. The gains are then computed in place over (nodes, cells), every
     cell through the same float operations in the same order as the formula
-    written out; cells that are not candidates get -inf. Each group's argmax
+    written out; cells that are not candidates get -inf. A cell at or past
+    its feature's last bin sends the whole node left, so its n_right is 0;
+    min_samples_leaf >= 1, which BackboneParams enforces, is what keeps
+    such a cell from being a candidate. Each group's argmax
     takes the lowest feature and bin of its best gain, and ties between
     groups go to the lower feature.
 
@@ -302,7 +302,6 @@ def _best_splits(
     n_right = sizes[:, None] - cum_n
     ok = cum_n >= min_samples_leaf
     ok &= n_right >= min_samples_leaf
-    ok &= binned.valid
     if tau is None:
         total_g = np.asarray([target[idx].sum() for idx in nodes], dtype=np.float64)
         cum_g = np.empty((k, n_cells))

@@ -36,7 +36,7 @@ class RiskBudgetConfig:
     enough that any violation dominates accuracy differences.
     """
 
-    epsilon: float
+    epsilon: float = 0.35
     tau_min: float = 0.15
     tau_max: float = 0.40
     delta: float = 0.05

@@ -15,10 +15,9 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
-from functools import partial
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -54,20 +53,44 @@ def stage_seed(seed: int, stage: str) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's config; it checks its own ranges, so a config built in code
+    is checked as one read from a file is. A rejected value raises
+    ConfigError naming its YAML key."""
+
     dataset: data_mod.CsvSource | data_mod.SyntheticSpec
     history: int = 75
     horizon: int = 15
     split_ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
-    risk: RiskBudgetConfig = field(default_factory=lambda: RiskBudgetConfig(epsilon=0.35))
+    risk: RiskBudgetConfig = field(default_factory=RiskBudgetConfig)
     backbone: BackboneParams = field(default_factory=BackboneParams)
     baselines: tuple[str, ...] = (METHOD_POINT, METHOD_BUDGET_SCALE)
     admission_b: float = 10.0
     seed: int = 0
     output_dir: str = "runs/experiment"
 
+    def __post_init__(self) -> None:
+        for key, value in (("L", self.history), ("H", self.horizon)):
+            if not value >= 1:
+                raise ConfigError(f"config.{key}: must be >= 1, got {value}")
+        try:
+            data_mod.check_split_ratios(self.split_ratios)
+        except ValueError as exc:
+            raise ConfigError(f"config.split_ratios: {exc}") from exc
+        unknown = set(self.baselines) - {METHOD_POINT, METHOD_BUDGET_SCALE}
+        if unknown:
+            raise ConfigError(f"config.baselines: unknown baselines {sorted(unknown)}")
+        if not 0.0 < self.admission_b <= sys.float_info.max:
+            raise ConfigError(f"config.admission_b: must be a finite number > 0, got {self.admission_b}")
+
 
 # The fields that the YAML and config.json name otherwise.
 _YAML_KEYS = {"history": "L", "horizon": "H", "grid_size": "M", "penalty": "lambda"}
+# The key that older configs name a field by, read as that field.
+_OLD_KEYS = {"noise": "noise_model"}
+# Backbone keys that name the one behaviour there is: each is accepted with
+# this value only, and is not written to config.json. Every tree fits every
+# training row, so subsample is 1.0.
+_BACKBONE_FIXED = {"kind": "boosted_trees", "subsample": 1.0}
 
 
 def _keys(cls) -> tuple[str, ...]:
@@ -87,44 +110,6 @@ def config_hash(config: ExperimentConfig) -> str:
     """Hash of every semantically meaningful field (output_dir excluded)."""
     canonical = json.dumps(config_dict(config), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-_TOP_KEYS = _keys(ExperimentConfig)
-_RISK_KEYS = _keys(RiskBudgetConfig)
-# Backbone keys that name the one behaviour there is: each is accepted with
-# this value only, and is not written to config.json. Every tree fits every
-# training row, so subsample is 1.0.
-_BACKBONE_FIXED = {"kind": "boosted_trees", "subsample": 1.0}
-# backbone.seed, which older bundles name and training never read, takes any int and is dropped.
-_BACKBONE_KEYS = (*_BACKBONE_FIXED, "seed", *_keys(BackboneParams))
-_DATASET_KEYS = {"csv": _keys(data_mod.CsvSource),
-                 "synthetic": (*_keys(data_mod.SyntheticSpec), "noise_model")}
-_NOISES = {cls.kind: cls for cls in (data_mod.NoNoise, data_mod.UniformNoise, data_mod.GaussianNoise,
-                                     data_mod.CyclicScaleNoise)}
-_REQUIRED = object()
-
-
-def _section(value, name: str, allowed=None):
-    """get(key, convert, default) over a mapping (null reads as empty) that holds
-    only `allowed` keys; a value that fails to convert is reported as name.key."""
-    raw = {} if value is None else value
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name} must be a mapping, got {value!r}")
-    unknown = set(raw) - set(allowed) if allowed is not None else set()
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-
-    def get(key: str, convert, default=_REQUIRED):
-        if key not in raw:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing key {key!r} in {name}")
-            return default
-        try:
-            return convert(raw[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}.{key}: {exc}") from exc
-
-    return get
 
 
 def _build(name: str, make, /, **kwargs):
@@ -147,100 +132,81 @@ def _exact(value, kind: type):
     return value
 
 
-def _typed(value, hint):
-    """The value unchanged if it passes _exact for the annotation `hint`:
-    int, float or str, or one of them `| None`."""
-    if value is None and type(None) in get_args(hint):
-        return value
-    return _exact(value, (get_args(hint) or (hint,))[0])
+def _value(hint, value, name: str):
+    """A config value that is not a section, read by its annotation `hint`:
+    a tuple[...] from a list, a dict[str, str] from a mapping (null reading
+    as empty), X | None also from null, and anything else as _exact reads
+    it. A value that fails is reported as `name`."""
+    args = get_args(hint)
+    try:
+        if value is None and type(None) in args:
+            return None
+        if get_origin(hint) is tuple:
+            return tuple(_exact(item, args[0]) for item in _exact(value, list))
+        if get_origin(hint) is dict:
+            mapping = _exact({} if value is None else value, dict)
+            return {_exact(key, args[0]): _exact(item, args[1]) for key, item in mapping.items()}
+        return _exact(value, args[0] if args else hint)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _list_of(kind: type):
-    return lambda values: tuple(_exact(value, kind) for value in _exact(values, list))
-
-
-def _schema(value) -> dict[str, str]:
-    """dataset.schema: canonical field -> column name, null reading as empty."""
-    mapping = _exact({} if value is None else value, dict)
-    return {_exact(key, str): _exact(column, str) for key, column in mapping.items()}
-
-
-def _at_least_one(value) -> int:
-    if _exact(value, int) < 1:
-        raise ValueError(f"must be >= 1, got {value}")
-    return value
-
-
-def _positive_finite(value) -> float:
-    if not _exact(value, float) > 0.0:
-        raise ValueError(f"must be a finite number > 0, got {value}")
-    return value
-
-
-def _read(cls, get, name: str, defaults: dict | None = None, /, **given):
-    """cls built from the config section that `get` reads: each init field not
-    `given` is read under its YAML key and must pass _typed for its annotation;
-    a missing one takes its `defaults` entry, else the dataclass default."""
-    hints, defaults = get_type_hints(cls), defaults or {}
+def _read(cls, raw, name: str, defaults: dict | None = None, /, **given):
+    """cls built from its config section `raw`, a mapping (null reads as
+    empty) that holds only cls's keys. A union of dataclasses is the member
+    whose kind the section names, else the kind in `defaults`. Each init
+    field not `given` is read under its YAML key: a dataclass, or a union
+    of them, as a nested section whose missing kind is that of the field's
+    default_factory (noise: none), anything else by _value. A missing field
+    takes its `defaults` entry, else the dataclass default."""
+    section, defaults = {} if raw is None else raw, defaults or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a mapping, got {raw!r}")
+    if get_args(cls):
+        kinds = {member.kind: member for member in get_args(cls)}
+        kind = _value(str, section["kind"], f"{name}.kind") if "kind" in section else defaults.get("kind")
+        if kind is None:
+            raise ConfigError(f"missing key 'kind' in {name}")
+        if kind not in kinds:
+            raise ConfigError(f"unknown {name} kind {kind!r}")
+        cls = kinds[kind]
+    unknown = set(section) - {*_keys(cls), *(_OLD_KEYS[f.name] for f in fields(cls) if f.name in _OLD_KEYS)}
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown, key=str)}")
+    hints = get_type_hints(cls)
     for f in fields(cls):
-        if f.init and f.name not in given:
-            default = defaults.get(f.name, _REQUIRED if f.default is MISSING else f.default)
-            given[f.name] = get(_YAML_KEYS.get(f.name, f.name), partial(_typed, hint=hints[f.name]), default)
+        if not f.init or f.name in given:
+            continue
+        key = _OLD_KEYS[f.name] if _OLD_KEYS.get(f.name) in section else _YAML_KEYS.get(f.name, f.name)
+        hint, args = hints[f.name], get_args(hints[f.name])
+        if key not in section:
+            if f.name in defaults:
+                given[f.name] = defaults[f.name]
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing key {key!r} in {name}")
+        elif is_dataclass(hint) or args and all(map(is_dataclass, args)):
+            given[f.name] = _read(hint, section[key], key if name == "config" else f"{name}.{key}",
+                                  {"kind": getattr(f.default_factory, "kind", None)})
+        else:
+            given[f.name] = _value(hint, section[key], f"{name}.{key}")
     return _build(name, cls, **given)
 
 
-def _noise(raw, name: str):
-    """A noise model from its section; null, or no kind, means no noise."""
-    kind = _section(raw, name)("kind", partial(_exact, kind=str), "none")
-    if kind not in _NOISES:
-        raise ConfigError(f"unknown noise kind {kind!r}")
-    cls = _NOISES[kind]
-    get = _section(raw, name, _keys(cls))
-    if cls is data_mod.CyclicScaleNoise:
-        return _read(cls, get, name, base=get("base", partial(_noise, name=f"{name}.base")))
-    return _read(cls, get, name)
-
-
-def _dataset(raw, seed: int):
-    kind = _section(raw, "dataset")("kind", partial(_exact, kind=str))
-    if kind not in _DATASET_KEYS:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
-    get = _section(raw, "dataset", _DATASET_KEYS[kind])
-    if kind == "csv":
-        return _read(data_mod.CsvSource, get, "dataset", schema=get("schema", _schema, {}))
-    key = "noise_model" if "noise_model" in raw else "noise"
-    noise = get(key, partial(_noise, name=f"dataset.{key}"), data_mod.NoNoise())
-    return _read(data_mod.SyntheticSpec, get, "dataset", {"seed": stage_seed(seed, "data")}, noise=noise)
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    get = _section(raw, "config", _TOP_KEYS)
-    seed = get("seed", partial(_exact, kind=int), 0)
-    risk = _read(RiskBudgetConfig, _section(raw.get("risk"), "risk", _RISK_KEYS), "risk", {"epsilon": 0.35})
-    backbone_get = _section(raw.get("backbone"), "backbone", _BACKBONE_KEYS)
-    for key, only in _BACKBONE_FIXED.items():
-        value = backbone_get(key, partial(_exact, kind=type(only)), only)
-        if value != only:
-            raise ConfigError(f"backbone.{key}: the only {key} is {only}, got {value!r}")
-    backbone_get("seed", partial(_exact, kind=int), 0)
-    backbone = _read(BackboneParams, backbone_get, "backbone")
-    baselines = get("baselines", _list_of(str), (METHOD_POINT, METHOD_BUDGET_SCALE))
-    unknown = set(baselines) - {METHOD_POINT, METHOD_BUDGET_SCALE}
-    if unknown:
-        raise ConfigError(f"unknown baselines: {sorted(unknown)}")
-    return ExperimentConfig(
-        dataset=get("dataset", partial(_dataset, seed=seed)),
-        history=get("L", _at_least_one, 75),
-        horizon=get("H", _at_least_one, 15),
-        split_ratios=get("split_ratios", lambda r: data_mod.check_split_ratios(_list_of(float)(r)),
-                         (0.7, 0.15, 0.15)),
-        risk=risk,
-        backbone=backbone,
-        baselines=baselines,
-        admission_b=get("admission_b", _positive_finite, 10.0),
-        seed=seed,
-        output_dir=get("output_dir", partial(_exact, kind=str), "runs/experiment"),
-    )
+    """The config that a YAML mapping or a config.json describes. A missing
+    dataset.seed derives from the config's seed; the backbone's fixed keys,
+    and the seed that older bundles name there, are checked and dropped."""
+    seed = _value(int, raw.get("seed", 0), "config.seed")
+    backbone = raw.get("backbone")
+    if isinstance(backbone, dict):  # anything else, _read reports
+        for key, only in _BACKBONE_FIXED.items():
+            if key in backbone and _value(type(only), backbone[key], f"backbone.{key}") != only:
+                raise ConfigError(f"backbone.{key}: the only {key} is {only}, got {backbone[key]!r}")
+        _value(int, backbone.get("seed", 0), "backbone.seed")  # training never read it
+        raw = {**raw, "backbone": {k: v for k, v in backbone.items() if k not in {*_BACKBONE_FIXED, "seed"}}}
+    dataset = _read(get_type_hints(ExperimentConfig)["dataset"], raw.get("dataset"), "dataset",
+                    {"seed": stage_seed(seed, "data")})
+    return _read(ExperimentConfig, raw, "config", seed=seed, dataset=dataset)
 
 
 def load_config(

@@ -48,6 +48,20 @@ THROUGHPUT_COLUMN = "throughput_mbps"
 _SECONDS_PER_DAY = 86_400
 
 
+def _whole_seconds(timestamps) -> np.ndarray:
+    """The timestamps as int64, or ValueError if any is not a whole number of
+    seconds within the 64-bit integer range."""
+    given = np.asarray(timestamps)
+    try:
+        with np.errstate(invalid="ignore"):
+            ts = given.astype(np.int64)
+    except OverflowError:  # a Python int past 64 bits
+        ts = None
+    if ts is None or not np.all(ts == given):  # the cast truncates 1.7 to 1, and NaN to anything
+        raise ValueError("timestamps must be finite whole numbers of seconds within the 64-bit integer range")
+    return ts
+
+
 def _freeze(arr):
     if isinstance(arr, WindowMatrix):  # read-only already; a copy would build the matrix
         return arr
@@ -66,14 +80,7 @@ class Trace:
     aux: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        given = np.asarray(self.timestamps)
-        try:
-            with np.errstate(invalid="ignore"):
-                ts = given.astype(np.int64)
-        except OverflowError:  # a Python int past 64 bits
-            ts = None
-        if ts is None or not np.all(ts == given):  # the cast truncates 1.7 to 1, and NaN to anything
-            raise ValueError("timestamps must be finite whole numbers of seconds within the 64-bit integer range")
+        ts = _whole_seconds(self.timestamps)
         tp = np.asarray(self.throughput, dtype=np.float64)
         if ts.ndim != 1 or tp.ndim != 1 or len(ts) != len(tp):
             raise ValueError("timestamps and throughput must be 1-D and equal length")
@@ -111,10 +118,7 @@ def derive_time_features(timestamps: np.ndarray) -> dict[str, np.ndarray]:
     day_of_week uses Python's convention (Monday = 0); the Unix epoch is a
     Thursday, code 3.
     """
-    ts = np.asarray(timestamps)
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("timestamps must be finite")
-    ts = ts.astype(np.int64)
+    ts = _whole_seconds(timestamps)
     return {
         "phase15": (ts % 15).astype(np.float64),
         "minute": ((ts % 3600) // 60).astype(np.float64),
@@ -201,6 +205,8 @@ class Samples:
     layout: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if np.ndim(self.Y) != 2 or not len(self.X) == len(self.Y) == len(self.origin_index):
+            raise ValueError("Y must be 2-D, and X, Y and origin_index must have one row per sample")
         object.__setattr__(self, "X", _freeze(self.X))
         object.__setattr__(self, "Y", _freeze(self.Y))
         object.__setattr__(self, "origin_index", _freeze(self.origin_index))

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -17,12 +18,10 @@ from hypothesis import strategies as st
 
 import riskcast.backbone
 import riskcast.calibration
+from riskcast.backbone import BackboneParams
+from riskcast.calibration import RiskBudgetConfig
 from riskcast.cli import (
     _BACKBONE_FIXED,
-    _BACKBONE_KEYS,
-    _DATASET_KEYS,
-    _RISK_KEYS,
-    _TOP_KEYS,
     _keys,
     DEFAULT_EPSILONS,
     calibrate_budgets,
@@ -40,8 +39,9 @@ from riskcast.cli import (
 )
 from riskcast.admission import AdmissionReport
 from riskcast.calibration import QuantileEvaluator, budget_scale_search, run_selection
-from riskcast.data import CyclicScaleNoise, GaussianNoise, WindowedDataset, make_windows, generate_synthetic
-from riskcast.errors import EmptySweep, EvaluatorFailure
+from riskcast.data import (CyclicScaleNoise, GaussianNoise, SyntheticSpec, WindowedDataset, make_windows,
+                           generate_synthetic)
+from riskcast.errors import ConfigError, EmptySweep, EvaluatorFailure
 from riskcast.metrics import SafetyReport
 
 BASE_CONFIG = {
@@ -89,6 +89,29 @@ class TestConfig:
         assert config.risk.tau_min == 0.15 and config.risk.tau_max == 0.40
         assert config.risk.delta == 0.05 and config.risk.grid_size == 5
         assert config.backbone.n_trees == 200
+
+    def test_the_budget_default_is_written_once(self):
+        assert RiskBudgetConfig().epsilon == 0.35
+        assert ExperimentConfig(dataset=config_from_dict(BASE_CONFIG).dataset).risk == RiskBudgetConfig()
+
+    @pytest.mark.parametrize("change, key", [
+        ({"admission_b": 0.0}, "config.admission_b"),
+        ({"history": 0}, "config.L"),
+        ({"horizon": 0}, "config.H"),
+        ({"split_ratios": (0.5, 0.5)}, "config.split_ratios"),
+        ({"baselines": ("pointt",)}, "config.baselines"),
+    ], ids=["admission-b", "history", "horizon", "split-ratios", "baselines"])
+    def test_a_config_built_in_code_is_checked_before_training(self, change, key):
+        config = config_from_dict(BASE_CONFIG)
+        with mock.patch.object(riskcast.backbone.Workers, "__init__", side_effect=AssertionError("trained")):
+            with pytest.raises(ConfigError, match=f"^{key}: "):
+                run_experiment(replace(config, **change))
+
+    def test_unknown_keys_of_mixed_types_fail_with_stage(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"{SYNTH}\nrisk: {{1: 2, a: 3}}\n")
+        assert main(["run", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == "error [run]: unknown risk keys: [1, 'a']\n"
 
     @pytest.mark.parametrize("path", ["configs/synthetic-demo.yaml", "bench/paper_shape.yaml",
                                       "configs/paper-default.yaml"], ids=["demo", "paper_shape", "paper_default"])
@@ -677,10 +700,10 @@ FUZZ_CONFIG = {
 }
 # Keys each config section accepts, by path from the top of the config.
 FUZZ_SECTIONS = {
-    (): _TOP_KEYS,
-    ("risk",): _RISK_KEYS,
-    ("backbone",): _BACKBONE_KEYS,
-    ("dataset",): _DATASET_KEYS["synthetic"],
+    (): _keys(ExperimentConfig),
+    ("risk",): _keys(RiskBudgetConfig),
+    ("backbone",): (*_BACKBONE_FIXED, "seed", *_keys(BackboneParams)),  # seed: the legacy key older bundles name
+    ("dataset",): (*_keys(SyntheticSpec), "noise_model"),
     ("dataset", "noise"): _keys(CyclicScaleNoise),
     ("dataset", "noise", "base"): _keys(GaussianNoise),
 }

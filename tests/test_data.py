@@ -135,6 +135,11 @@ class TestTimeFeatures:
         assert f["hour"][0] == 1
         assert f["phase15"][0] == 1
 
+    def test_timestamps_that_are_not_whole_seconds_are_rejected(self):
+        # A cast to int64 would truncate them: phase15 [1, 1] and minute [0, 1].
+        with pytest.raises(ValueError, match="whole numbers of seconds"):
+            derive_time_features(np.array([1.7, 61.2]))
+
     def test_ranges(self, rng):
         ts = rng.integers(0, 10**9, size=2000)
         f = derive_time_features(ts)
@@ -439,6 +444,13 @@ class TestTraceInvariants:
         trace = constant_trace(10)
         with pytest.raises(ValueError):
             trace.throughput[0] = 5.0
+
+    @pytest.mark.parametrize("rows, Y_shape", [((50, 50), (40, 1)), ((50, 40), (50, 1)), ((50, 50), (50,))],
+                             ids=["Y-rows", "origin-rows", "Y-1d"])
+    def test_samples_rows_must_agree(self, rows, Y_shape):
+        X_rows, origin_rows = rows
+        with pytest.raises(ValueError, match="one row per sample"):
+            Samples(np.zeros((X_rows, 2)), np.zeros(Y_shape), np.arange(origin_rows), ("a", "b"))
 
     def test_samples_arrays_are_read_only(self):
         samples = Samples(np.zeros((4, 2)), np.zeros((4, 1)), np.arange(4), ("a", "b"))
