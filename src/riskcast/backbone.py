@@ -21,6 +21,8 @@ larger of two growing siblings takes its parent's counts minus the smaller
 one's. Each depth's splits come from one flat scan over every feature's
 bins. As every quantile gain is a function of the counts alone, equal counts
 give equal gains, and ties go to the lowest feature, then the lowest bin.
+A split's bins are held once, as one matrix of histogram cells that every
+scan reads (`BinnedFeatures.cells`).
 
 Every tree fits every training row, and nothing in training is random.
 On Linux a model's H horizon columns are fitted on up to min(H, usable
@@ -35,6 +37,7 @@ each column they fit on the calibration rows, which the model keeps as
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -81,7 +84,10 @@ class BackboneParams:
     min_samples_leaf: int = 20
 
     def __post_init__(self) -> None:
-        if min(self.n_trees, self.max_depth, self.min_samples_leaf) < 1:
+        counts = (self.n_trees, self.max_depth, self.min_samples_leaf)
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in counts):
+            raise ValueError(f"counts must be integers, got {counts}")
+        if min(counts) < 1:
             raise ValueError("counts must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
@@ -124,92 +130,72 @@ class DecisionTree:
         return out
 
 
-def _bin_features(X: WindowMatrix | np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Quantile-bin each column; a split at bin b means x <= cuts[b]."""
-    n, n_feat = X.shape
-    binned = np.empty((n, n_feat), dtype=np.uint8)
-    cuts: list[np.ndarray] = []
-    for j in range(n_feat):
-        col = X[:, j]
-        uniq = np.unique(col)
-        if uniq.size <= 1:
-            c = np.empty(0, dtype=np.float64)
-        elif uniq.size <= _MAX_BINS:
-            c = (uniq[:-1] + uniq[1:]) / 2.0
-        else:
-            qs = np.quantile(col, np.linspace(0.0, 1.0, _MAX_BINS)[1:-1])
-            c = np.unique(qs)
-        binned[:, j] = np.searchsorted(c, col, side="left")
-        cuts.append(c)
-    return binned, cuts
-
-
-@dataclass(frozen=True)
-class _WidthGroup:
-    """Features whose bin count fits in `width`, a power of two.
-
-    Their histograms lie side by side from cell `start` on, `width` cells
-    per feature. A feature has at most width - 1 cuts, so its last bin is
-    never a split candidate.
-    """
-
-    features: np.ndarray
-    width: int
-    start: int
+def _cuts(col: np.ndarray) -> np.ndarray:
+    """A column's bin edges: bin b holds the values x <= cuts[b] above cuts[b - 1]."""
+    uniq = np.unique(col)
+    if uniq.size <= 1:
+        return np.empty(0, dtype=np.float64)
+    if uniq.size <= _MAX_BINS:
+        return (uniq[:-1] + uniq[1:]) / 2.0
+    return np.unique(np.quantile(col, np.linspace(0.0, 1.0, _MAX_BINS)[1:-1]))
 
 
 @dataclass(frozen=True)
 class BinnedFeatures:
-    """A feature matrix binned once for the tree trainer.
+    """A split's features X, binned once for the tree trainer into one matrix of histogram cells.
 
-    codes[i, j] is the bin of X[i, j], and a split at bin b of feature j
-    sends x <= cuts[j][b] left, so on the binned rows a tree routes exactly
-    as DecisionTree.predict does on X. Features with at least one cut are
-    grouped by bin width, so a node's histogram is scanned at each group's
-    width instead of padding every feature to the widest. cells[i] holds
-    the histogram cell of each such feature's bin in row i, out of n_cells,
-    and root_counts the rows in each cell: the N of every tree's root.
-
-    Each such feature owns one segment of `width` consecutive cells, the
-    first of them at `starts`. For each cell, `feature` and `bin` hold what
-    it counts, so `_best_splits` scans all cells in one flat pass. They are
-    fields of the split, made once with it, so forked workers inherit them.
+    Each feature with a cut owns a segment of `width` consecutive cells, a
+    power of two above its cut count, from cell starts[s] on; segments go in
+    order of width, then of feature, and `groups` holds the (start, stop,
+    width) cell bounds of each width, so a node's histogram is scanned at
+    each group's width instead of padding every feature to the widest.
+    cells[i, s] is starts[s] plus the bin b of row i, X[i, j] <= cuts[j][b].
+    For each cell c, `segment` and `feature` say what it counts, so
+    `_best_splits` scans all cells in one flat pass. A split at c sends
+    X[i, feature[c]] <= threshold(c) left, exactly the rows with
+    cells[i, segment[c]] <= c. _grow_tree routes on X, as
+    DecisionTree.predict does: a column of a WindowMatrix is contiguous,
+    and one of cells is not. A feature's last cell is never a candidate.
+    root_counts holds the rows in each cell, the N of every tree's root.
+    All are fields of the split, made once with it, so forked workers
+    inherit them; X is held as given, and a WindowMatrix is a view.
     """
 
-    codes: np.ndarray
+    X: WindowMatrix | np.ndarray
     cuts: list[np.ndarray]
-    groups: tuple[_WidthGroup, ...]
     cells: np.ndarray
-    n_cells: int
-    root_counts: np.ndarray
     starts: np.ndarray
+    segment: np.ndarray
     feature: np.ndarray
-    bin: np.ndarray
+    groups: tuple[tuple[int, int, int], ...]
+    root_counts: np.ndarray
+
+    @property
+    def n_cells(self) -> int:
+        return self.feature.size
+
+    def threshold(self, c: int) -> float:
+        return float(self.cuts[self.feature[c]][c - self.starts[self.segment[c]]])
 
     @staticmethod
     def of(X: WindowMatrix | np.ndarray) -> "BinnedFeatures":
-        codes, cuts = _bin_features(X)
-        n_cuts = np.asarray([c.size for c in cuts], dtype=np.int64)
-        widths = np.asarray([1 << int(c).bit_length() for c in n_cuts], dtype=np.int64)
-        # One segment of cells per feature with a cut, in order of width, then of feature.
-        used = np.flatnonzero(n_cuts)
+        cuts = [_cuts(X[:, j]) for j in range(X.shape[1])]
+        widths = np.asarray([1 << c.size.bit_length() for c in cuts], dtype=np.int64)
+        used = np.flatnonzero(widths > 1)
         used = used[np.argsort(widths[used], kind="stable")]
-        starts = np.cumsum(widths[used]) - widths[used]
-        n_cells = int(widths[used].sum())
-        # C order, so gathering a node's rows copies whole rows.
-        cells = codes[:, used].astype(np.int64, order="C")
-        cells += starts
+        widths = widths[used]
+        starts = np.cumsum(widths) - widths
+        cells = np.empty((len(X), used.size), dtype=np.int64)  # C order: a node's rows gather whole rows
+        for s, j in enumerate(used.tolist()):
+            cells[:, s] = np.searchsorted(cuts[j], X[:, j], side="left") + starts[s]
         groups = []
-        for width in np.unique(widths[used]).tolist():
-            in_group = widths[used] == width
-            groups.append(_WidthGroup(used[in_group], width, int(starts[in_group][0])))
-        segment = np.repeat(np.arange(used.size), widths[used])
-        bin_ = np.arange(n_cells) - starts[segment]
-        feature = used[segment]
+        for width in np.unique(widths).tolist():
+            in_group = starts[widths == width]
+            groups.append((int(in_group[0]), int(in_group[-1]) + width, width))
+        segment = np.repeat(np.arange(used.size), widths)
         return BinnedFeatures(
-            codes, cuts, tuple(groups), cells, n_cells,
-            root_counts=np.bincount(cells.ravel(), minlength=n_cells),
-            starts=starts, feature=feature, bin=bin_,
+            X, cuts, cells, starts, segment, used[segment], tuple(groups),
+            root_counts=np.bincount(cells.ravel(), minlength=segment.size),
         )
 
 
@@ -220,8 +206,8 @@ def _best_splits(
     tau: float | None,
     min_samples_leaf: int,
     parents: list[np.ndarray],
-) -> tuple[list[tuple[int, int] | None], np.ndarray]:
-    """Best (feature, bin) split of each node at one depth, or None for a leaf.
+) -> tuple[list[int | None], np.ndarray]:
+    """The cell whose split is best for each node at one depth, or None for a leaf.
 
     A node's histograms are integer counts per (feature, bin) cell: N, its
     rows, and for a quantile fit (tau set, `target` the rows' resid > 0) P,
@@ -235,7 +221,8 @@ def _best_splits(
     node-at-a-time scan of a (feature, bin) grid, and ties go, as that
     grid's row-major argmax sends them, to the lowest feature index, then
     the lowest bin. The order of `nodes` only decides which histogram row
-    each node uses.
+    each node uses. A split at cell c is the split at bin c - starts[s] of
+    feature[c], s = segment[c].
 
     Every cell of every width group is scanned in one flat pass. The counts
     take one int64 cumsum along all cells. Each feature's segment holds each
@@ -270,7 +257,7 @@ def _best_splits(
     hist = np.empty((k, c, n_cells), dtype=np.int64)
     if gathered:
         rows = np.concatenate(gathered)
-        if tau is None and k == 1 and rows.size == len(binned.codes):  # a point root: every row in order
+        if tau is None and k == 1 and rows.size == len(binned.cells):  # a point root: every row in order
             flat = binned.cells.ravel()
         else:
             # Each row counts into its node's slot. A quantile node has two,
@@ -292,7 +279,7 @@ def _best_splits(
         hist[counted:] = parents
         if counted:
             hist[counted:] -= hist[: len(parents)]
-    totals = hist[:, :, : binned.groups[0].width].sum(axis=2)  # each node's N (and P)
+    totals = hist[:, :, : binned.groups[0][2]].sum(axis=2)  # each node's N (and P), from the first segment
     later = binned.starts[1:]  # taken off there for the cumsum only, so it restarts at each feature
     hist[:, :, later] -= totals[:, :, None]
     cum = hist.cumsum(axis=2)
@@ -305,10 +292,9 @@ def _best_splits(
     if tau is None:
         total_g = np.asarray([target[idx].sum() for idx in nodes], dtype=np.float64)
         cum_g = np.empty((k, n_cells))
-        for group in binned.groups:
-            m, width = group.features.size, group.width
-            cells = slice(group.start, group.start + m * width)
-            np.cumsum(hist_g[:, cells].reshape(k, m, width), axis=2, out=cum_g[:, cells].reshape(k, m, width))
+        for start, stop, width in binned.groups:
+            by_feature = (k, -1, width)
+            np.cumsum(hist_g[:, start:stop].reshape(by_feature), axis=2, out=cum_g[:, start:stop].reshape(by_feature))
         g_right = total_g[:, None] - cum_g
     else:
         p_total = totals[:, 1]
@@ -329,20 +315,18 @@ def _best_splits(
     gain -= base_score[:, None]
     np.copyto(gain, -np.inf, where=~ok)
     at = np.empty((k, len(binned.groups)), dtype=np.int64)  # each group's best cell
-    for j, group in enumerate(binned.groups):
-        at[:, j] = gain[:, group.start : group.start + group.features.size * group.width].argmax(axis=1)
-        at[:, j] += group.start
+    for j, (start, stop, _) in enumerate(binned.groups):
+        at[:, j] = gain[:, start:stop].argmax(axis=1)
+        at[:, j] += start
     node = np.arange(k)
     gain_at = gain[node[:, None], at]
     gain_at[np.isnan(gain_at)] = -np.inf  # a NaN gain never wins
     best_gain = gain_at.max(axis=1)
-    tied = np.where(gain_at == best_gain[:, None], binned.feature[at], binned.codes.shape[1])
+    tied = np.where(gain_at == best_gain[:, None], binned.feature[at], len(binned.cuts))
     best = at[node, tied.argmin(axis=1)]
     any_ok = ok.any(axis=1)
     splits = [
-        (int(binned.feature[best[s]]), int(binned.bin[best[s]]))
-        if any_ok[s] and best_gain[s] > 1e-9 * max(1.0, abs(base_score[s]))
-        else None
+        int(best[s]) if any_ok[s] and best_gain[s] > 1e-9 * max(1.0, abs(base_score[s])) else None
         for s in range(k)
     ]
     return splits, hist
@@ -464,14 +448,13 @@ def _grow_tree(
         at = {g: s for s, g in enumerate(order)}
         level = []
         for g, (node, idx) in enumerate(growing):
-            split = splits[at[g]]
-            if split is None:
+            c = splits[at[g]]
+            if c is None:
                 make_leaf(node, idx)
                 continue
-            f, b = split
-            go_left = binned.codes[idx, f] <= b
-            feature[node] = f
-            threshold[node] = float(binned.cuts[f][b])
+            feature[node] = f = int(binned.feature[c])
+            threshold[node] = binned.threshold(c)
+            go_left = binned.X[idx, f] <= threshold[node]
             left[node] = add_node()
             right[node] = add_node()
             level.append((hist[at[g]], [(left[node], idx[go_left]), (right[node], idx[~go_left])]))

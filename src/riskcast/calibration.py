@@ -12,6 +12,8 @@ predictor under the same constraint, by exhaustive search over a factor grid.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -48,10 +50,16 @@ class RiskBudgetConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.tau_min < self.tau_max < 1.0:
             raise ValueError("need 0 < tau_min < tau_max < 1")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+        if isinstance(self.grid_size, bool) or not isinstance(self.grid_size, numbers.Integral):
+            raise ValueError(f"grid_size must be an integer, got {self.grid_size!r}")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
+        if self.penalty is not None and not math.isfinite(self.penalty):
+            raise ValueError(f"penalty must be finite, got {self.penalty}")
         if self.penalty is not None and self.penalty < 0:
             raise ValueError("penalty must be non-negative")
 

@@ -155,10 +155,12 @@ def _read(cls, raw, name: str, defaults: dict | None = None, /, **given):
     """cls built from its config section `raw`, a mapping (null reads as
     empty) that holds only cls's keys. A union of dataclasses is the member
     whose kind the section names, else the kind in `defaults`. Each init
-    field not `given` is read under its YAML key: a dataclass, or a union
-    of them, as a nested section whose missing kind is that of the field's
-    default_factory (noise: none), anything else by _value. A missing field
-    takes its `defaults` entry, else the dataclass default."""
+    field not `given` is read under its YAML key, or under its older key
+    (_OLD_KEYS) where the section names that instead; naming both is an
+    error. A dataclass, or a union of them, is read as a nested section
+    whose missing kind is that of the field's default_factory (noise:
+    none), anything else by _value. A missing field takes its `defaults`
+    entry, else the dataclass default."""
     section, defaults = {} if raw is None else raw, defaults or {}
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a mapping, got {raw!r}")
@@ -177,7 +179,11 @@ def _read(cls, raw, name: str, defaults: dict | None = None, /, **given):
     for f in fields(cls):
         if not f.init or f.name in given:
             continue
-        key = _OLD_KEYS[f.name] if _OLD_KEYS.get(f.name) in section else _YAML_KEYS.get(f.name, f.name)
+        key, old = _YAML_KEYS.get(f.name, f.name), _OLD_KEYS.get(f.name)
+        if old in section:
+            if key in section:
+                raise ConfigError(f"{name}: names both {key!r} and {old!r}, its older name; give one")
+            key = old
         hint, args = hints[f.name], get_args(hints[f.name])
         if key not in section:
             if f.name in defaults:

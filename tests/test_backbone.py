@@ -291,6 +291,33 @@ def make_column(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.normal(size=n)  # more than 256 distinct values once n > 256
 
 
+class TestBinnedFeatures:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 1200),
+        distinct=st.lists(st.integers(1, 1000), min_size=1, max_size=4),
+    )
+    # A constant, a two-valued and a tied column, and one with ties among
+    # more than 256 distinct values, so its cuts are quantiles.
+    @example(seed=0, n=1200, distinct=[1, 2, 9, 1000])
+    def test_a_split_at_a_cell_sends_left_the_rows_its_threshold_does(self, seed, n, distinct):
+        # Column j draws from distinct[j] values on a grid, so ties are
+        # common and a quantile cut can equal a value.
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([rng.integers(0, d, size=n) * 0.25 for d in distinct])
+        binned = BinnedFeatures.of(X)
+        varying = {j for j in range(X.shape[1]) if np.unique(X[:, j]).size > 1}
+        assert set(binned.feature.tolist()) == varying
+        for c in range(binned.n_cells):
+            f, s = binned.feature[c], binned.segment[c]
+            left = binned.cells[:, s] <= c
+            if c - binned.starts[s] < binned.cuts[f].size:
+                assert np.array_equal(left, X[:, f] <= binned.threshold(c))
+            else:  # at or past the feature's last bin: every row goes left
+                assert left.all()
+
+
 class TestExactTrainer:
     """The level-wise trainer against the recursive one it replaced."""
 
@@ -352,7 +379,7 @@ class TestExactTrainer:
         X = np.column_stack([level, flag] if wide_first else [flag, level])
         resid = np.where(flag > 0, 5.0, -5.0)
         binned = BinnedFeatures.of(X)
-        assert sorted(g.width for g in binned.groups) == [2, 4]
+        assert sorted(width for _, _, width in binned.groups) == [2, 4]
         tree, _ = _grow_tree(binned, resid, None, 1, 1)
         codes, cuts = reference_trainer._bin_features(X)
         oracle = reference_trainer._grow_tree(codes, cuts, resid, None, 1, 1)
@@ -374,7 +401,7 @@ class TestExactTrainer:
         X = np.column_stack([flag, mid, level] if flag_first else [level, mid, flag])
         resid = np.where(flag > 0, 5.0, -5.0)
         binned = BinnedFeatures.of(X)
-        assert [g.width for g in binned.groups] == [2, 4, 8]
+        assert [width for _, _, width in binned.groups] == [2, 4, 8]
         tree, _ = _grow_tree(binned, resid, tau, 1, 1)
         codes, cuts = reference_trainer._bin_features(X)
         oracle = reference_trainer._grow_tree(codes, cuts, resid, tau, 1, 1)
@@ -390,11 +417,12 @@ class TestExactTrainer:
         level = np.repeat(np.arange(10.0), 20)
         junk = np.tile([0.0, 1.0], 100)
         binned = BinnedFeatures.of(np.column_stack([junk, level]))
-        assert [g.width for g in binned.groups] == [2, 16]
+        assert [width for _, _, width in binned.groups] == [2, 16]
         node = np.flatnonzero((level <= 2) | (level >= 7))
         resid = np.where(level >= 7, 5.0, -5.0)
         target = resid > 0 if tau is not None else -resid
-        splits, _ = _best_splits(binned, [node], target, tau, 1, [])
+        cells, _ = _best_splits(binned, [node], target, tau, 1, [])
+        splits = [(int(binned.feature[c]), int(c - binned.starts[binned.segment[c]])) for c in cells]
         assert splits == [(1, 2)]
 
     def test_carried_root_counts_equal_a_fresh_count_every_round(self, monkeypatch):
@@ -753,4 +781,10 @@ class TestParams:
             BackboneParams(learning_rate=0.0)
         with pytest.raises(ValueError):
             BackboneParams(max_depth=0)
+        with pytest.raises(ValueError):
+            BackboneParams(min_samples_leaf=float("inf"))
+        with pytest.raises(ValueError):
+            BackboneParams(n_trees=2.5)
+        with pytest.raises(ValueError):
+            BackboneParams(max_depth=1.5)
 

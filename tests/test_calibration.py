@@ -338,6 +338,14 @@ class TestConfig:
             RiskBudgetConfig(epsilon=0.35, delta=0.0)
         with pytest.raises(ValueError):
             RiskBudgetConfig(epsilon=0.35, grid_size=1)
+        with pytest.raises(ValueError):
+            RiskBudgetConfig(epsilon=0.35, delta=float("nan"))
+        with pytest.raises(ValueError):
+            RiskBudgetConfig(epsilon=0.35, delta=float("inf"))
+        with pytest.raises(ValueError):
+            RiskBudgetConfig(epsilon=0.35, penalty=float("nan"))
+        with pytest.raises(ValueError):
+            RiskBudgetConfig(epsilon=0.35, grid_size=2.5)
 
     def test_with_epsilon(self):
         cfg = RiskBudgetConfig(epsilon=0.35).with_epsilon(0.4)

@@ -307,9 +307,9 @@ class TestProtocolSeparation:
 class TestCalibrateBudgets:
     def test_bins_the_training_split_once(self, tmp_path, monkeypatch):
         shapes = []
-        bin_features = riskcast.backbone._bin_features
-        monkeypatch.setattr(riskcast.backbone, "_bin_features",
-                            lambda X: shapes.append(X.shape) or bin_features(X))
+        bin_features = riskcast.backbone.BinnedFeatures.of
+        monkeypatch.setattr(riskcast.backbone.BinnedFeatures, "of",
+                            staticmethod(lambda X: shapes.append(X.shape) or bin_features(X)))
         config = load_config(write_config(tmp_path))
         dataset = make_windows(generate_synthetic(config.dataset),
                                config.history, config.horizon, config.split_ratios)
@@ -499,6 +499,9 @@ class TestCommands:
         ("dataset: {kind: synthetic, length: 100, base_level: .inf}", "dataset.base_level"),
         (f"dataset: {{kind: synthetic, length: 100, base_level: 1{'0' * 400}}}", "dataset.base_level"),
         (f"{SYNTH}\nbackbone: {{seed: 1.5}}", "backbone.seed"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0,\n"
+         "          noise: {kind: gaussian, sigma: 5}, noise_model: {kind: uniform, half_width: 1}}",
+         "dataset: names both 'noise' and 'noise_model'"),
     ], ids=["dataset-kind", "backbone-key", "gaussian-sigma", "uniform-half-width", "cyclic-base",
             "risk-key", "top-key", "top-key-admission", "dataset-key", "noise-key",
             "backbone-not-mapping", "risk-not-mapping", "dataset-not-mapping", "risk-null-value",
@@ -510,7 +513,7 @@ class TestCommands:
             "history-bool", "seed-float", "length-float", "grid-size-float", "horizon-float",
             "epsilon-string", "sigma-string", "n-trees-bool", "learning-rate-bool", "delta-nan", "lambda-nan",
             "sigma-nan", "half-width-nan", "period-nan", "base-level-nan", "base-level-inf",
-            "base-level-int-beyond-float", "backbone-seed-float"])
+            "base-level-int-beyond-float", "backbone-seed-float", "noise-and-noise-model"])
     def test_run_with_bad_config_fails_with_stage(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text + "\n")

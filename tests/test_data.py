@@ -177,9 +177,9 @@ class TestWindows:
 
     def test_splits_are_built_once_and_one_worker_set_bins_once(self, monkeypatch):
         shapes = []
-        bin_features = riskcast.backbone._bin_features
-        monkeypatch.setattr(riskcast.backbone, "_bin_features",
-                            lambda X: shapes.append(X.shape) or bin_features(X))
+        bin_features = riskcast.backbone.BinnedFeatures.of
+        monkeypatch.setattr(riskcast.backbone.BinnedFeatures, "of",
+                            staticmethod(lambda X: shapes.append(X.shape) or bin_features(X)))
         ds = make_windows(constant_trace(400), 10, 5)
         assert ds.train is ds.train
         assert ds.calibration is ds.calibration and ds.test is ds.test
