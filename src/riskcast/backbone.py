@@ -539,7 +539,8 @@ def _checked_features(X, layout, feature_layout: tuple[str, ...]) -> WindowMatri
 
 def _clamped(columns: list[np.ndarray]) -> np.ndarray:
     """The horizon columns side by side, clamped below at zero (throughput is non-negative)."""
-    return np.maximum(np.column_stack(columns), 0.0)
+    out = np.column_stack(columns)
+    return np.maximum(out, 0.0, out=out)
 
 
 @dataclass
@@ -655,9 +656,10 @@ class Workers:
     """The processes that fit models on one training split, used as a context manager.
 
     Making the set checks the training and calibration features and targets
-    (a non-finite target would make its column's predictions NaN), so bad
-    ones fail before any fork, sets the allocator (_keep_freed_heap) and
-    bins the training split. Entering makes a pool of
+    (a non-finite target would make its column's predictions NaN, and the
+    calibration predictions are scored against Y, so both splits' Y need
+    the same width H >= 1), so bad ones fail before any fork, sets the
+    allocator (_keep_freed_heap) and bins the training split. Entering makes a pool of
     _workers(H) processes, forked once, at the first fit; they inherit the
     binned split, Y and the calibration features, so nothing big is
     pickled. Leaving shuts them down. A task fits one horizon column at the
@@ -677,6 +679,11 @@ class Workers:
         train_X = _checked_features(train.X, self.layout, self.layout)
         cal_X = _checked_features(cal.X, cal.layout, self.layout)
         Y = np.asarray(train.Y, dtype=np.float64)
+        if not 0 < Y.shape[1] == cal.Y.shape[1]:
+            raise LayoutMismatch(
+                f"the training split's Y has {Y.shape[1]} columns and the calibration split's "
+                f"{cal.Y.shape[1]}; both need the same width, at least 1"
+            )
         for split, targets in (("training", Y), ("calibration", cal.Y)):
             _check_finite(targets, NonFiniteTargets, f"the {split} split's Y", range(targets.shape[1]))
         self.cal = cal

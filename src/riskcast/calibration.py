@@ -88,10 +88,11 @@ class QuantileEvaluator:
 
     Every fit runs on `workers`, a Workers set of a training and a
     calibration split, and is scored on the calibration predictions its
-    workers make as they fit it. Repeated requests for the same tau (same
-    data, seed, and params by construction) train at most once; n_trainings
-    counts actual fits, so cache hits are visible to training-budget
-    assertions.
+    workers make as they fit it. The cache keeps each scored model without
+    those predictions (its calibration_preds is None), since nothing reads
+    them after scoring. Repeated requests for the same tau (same data, seed,
+    and params by construction) train at most once; n_trainings counts
+    actual fits, so cache hits are visible to training-budget assertions.
     """
 
     def __init__(self, workers: Workers, params: BackboneParams):
@@ -108,7 +109,8 @@ class QuantileEvaluator:
         model = train_quantile_model(self.workers, tau, self.params)
         self.n_trainings += 1
         batch = PredictionBatch(model.calibration_preds, self.workers.cal.Y)
-        ev = CandidateEvaluation(tau=float(tau), mae=mae(batch), over_rate=over_rate(batch), model=model)
+        ev = CandidateEvaluation(tau=float(tau), mae=mae(batch), over_rate=over_rate(batch),
+                                 model=replace(model, calibration_preds=None))
         self._cache[key] = ev
         return ev
 
@@ -250,10 +252,14 @@ def run_selection(config: RiskBudgetConfig, evaluator: Evaluator, penalty: float
 
 
 def resolve_penalty(config: RiskBudgetConfig, train: Samples) -> float:
-    """The configured penalty, or 1000x the mean training throughput."""
+    """The configured penalty, or 1000x the mean training throughput.
+
+    The mean is taken over a C-contiguous Y: numpy's pairwise sum depends on
+    the memory layout, and a view over the trace (as make_windows gives)
+    would otherwise move its last digit."""
     if config.penalty is not None:
         return config.penalty
-    return 1000.0 * float(np.mean(train.Y))
+    return 1000.0 * float(np.mean(np.ascontiguousarray(train.Y)))
 
 
 def select_quantile(

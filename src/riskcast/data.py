@@ -63,7 +63,10 @@ def _whole_seconds(timestamps) -> np.ndarray:
 
 
 def _freeze(arr):
-    if isinstance(arr, WindowMatrix):  # read-only already; a copy would build the matrix
+    """arr as a read-only array. A read-only array or WindowMatrix passes
+    through as it is, so a view over a trace stays a view; anything else is
+    made a contiguous array (a copy where it is not one) and frozen."""
+    if isinstance(arr, WindowMatrix) or (isinstance(arr, np.ndarray) and not arr.flags.writeable):
         return arr
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -197,7 +200,9 @@ class WindowMatrix:
 class Samples:
     """A view over one split: feature matrix X, targets Y, and origins.
 
-    X is a WindowMatrix for the splits of a WindowedDataset, or an array."""
+    For the splits of a WindowedDataset, X is a WindowMatrix and Y a
+    read-only view over the trace's throughput; otherwise both are arrays,
+    held read-only."""
 
     X: WindowMatrix | np.ndarray
     Y: np.ndarray
@@ -222,7 +227,10 @@ class WindowedDataset:
     Sample i originates at trace index origin_index[i]; its features cover the
     preceding `history` steps and its target the following `horizon` steps.
     Split membership is decided purely by origin index, so the partitions are
-    contiguous in time.
+    contiguous in time. From make_windows, X is a WindowMatrix and Y the
+    read-only sliding-window view of the trace's throughput, so Y[i, h] is
+    throughput[origin_index[i] + 1 + h], each column Y[:, h] is a contiguous
+    slice of the series, and no target matrix is copied.
     """
 
     X: WindowMatrix | np.ndarray
@@ -283,10 +291,12 @@ def check_split_ratios(split_ratios) -> tuple[float, float, float]:
 
 
 def check_timestamp_gaps(trace: Trace) -> None:
-    """Raise TimestampGap at the first step between consecutive timestamps
-    that exceeds the trace's usual (median) step: windows slide over rows,
-    so they would span the gap. The timestamps ascend, so their steps are
-    exact in uint64, where an int64 difference could wrap."""
+    """Raise TimestampGap unless every step between consecutive timestamps
+    is the trace's usual (median) step: windows slide over rows, so a longer
+    step would put a gap inside them and a shorter one would space their lags
+    unevenly. The first longer step is reported if there is one, else the
+    first shorter one. The timestamps ascend, so their steps are exact in
+    uint64, where an int64 difference could wrap."""
     steps = np.diff(trace.timestamps.view(np.uint64))
     if steps.size == 0:
         return
@@ -297,6 +307,13 @@ def check_timestamp_gaps(trace: Trace) -> None:
         raise TimestampGap(
             f"timestamp gap before row {row}: step {steps[row - 1]} against the trace's usual step "
             f"{usual:g}; windows would span it"
+        )
+    short = np.flatnonzero(steps < usual)
+    if short.size:
+        row = int(short[0]) + 1
+        raise TimestampGap(
+            f"timestamp step before row {row}: step {steps[row - 1]} is shorter than the trace's usual "
+            f"step {usual:g}; windows would space their lags unevenly"
         )
 
 
@@ -332,9 +349,7 @@ def make_windows(
     aux_keys = trace.aux_keys
     clock = derive_time_features(trace.timestamps)
     series = (trace.throughput, *(trace.aux[k] for k in aux_keys), *(clock[k] for k in TIME_FEATURES))
-    Y = np.lib.stride_tricks.sliding_window_view(trace.throughput, horizon)[
-        history : history + n
-    ].astype(np.float64)
+    Y = np.lib.stride_tricks.sliding_window_view(trace.throughput, horizon)[history : history + n]
     origins = np.arange(history - 1, history - 1 + n, dtype=np.int64)
     return WindowedDataset(
         X=WindowMatrix(series, history, 0, n),

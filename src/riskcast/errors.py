@@ -35,7 +35,7 @@ class NegativeThroughput(RiskcastError):
 
 
 class TimestampGap(RiskcastError):
-    """Two consecutive timestamps lie further apart than the trace's usual step."""
+    """Two consecutive timestamps lie further apart, or closer together, than the trace's usual step."""
 
 
 class TraceTooShort(RiskcastError):

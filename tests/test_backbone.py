@@ -677,6 +677,17 @@ class TestParallelTrainer:
                 fit_model(splits["training"], tau, BackboneParams(n_trees=2), splits["calibration"])
         assert pools == []
 
+    @pytest.mark.parametrize("train_h, cal_h", [(3, 2), (2, 3), (0, 0)], ids=["narrower", "wider", "zero-width"])
+    def test_targets_that_cannot_be_scored_fail_before_binning_or_any_fork(self, rng, monkeypatch, pools,
+                                                                           train_h, cal_h):
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(BinnedFeatures, "of", staticmethod(lambda X: pytest.fail("binned")))
+        train, cal = iid_samples(rng, 200, horizon=train_h), iid_samples(rng, 60, horizon=cal_h)
+        match = f"^the training split's Y has {train_h} columns and the calibration split's {cal_h};"
+        with pytest.raises(LayoutMismatch, match=match):
+            Workers(train, cal)
+        assert pools == []
+
     def test_a_worker_set_fits_its_own_training_split_only(self, rng, monkeypatch):
         self.cpus(monkeypatch, 2)
         train, cal = iid_samples(rng, 200, horizon=2), iid_samples(rng, 60, horizon=2)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from riskcast.backbone import BackboneParams, Workers
+from riskcast.backbone import BackboneParams, Workers, train_quantile_model
 from riskcast.calibration import (
     CandidateEvaluation,
     QuantileEvaluator,
@@ -16,11 +16,12 @@ from riskcast.calibration import (
     boundary_search,
     budget_scale_search,
     lin_space,
+    resolve_penalty,
     run_selection,
     select_from_grid,
     select_quantile,
 )
-from riskcast.data import Samples
+from riskcast.data import Samples, SyntheticSpec, UniformNoise, generate_synthetic, make_windows
 from riskcast.errors import EmptyGrid, EmptyTrainingSet, EvaluatorFailure, InvalidGrid
 from riskcast.metrics import PredictionBatch, mae, over_rate
 
@@ -251,6 +252,18 @@ class TestEvaluatorCache:
         assert ev.n_trainings == 1
         assert second is first
 
+    def test_the_cache_keeps_no_calibration_predictions(self, rng):
+        train, cal = iid_samples(rng, n=300, horizon=2), iid_samples(rng, n=200, horizon=2)
+        params = BackboneParams(n_trees=5, max_depth=2)
+        with Workers(train, cal) as workers:
+            evaluator = QuantileEvaluator(workers, params)
+            result = run_selection(DEFAULT, evaluator, penalty=1e5)
+            fresh = train_quantile_model(workers, result.tau_star, params)
+        assert len(evaluator._cache) == result.n_trainings >= 2
+        assert all(ev.model.calibration_preds is None for ev in evaluator._cache.values())
+        assert fresh.calibration_preds.tobytes() == result.model.predict(cal.X, cal.layout).tobytes()
+        assert fresh.predict(train.X, train.layout).tobytes() == result.model.predict(train.X, train.layout).tobytes()
+
     def test_evaluate_candidate_scores_calibration_split(self, rng):
         train = iid_samples(rng, n=400)
         cal = iid_samples(rng, n=300)
@@ -346,6 +359,13 @@ class TestConfig:
             RiskBudgetConfig(epsilon=0.35, penalty=float("nan"))
         with pytest.raises(ValueError):
             RiskBudgetConfig(epsilon=0.35, grid_size=2.5)
+
+    def test_default_penalty_does_not_depend_on_the_layout_of_Y(self):
+        # A sum over this view differs from the sum over its copy in the last digit.
+        trace = generate_synthetic(SyntheticSpec(length=3000, seed=1, base_level=80.0, noise=UniformNoise(20.0)))
+        train = make_windows(trace, 8, 15).train
+        copy = Samples(train.X, np.array(train.Y), train.origin_index, train.layout)
+        assert resolve_penalty(DEFAULT, train) == resolve_penalty(DEFAULT, copy) == 1000.0 * float(np.mean(copy.Y))
 
     def test_with_epsilon(self):
         cfg = RiskBudgetConfig(epsilon=0.35).with_epsilon(0.4)

@@ -560,6 +560,16 @@ class TestCommands:
         assert captured.err.startswith("error [ingest]: timestamp gap before row 60: step 11")
         assert captured.out == ""
 
+    def test_ingest_csv_with_short_timestamp_step_fails_with_stage(self, tmp_path, capsys):
+        trace_csv = tmp_path / "short.csv"
+        rows = [f"{t},{100.0 + t % 7}" for t in [*range(0, 120, 2), 119, *range(121, 240, 2)]]  # 118 -> 119
+        trace_csv.write_text("timestamp,throughput_mbps\n" + "\n".join(rows) + "\n")
+        code = main(["ingest", "--csv", str(trace_csv)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error [ingest]: timestamp step before row 60: step 1 is shorter")
+        assert captured.out == ""
+
     def test_ingest_timestamps_an_int64_difference_would_wrap_on(self, tmp_path, capsys):
         trace_csv = tmp_path / "wide.csv"
         trace_csv.write_text("timestamp,throughput_mbps\n-9000000000000000000,5\n9000000000000000000,7\n")

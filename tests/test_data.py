@@ -22,6 +22,7 @@ from riskcast.data import (
     Trace,
     UniformNoise,
     WindowMatrix,
+    _freeze,
     build_layout,
     check_timestamp_gaps,
     derive_time_features,
@@ -189,6 +190,14 @@ class TestWindows:
             train_point_model(workers, params)
         assert shapes == [ds.train.X.shape]
 
+    def test_targets_are_read_only_views_of_the_throughput(self):
+        trace = generate_synthetic(SyntheticSpec(length=300, seed=5, base_level=80.0, noise=UniformNoise(20.0)))
+        ds = make_windows(trace, 10, 4)
+        for Y in (ds.Y, ds.train.Y, ds.calibration.Y, ds.test.Y):
+            assert not Y.flags.writeable
+            assert np.shares_memory(Y, trace.throughput)
+            assert all(Y[:, h].flags.c_contiguous for h in range(4))
+
     def test_split_chronology(self):
         ds = make_windows(constant_trace(400), 10, 5)
         assert ds.train.origin_index.max() < ds.calibration.origin_index.min()
@@ -235,6 +244,12 @@ class TestWindows:
         ts = np.concatenate([np.arange(50), np.arange(53, 100)])  # 49 -> 53 before row 50
         trace = Trace("gap", ts, np.full(ts.size, 10.0))
         with pytest.raises(TimestampGap, match=r"before row 50: step 4 against the trace's usual step 1;"):
+            make_windows(trace, 4, 2)
+
+    def test_step_shorter_than_the_usual_one_is_rejected(self):
+        ts = np.array([0, 2, 4, 5, *range(7, 200, 2)])  # 4 -> 5 before row 3
+        trace = Trace("short-step", ts, np.full(ts.size, 10.0))
+        with pytest.raises(TimestampGap, match=r"before row 3: step 1 is shorter than the trace's usual step 2;"):
             make_windows(trace, 4, 2)
 
     def test_uniform_step_other_than_one_is_not_a_gap(self):
@@ -451,6 +466,16 @@ class TestTraceInvariants:
         X_rows, origin_rows = rows
         with pytest.raises(ValueError, match="one row per sample"):
             Samples(np.zeros((X_rows, 2)), np.zeros(Y_shape), np.arange(origin_rows), ("a", "b"))
+
+    def test_freeze_copies_writable_arrays_and_passes_read_only_ones_through(self):
+        base = np.arange(12.0).reshape(3, 4)
+        frozen = _freeze(base[:, ::2])
+        assert not frozen.flags.writeable and frozen.flags.c_contiguous
+        assert not np.shares_memory(frozen, base)
+        assert frozen.tolist() == [[0.0, 2.0], [4.0, 6.0], [8.0, 10.0]]
+        assert base.flags.writeable
+        view = np.lib.stride_tricks.sliding_window_view(base.ravel(), 3)
+        assert _freeze(view) is view
 
     def test_samples_arrays_are_read_only(self):
         samples = Samples(np.zeros((4, 2)), np.zeros((4, 1)), np.arange(4), ("a", "b"))
