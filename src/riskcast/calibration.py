@@ -3,8 +3,9 @@
 The level is chosen on a calibration split: bisection brackets the point
 where the calibration over_rate crosses the budget, a small evenly spaced
 grid refines the bracket, and the most accurate feasible candidate wins.
-When nothing on the grid is feasible, a penalized objective picks the
-least-bad candidate instead of silently violating the budget.
+When nothing on the grid is feasible, the least risky candidate is picked
+and the selection is marked infeasible instead of silently violating the
+budget.
 
 The scale baseline calibrates a single multiplicative factor for a point
 predictor under the same constraint, by exhaustive search over a factor grid.
@@ -33,9 +34,7 @@ class RiskBudgetConfig:
 
     epsilon is the maximum acceptable calibration over_rate; the search runs
     over [tau_min, tau_max] with bisection tolerance delta and a fine grid of
-    grid_size candidates. penalty weighs budget violations in the fallback
-    objective; None defers to resolve_penalty, the one default, which is large
-    enough that any violation dominates accuracy differences.
+    grid_size candidates.
     """
 
     epsilon: float = 0.35
@@ -43,7 +42,6 @@ class RiskBudgetConfig:
     tau_max: float = 0.40
     delta: float = 0.05
     grid_size: int = 5
-    penalty: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -58,10 +56,6 @@ class RiskBudgetConfig:
             raise ValueError(f"grid_size must be an integer, got {self.grid_size!r}")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
-        if self.penalty is not None and not math.isfinite(self.penalty):
-            raise ValueError(f"penalty must be finite, got {self.penalty}")
-        if self.penalty is not None and self.penalty < 0:
-            raise ValueError("penalty must be non-negative")
 
     def with_epsilon(self, epsilon: float) -> "RiskBudgetConfig":
         return replace(self, epsilon=epsilon)
@@ -191,30 +185,26 @@ class SelectionResult:
 
 
 def select_from_grid(
-    candidates: list[CandidateEvaluation], epsilon: float, penalty: float
+    candidates: list[CandidateEvaluation], epsilon: float
 ) -> tuple[CandidateEvaluation, bool]:
     """Constrained pick over evaluated candidates.
 
     Feasible candidates compete on calibration MAE (ties go to the larger,
     less conservative level). When every candidate violates the budget, the
-    penalized objective mae + penalty*max(over_rate - epsilon, 0) decides
-    (ties go to the smaller, safer level); returns (choice, feasible).
+    least over_rate wins, then the least MAE, then the smaller, safer level;
+    returns (choice, feasible). Under run_selection that fallback only ever
+    sees the one level tau_min: any wider grid starts at a feasible level.
     """
     if not candidates:
         raise InvalidGrid("no candidates to select from")
     feasible = [e for e in candidates if e.over_rate <= epsilon]
     if feasible:
         return min(feasible, key=lambda e: (e.mae, -e.tau)), True
-    best = min(
-        candidates,
-        key=lambda e: (e.mae + penalty * max(e.over_rate - epsilon, 0.0), e.tau),
-    )
-    return best, False
+    return min(candidates, key=lambda e: (e.over_rate, e.mae, e.tau)), False
 
 
-def run_selection(config: RiskBudgetConfig, evaluator: Evaluator, penalty: float) -> SelectionResult:
-    """Coarse-to-fine selection against an arbitrary candidate evaluator,
-    with the fallback's `penalty` weight as resolve_penalty gives it.
+def run_selection(config: RiskBudgetConfig, evaluator: Evaluator) -> SelectionResult:
+    """Coarse-to-fine selection against an arbitrary candidate evaluator.
 
     Each level is evaluated once, by memo_ev, which raises an evaluator error
     that is not a RiskcastError as EvaluatorFailure, naming the level.
@@ -238,7 +228,7 @@ def run_selection(config: RiskBudgetConfig, evaluator: Evaluator, penalty: float
     boundary = boundary_search(config, memo_ev)
     lo, hi = boundary.tau_lo, boundary.tau_hi
     fine = [memo_ev(t) for t in lin_space(lo, hi, 1 if lo == hi else config.grid_size)]
-    best, is_feasible = select_from_grid(fine, config.epsilon, penalty)
+    best, is_feasible = select_from_grid(fine, config.epsilon)
     return SelectionResult(
         tau_star=best.tau,
         boundary=(lo, hi),
@@ -251,24 +241,13 @@ def run_selection(config: RiskBudgetConfig, evaluator: Evaluator, penalty: float
     )
 
 
-def resolve_penalty(config: RiskBudgetConfig, train: Samples) -> float:
-    """The configured penalty, or 1000x the mean training throughput.
-
-    The mean is taken over a C-contiguous Y: numpy's pairwise sum depends on
-    the memory layout, and a view over the trace (as make_windows gives)
-    would otherwise move its last digit."""
-    if config.penalty is not None:
-        return config.penalty
-    return 1000.0 * float(np.mean(np.ascontiguousarray(train.Y)))
-
-
 def select_quantile(
     config: RiskBudgetConfig, train: Samples, cal: Samples, params: BackboneParams
 ) -> SelectionResult:
     """Train/evaluate candidates on real splits and select the operating level,
     every fit on one worker set."""
     with Workers(train, cal) as workers:
-        return run_selection(config, QuantileEvaluator(workers, params), resolve_penalty(config, train))
+        return run_selection(config, QuantileEvaluator(workers, params))
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +291,7 @@ def budget_scale_search(
         scaled = cal_batch.scaled(float(c))
         rows.append(ScaleEvaluation(float(c), mae(scaled), over_rate(scaled)))
 
-    best = None
-    for row in rows:
-        if row.over_rate <= epsilon and (best is None or row.mae < best.mae):
-            best = row
-    if best is not None:
-        return BudgetScaleResult(best.factor, True, rows)
-    best = rows[0]
-    for row in rows[1:]:
-        if row.over_rate < best.over_rate:
-            best = row
-    return BudgetScaleResult(best.factor, False, rows)
+    feasible = [row for row in rows if row.over_rate <= epsilon]
+    if feasible:
+        return BudgetScaleResult(min(feasible, key=lambda row: row.mae).factor, True, rows)
+    return BudgetScaleResult(min(rows, key=lambda row: row.over_rate).factor, False, rows)

@@ -31,7 +31,6 @@ from .calibration import (
     RiskBudgetConfig,
     SelectionResult,
     budget_scale_search,
-    resolve_penalty,
     run_selection,
 )
 from .errors import ConfigError, EmptySweep, PointFitFailure, RiskcastError
@@ -84,7 +83,7 @@ class ExperimentConfig:
 
 
 # The fields that the YAML and config.json name otherwise.
-_YAML_KEYS = {"history": "L", "horizon": "H", "grid_size": "M", "penalty": "lambda"}
+_YAML_KEYS = {"history": "L", "horizon": "H", "grid_size": "M"}
 # The key that older configs name a field by, read as that field.
 _OLD_KEYS = {"noise": "noise_model"}
 # Backbone keys that name the one behaviour there is: each is accepted with
@@ -201,15 +200,21 @@ def _read(cls, raw, name: str, defaults: dict | None = None, /, **given):
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """The config that a YAML mapping or a config.json describes. A missing
     dataset.seed derives from the config's seed; the backbone's fixed keys,
-    and the seed that older bundles name there, are checked and dropped."""
+    the seed that older bundles name there, and risk.lambda, which older
+    bundles name as null, are checked and dropped."""
     seed = _value(int, raw.get("seed", 0), "config.seed")
-    backbone = raw.get("backbone")
+    backbone, risk = raw.get("backbone"), raw.get("risk")
     if isinstance(backbone, dict):  # anything else, _read reports
         for key, only in _BACKBONE_FIXED.items():
             if key in backbone and _value(type(only), backbone[key], f"backbone.{key}") != only:
                 raise ConfigError(f"backbone.{key}: the only {key} is {only}, got {backbone[key]!r}")
         _value(int, backbone.get("seed", 0), "backbone.seed")  # training never read it
         raw = {**raw, "backbone": {k: v for k, v in backbone.items() if k not in {*_BACKBONE_FIXED, "seed"}}}
+    if isinstance(risk, dict) and "lambda" in risk:  # no selection weighs a penalty
+        if risk["lambda"] is not None:
+            raise ConfigError(f"risk.lambda: selection has no fallback penalty; only null is accepted, "
+                              f"got {risk['lambda']!r}")
+        raw = {**raw, "risk": {k: v for k, v in risk.items() if k != "lambda"}}
     dataset = _read(get_type_hints(ExperimentConfig)["dataset"], raw.get("dataset"), "dataset",
                     {"seed": stage_seed(seed, "data")})
     return _read(ExperimentConfig, raw, "config", seed=seed, dataset=dataset)
@@ -286,7 +291,6 @@ def calibrate_budgets(
     split; it is shut down before the first test prediction.
     """
     train, cal, test = dataset.train, dataset.calibration, dataset.test
-    penalty = resolve_penalty(config.risk, train)
     point_model = cal_point = None
     with Workers(train, cal) as workers:
         evaluator = QuantileEvaluator(workers, config.backbone)
@@ -302,7 +306,7 @@ def calibrate_budgets(
         controls = [
             (
                 e,
-                run_selection(config.risk.with_epsilon(e), evaluator, penalty=penalty),
+                run_selection(config.risk.with_epsilon(e), evaluator),
                 budget_scale_search(cal_point, e) if cal_point is not None else None,
             )
             for e in epsilons

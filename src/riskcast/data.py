@@ -62,13 +62,15 @@ def _whole_seconds(timestamps) -> np.ndarray:
     return ts
 
 
-def _freeze(arr):
+def _freeze(arr, copy: bool = True):
     """arr as a read-only array. A read-only array or WindowMatrix passes
     through as it is, so a view over a trace stays a view; anything else is
-    made a contiguous array (a copy where it is not one) and frozen."""
+    copied into a contiguous array that is frozen, so a caller's array stays
+    writable. An array riskcast has just made is passed with copy=False and
+    frozen in place where it is contiguous."""
     if isinstance(arr, WindowMatrix) or (isinstance(arr, np.ndarray) and not arr.flags.writeable):
         return arr
-    arr = np.ascontiguousarray(arr)
+    arr = np.array(arr, order="C") if copy else np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
 
@@ -103,7 +105,7 @@ class Trace:
             if not np.all(np.isfinite(s)):
                 raise ValueError(f"aux series {key!r} contains non-finite values")
             aux[key] = _freeze(s)
-        object.__setattr__(self, "timestamps", _freeze(ts))
+        object.__setattr__(self, "timestamps", _freeze(ts, copy=False))
         object.__setattr__(self, "throughput", _freeze(tp))
         object.__setattr__(self, "aux", aux)
 
@@ -215,47 +217,34 @@ class Samples:
         object.__setattr__(self, "X", _freeze(self.X))
         object.__setattr__(self, "Y", _freeze(self.Y))
         object.__setattr__(self, "origin_index", _freeze(self.origin_index))
+        object.__setattr__(self, "layout", tuple(self.layout))
 
     def __len__(self) -> int:
         return len(self.X)
 
 
 @dataclass(frozen=True)
-class WindowedDataset:
+class WindowedDataset(Samples):
     """Supervised (X, Y) samples with chronological train/cal/test partitions.
 
     Sample i originates at trace index origin_index[i]; its features cover the
-    preceding `history` steps and its target the following `horizon` steps.
-    Split membership is decided purely by origin index, so the partitions are
-    contiguous in time. From make_windows, X is a WindowMatrix and Y the
-    read-only sliding-window view of the trace's throughput, so Y[i, h] is
+    preceding L steps and its targets the following H steps. Split membership
+    is decided purely by origin index, so the partitions are contiguous in
+    time. From make_windows, X is a WindowMatrix and Y the read-only
+    sliding-window view of the trace's throughput, so Y[i, h] is
     throughput[origin_index[i] + 1 + h], each column Y[:, h] is a contiguous
     slice of the series, and no target matrix is copied.
     """
 
-    X: WindowMatrix | np.ndarray
-    Y: np.ndarray
-    origin_index: np.ndarray
-    layout: tuple[str, ...]
-    history: int
-    horizon: int
     train_end: int
     cal_end: int
 
     def __post_init__(self) -> None:
-        if self.Y.shape[1] != self.horizon:
-            raise ValueError("target width must equal horizon")
+        super().__post_init__()
         if np.any(self.Y < 0):
             raise ValueError("targets must be non-negative")
         if not 0 <= self.train_end <= self.cal_end <= len(self.X):
             raise ValueError("split boundaries out of order")
-        object.__setattr__(self, "X", _freeze(self.X))
-        object.__setattr__(self, "Y", _freeze(self.Y))
-        object.__setattr__(self, "origin_index", _freeze(self.origin_index))
-        object.__setattr__(self, "layout", tuple(self.layout))
-
-    def __len__(self) -> int:
-        return len(self.X)
 
     def _slice(self, lo: int, hi: int) -> Samples:
         return Samples(self.X[lo:hi], self.Y[lo:hi], self.origin_index[lo:hi], self.layout)
@@ -348,16 +337,15 @@ def make_windows(
 
     aux_keys = trace.aux_keys
     clock = derive_time_features(trace.timestamps)
-    series = (trace.throughput, *(trace.aux[k] for k in aux_keys), *(clock[k] for k in TIME_FEATURES))
+    series = (trace.throughput, *(trace.aux[k] for k in aux_keys),
+              *(_freeze(clock[k], copy=False) for k in TIME_FEATURES))
     Y = np.lib.stride_tricks.sliding_window_view(trace.throughput, horizon)[history : history + n]
-    origins = np.arange(history - 1, history - 1 + n, dtype=np.int64)
+    origins = _freeze(np.arange(history - 1, history - 1 + n, dtype=np.int64), copy=False)
     return WindowedDataset(
         X=WindowMatrix(series, history, 0, n),
         Y=Y,
         origin_index=origins,
         layout=build_layout(history, aux_keys),
-        history=history,
-        horizon=horizon,
         train_end=train_end,
         cal_end=cal_end,
     )
@@ -525,7 +513,8 @@ def default_schema() -> dict[str, str]:
 
 
 def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None = None) -> Trace:
-    """Read a trace CSV, sort by timestamp, and validate invariants.
+    """Read a UTF-8 trace CSV (a leading byte-order mark is skipped), sort
+    by timestamp, and check it as Trace does.
 
     `schema` maps canonical field names (timestamp, throughput, aux keys) to
     the column names actually present in the file; omitted aux fields fall
@@ -538,7 +527,7 @@ def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None
                 raise MissingColumn(f"unknown schema field {key!r}")
             mapping[key] = col
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             header = reader.fieldnames or []
@@ -567,16 +556,10 @@ def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None
         raise TraceTooShort(f"trace {path} has no data rows")
 
     ts = np.asarray(timestamps, dtype=np.int64)
-    tp = np.asarray(throughput, dtype=np.float64)
-    if np.any(tp < 0):
-        raise NegativeThroughput("throughput column contains negative values")
-
     order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    if not np.all(ts[1:] > ts[:-1]):
-        raise NonMonotoneTimestamps("duplicate timestamps remain after sorting")
     aux = {k: np.asarray(v, dtype=np.float64)[order] for k, v in aux_values.items()}
-    return Trace(name=name or str(path), timestamps=ts, throughput=tp[order], aux=aux)
+    return Trace(name=name or str(path), timestamps=ts[order],
+                 throughput=np.asarray(throughput, dtype=np.float64)[order], aux=aux)
 
 
 _INT64 = np.iinfo(np.int64)

@@ -123,10 +123,7 @@ def test_c04_point_predictor_unsafety():
         with rc.Workers(ds.train, ds.calibration) as workers:
             point = rc.train_point_model(workers, params)
             evaluator = QuantileEvaluator(workers, params)
-            sel = run_selection(
-                RiskBudgetConfig(epsilon=epsilon), evaluator,
-                penalty=1000.0 * float(np.mean(ds.train.Y)),
-            )
+            sel = run_selection(RiskBudgetConfig(epsilon=epsilon), evaluator)
         point_rate = rc.over_rate(
             PredictionBatch(point.predict(ds.test.X, ds.test.layout), ds.test.Y)
         )
@@ -184,7 +181,7 @@ def test_c05_selection_oracle_equivalence():
             eps = float(rng.uniform(0.2, 0.5))
             config = RiskBudgetConfig(epsilon=eps)
             evaluator = _CurveEvaluator(r_fn, a_fn)
-            result = run_selection(config, evaluator, penalty=1e9)
+            result = run_selection(config, evaluator)
             assert result.n_trainings <= budget_cap
             assert evaluator.n_trainings <= budget_cap
 
@@ -209,17 +206,17 @@ def test_c06_degenerate_branches():
         low = _CurveEvaluator(lambda tau: 0.10, lambda tau: 1.0 - tau)
         boundary = boundary_search(config, low)
         assert (boundary.tau_lo, boundary.tau_hi) == (0.40, 0.40)
-        result = run_selection(config, low, penalty=1e6)
+        result = run_selection(config, low)
         assert result.tau_star == 0.40 and result.feasible and not result.fallback_used
 
         high = _CurveEvaluator(lambda tau: 0.90, lambda tau: 1.0 - tau)
         boundary = boundary_search(config, high)
         assert (boundary.tau_lo, boundary.tau_hi) == (0.15, 0.15)
-        result = run_selection(config, high, penalty=1e6)
+        result = run_selection(config, high)
         assert result.tau_star == 0.15
         assert result.fallback_used and not result.feasible
         assert [e.tau for e in result.fine_grid] == [0.15]
-        # under a large penalty the fallback pick minimizes over_rate on the grid
+        # with no feasible level on the grid, the fallback picks the least over_rate
         assert result.fine_grid[0].over_rate == min(e.over_rate for e in result.fine_grid)
 
 
@@ -266,10 +263,7 @@ def test_c08_safety_dominance_on_heteroscedastic_data():
 
             with rc.Workers(ds.train, ds.calibration) as workers:
                 evaluator = QuantileEvaluator(workers, params)
-                sel = run_selection(
-                    RiskBudgetConfig(epsilon=0.35), evaluator,
-                    penalty=1000.0 * float(np.mean(ds.train.Y)),
-                )
+                sel = run_selection(RiskBudgetConfig(epsilon=0.35), evaluator)
                 point = rc.train_point_model(workers, params)
             achieved_cal_rate = next(
                 e.over_rate for e in sel.fine_grid if e.tau == sel.tau_star
@@ -328,9 +322,7 @@ def test_c10_frontier_monotonicity():
             evaluator = _CurveEvaluator(r_fn, a_fn)  # shared across budgets
             taus, risks, accs = [], [], []
             for eps in epsilons:
-                result = run_selection(
-                    RiskBudgetConfig(epsilon=eps), evaluator, penalty=1e9
-                )
+                result = run_selection(RiskBudgetConfig(epsilon=eps), evaluator)
                 taus.append(result.tau_star)
                 risks.append(r_fn(result.tau_star))
                 accs.append(a_fn(result.tau_star))

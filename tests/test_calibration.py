@@ -16,12 +16,10 @@ from riskcast.calibration import (
     boundary_search,
     budget_scale_search,
     lin_space,
-    resolve_penalty,
     run_selection,
     select_from_grid,
     select_quantile,
 )
-from riskcast.data import Samples, SyntheticSpec, UniformNoise, generate_synthetic, make_windows
 from riskcast.errors import EmptyGrid, EmptyTrainingSet, EvaluatorFailure, InvalidGrid
 from riskcast.metrics import PredictionBatch, mae, over_rate
 
@@ -100,7 +98,7 @@ class TestBoundarySearch:
 class TestSelection:
     def test_ideal_curve_picks_largest_feasible(self):
         ev = FakeEvaluator(r_fn=lambda tau: tau)
-        result = run_selection(DEFAULT, ev, penalty=1e6)
+        result = run_selection(DEFAULT, ev)
         assert result.feasible and not result.fallback_used
         assert ev.r_fn(result.tau_star) <= DEFAULT.epsilon
         grid_taus = [e.tau for e in result.fine_grid]
@@ -112,7 +110,7 @@ class TestSelection:
 
     def test_degenerate_safe_interval(self):
         ev = FakeEvaluator(r_fn=lambda tau: 0.05)
-        result = run_selection(DEFAULT, ev, penalty=1e6)
+        result = run_selection(DEFAULT, ev)
         assert result.tau_star == 0.40
         assert result.boundary == (0.40, 0.40)
         assert [e.tau for e in result.fine_grid] == [0.40]
@@ -120,21 +118,21 @@ class TestSelection:
 
     def test_degenerate_violation_interval(self):
         ev = FakeEvaluator(r_fn=lambda tau: 0.9)
-        result = run_selection(DEFAULT, ev, penalty=1e6)
+        result = run_selection(DEFAULT, ev)
         assert result.tau_star == 0.15
         assert result.boundary == (0.15, 0.15)
         assert result.fallback_used and not result.feasible
 
     def test_training_budget(self):
         ev = FakeEvaluator(r_fn=lambda tau: tau)
-        result = run_selection(DEFAULT, ev, penalty=1e6)
+        result = run_selection(DEFAULT, ev)
         assert result.n_trainings <= 2 + math.ceil(math.log2(0.25 / 0.05)) + 5
 
     def test_determinism(self):
         ev1 = FakeEvaluator(r_fn=lambda tau: tau * 0.9)
         ev2 = FakeEvaluator(r_fn=lambda tau: tau * 0.9)
-        a = run_selection(DEFAULT, ev1, penalty=1e6)
-        b = run_selection(DEFAULT, ev2, penalty=1e6)
+        a = run_selection(DEFAULT, ev1)
+        b = run_selection(DEFAULT, ev2)
         assert a.tau_star == b.tau_star
         assert a.boundary == b.boundary
         assert [e.tau for e in a.evaluations] == [e.tau for e in b.evaluations]
@@ -143,7 +141,7 @@ class TestSelection:
     def test_a_failed_evaluation_is_raised_as_evaluator_failure(self, stage):
         bisection = FakeEvaluator(r_fn=lambda tau: tau)
         boundary_search(DEFAULT, bisection)
-        fine = run_selection(DEFAULT, FakeEvaluator(r_fn=lambda tau: tau), penalty=1e6).fine_grid
+        fine = run_selection(DEFAULT, FakeEvaluator(r_fn=lambda tau: tau)).fine_grid
         failing = bisection.calls[2] if stage == "bisection" else fine[2].tau
         assert (failing in bisection.calls) == (stage == "bisection")
 
@@ -153,7 +151,7 @@ class TestSelection:
             return CandidateEvaluation(tau=float(tau), mae=1.0 - tau, over_rate=float(tau))
 
         with pytest.raises(EvaluatorFailure, match=f"at tau={failing}: RuntimeError: fit failed$") as info:
-            run_selection(DEFAULT, evaluate, penalty=1e6)
+            run_selection(DEFAULT, evaluate)
         assert isinstance(info.value.__cause__, RuntimeError)
 
     def test_a_riskcast_error_is_raised_as_itself(self):
@@ -161,7 +159,7 @@ class TestSelection:
             raise EmptyTrainingSet("training split is empty")
 
         with pytest.raises(EmptyTrainingSet):
-            run_selection(DEFAULT, evaluate, penalty=1e6)
+            run_selection(DEFAULT, evaluate)
 
 
 class TestSelectFromGrid:
@@ -170,31 +168,25 @@ class TestSelectFromGrid:
 
     def test_feasible_min_mae(self):
         best, feasible = select_from_grid(
-            self.grid([(0.2, 5.0, 0.2), (0.3, 4.0, 0.3), (0.4, 3.0, 0.5)]), 0.35, 1e6
+            self.grid([(0.2, 5.0, 0.2), (0.3, 4.0, 0.3), (0.4, 3.0, 0.5)]), 0.35
         )
         assert feasible and best.tau == 0.3
 
     def test_feasible_tie_takes_larger_tau(self):
         best, _ = select_from_grid(
-            self.grid([(0.2, 4.0, 0.1), (0.3, 4.0, 0.2)]), 0.35, 1e6
+            self.grid([(0.2, 4.0, 0.1), (0.3, 4.0, 0.2)]), 0.35
         )
         assert best.tau == 0.3
 
     def test_huge_penalty_minimizes_risk(self):
         best, feasible = select_from_grid(
-            self.grid([(0.2, 9.0, 0.40), (0.3, 5.0, 0.45), (0.4, 1.0, 0.60)]), 0.35, 1e6
+            self.grid([(0.2, 9.0, 0.40), (0.3, 5.0, 0.45), (0.4, 1.0, 0.60)]), 0.35
         )
         assert not feasible and best.tau == 0.2
 
-    def test_zero_penalty_minimizes_mae_alone(self):
-        best, feasible = select_from_grid(
-            self.grid([(0.2, 9.0, 0.40), (0.3, 5.0, 0.45), (0.4, 1.0, 0.60)]), 0.35, 0.0
-        )
-        assert not feasible and best.tau == 0.4
-
     def test_fallback_tie_takes_smaller_tau(self):
         best, _ = select_from_grid(
-            self.grid([(0.2, 5.0, 0.5), (0.3, 5.0, 0.5)]), 0.35, 1e6
+            self.grid([(0.2, 5.0, 0.5), (0.3, 5.0, 0.5)]), 0.35
         )
         assert best.tau == 0.2
 
@@ -221,7 +213,7 @@ class TestOracleEquivalence:
             r_fn, a_fn, eps = self.scenario(rng)
             config = RiskBudgetConfig(epsilon=eps)
             ev = FakeEvaluator(r_fn=r_fn, a_fn=a_fn)
-            result = run_selection(config, ev, penalty=1e9)
+            result = run_selection(config, ev)
             assert result.n_trainings <= 10
 
             feasible = [t for t in dense if r_fn(t) <= eps]
@@ -257,7 +249,7 @@ class TestEvaluatorCache:
         params = BackboneParams(n_trees=5, max_depth=2)
         with Workers(train, cal) as workers:
             evaluator = QuantileEvaluator(workers, params)
-            result = run_selection(DEFAULT, evaluator, penalty=1e5)
+            result = run_selection(DEFAULT, evaluator)
             fresh = train_quantile_model(workers, result.tau_star, params)
         assert len(evaluator._cache) == result.n_trainings >= 2
         assert all(ev.model.calibration_preds is None for ev in evaluator._cache.values())
@@ -335,6 +327,13 @@ class TestBudgetScale:
             eps = float(rng.uniform(0.05, 0.6))
             assert budget_scale_search(batch, eps, grid).c_star == brute_force_scale(batch, eps, grid)
 
+    @pytest.mark.parametrize("preds, feasible", [(0.0, True), (100.0, False)], ids=["feasible", "infeasible"])
+    def test_ties_go_to_the_first_factor(self, preds, feasible):
+        # Zero predictions score the same MAE at every factor, and predictions
+        # far above the truths the same over_rate.
+        result = budget_scale_search(PredictionBatch(np.full((4, 2), preds), np.full((4, 2), 10.0)), 0.35)
+        assert (result.c_star, result.feasible) == (0.5, feasible)
+
     def test_empty_grid(self, rng):
         truths = rng.uniform(10, 100, size=(5, 2))
         with pytest.raises(EmptyGrid):
@@ -356,16 +355,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             RiskBudgetConfig(epsilon=0.35, delta=float("inf"))
         with pytest.raises(ValueError):
-            RiskBudgetConfig(epsilon=0.35, penalty=float("nan"))
-        with pytest.raises(ValueError):
             RiskBudgetConfig(epsilon=0.35, grid_size=2.5)
-
-    def test_default_penalty_does_not_depend_on_the_layout_of_Y(self):
-        # A sum over this view differs from the sum over its copy in the last digit.
-        trace = generate_synthetic(SyntheticSpec(length=3000, seed=1, base_level=80.0, noise=UniformNoise(20.0)))
-        train = make_windows(trace, 8, 15).train
-        copy = Samples(train.X, np.array(train.Y), train.origin_index, train.layout)
-        assert resolve_penalty(DEFAULT, train) == resolve_penalty(DEFAULT, copy) == 1000.0 * float(np.mean(copy.Y))
 
     def test_with_epsilon(self):
         cfg = RiskBudgetConfig(epsilon=0.35).with_epsilon(0.4)

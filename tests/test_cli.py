@@ -39,8 +39,8 @@ from riskcast.cli import (
 )
 from riskcast.admission import AdmissionReport
 from riskcast.calibration import QuantileEvaluator, budget_scale_search, run_selection
-from riskcast.data import (CyclicScaleNoise, GaussianNoise, SyntheticSpec, WindowedDataset, make_windows,
-                           generate_synthetic)
+from riskcast.data import (CyclicScaleNoise, GaussianNoise, SyntheticSpec, WindowedDataset, ingest_csv,
+                           make_windows, generate_synthetic)
 from riskcast.errors import ConfigError, EmptySweep, EvaluatorFailure
 from riskcast.metrics import SafetyReport
 
@@ -123,6 +123,12 @@ class TestConfig:
         config = load_config(str(ROOT / path))
         assert not set(_BACKBONE_FIXED) & set(config_dict(config)["backbone"])
 
+    def test_lambda_null_reads_as_no_lambda(self):
+        # Configs and bundles from before the fallback lost its penalty name risk.lambda: null.
+        named = config_from_dict({**BASE_CONFIG, "risk": {"epsilon": 0.35, "lambda": None}})
+        assert named == config_from_dict(BASE_CONFIG)
+        assert "lambda" not in config_dict(named)["risk"]
+
     def test_seed_override_re_derives_stage_seeds(self, tmp_path):
         path = write_config(tmp_path)
         a = load_config(path)
@@ -152,7 +158,7 @@ class TestConfig:
         "configs/paper-default.yaml",
         BASE_CONFIG,
         {"dataset": {"kind": "csv", "path": "trace.csv", "schema": {"throughput": "rate"}, "name": "site"},
-         "risk": {"lambda": 250, "M": 4}},
+         "risk": {"lambda": None, "M": 4}},
         {"dataset": {"kind": "synthetic", "length": 500, "base_level": 80, "noise": None}},
         {"dataset": {"kind": "synthetic", "length": 500, "base_level": 80,
                      "noise": {"kind": "gaussian", "sigma": 12}}},
@@ -212,6 +218,17 @@ class TestRunExperiment:
         # Bundles written while subsample was an option record it as 1.0.
         old = json.loads((bundle.output_dir / "config.json").read_text())
         old["backbone"]["subsample"] = 1.0
+        path, out = tmp_path / "config.json", tmp_path / "rerun"
+        path.write_text(json.dumps(old))
+        assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+        for name in ("selection.json", "reports.json", "metrics_long.csv", "config.json"):
+            assert (out / name).read_bytes() == (bundle.output_dir / name).read_bytes(), name
+
+    def test_old_config_json_naming_lambda_repeats_the_run(self, bundle, tmp_path):
+        # Bundles written while the fallback took a penalty record it as null.
+        old = json.loads((bundle.output_dir / "config.json").read_text())
+        assert "lambda" not in old["risk"]
+        old["risk"]["lambda"] = None
         path, out = tmp_path / "config.json", tmp_path / "rerun"
         path.write_text(json.dumps(old))
         assert main(["run", "--config", str(path), "--output", str(out)]) == 0
@@ -285,7 +302,7 @@ class TestProtocolSeparation:
         # The same windows with the test partition dropped.
         end = full.cal_end
         truncated = WindowedDataset(np.asarray(full.X[:end]), full.Y[:end].copy(), full.origin_index[:end].copy(),
-                                    full.layout, full.history, full.horizon, full.train_end, end)
+                                    full.layout, full.train_end, end)
         assert len(truncated.test) == 0
 
         results = []
@@ -295,8 +312,7 @@ class TestProtocolSeparation:
 
             with Workers(ds.train, ds.calibration) as workers:
                 evaluator = QuantileEvaluator(workers, config.backbone)
-                penalty = 1000.0 * float(np.mean(ds.train.Y))
-                sel = run_selection(config.risk, evaluator, penalty=penalty)
+                sel = run_selection(config.risk, evaluator)
                 pm = train_point_model(workers, config.backbone)
             cal_b = PredictionBatch(pm.predict(ds.calibration.X, ds.calibration.layout), ds.calibration.Y)
             scale = budget_scale_search(cal_b, config.risk.epsilon)
@@ -445,6 +461,46 @@ class TestCommands:
         assert main(["ingest", "--csv", str(trace_csv)]) == 0
         assert "rows" in capsys.readouterr().out
 
+    def test_ingest_with_schema_writes_a_normalized_copy(self, tmp_path, capsys):
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text("time,rate,elev\n2,30.5,41.0\n0,10.25,40.0\n1,20.0,40.5\n")
+        copy = tmp_path / "copy.csv"
+        argv = ["ingest", "--csv", str(renamed), "--schema", "timestamp=time", "throughput=rate",
+                "elevation_deg=elev", "--output", str(copy)]
+        assert main(argv) == 0
+        assert f"normalized trace written to {copy}" in capsys.readouterr().out
+        original = ingest_csv(str(renamed), {"timestamp": "time", "throughput": "rate", "elevation_deg": "elev"})
+        again = ingest_csv(str(copy))
+        assert copy.read_text().splitlines()[0] == "timestamp,throughput_mbps,elevation_deg"
+        assert again.timestamps.tolist() == original.timestamps.tolist() == [0, 1, 2]
+        assert again.throughput.tolist() == original.throughput.tolist()
+        assert again.aux["elevation_deg"].tolist() == original.aux["elevation_deg"].tolist()
+
+    def test_ingest_schema_entry_without_equals_fails_with_stage(self, tmp_path, capsys):
+        trace_csv = tmp_path / "trace.csv"
+        trace_csv.write_text("timestamp,throughput_mbps\n0,5\n1,6\n")
+        assert main(["ingest", "--csv", str(trace_csv), "--schema", "throughput"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error [ingest]: --schema: expected FIELD=COLUMN, got 'throughput'\n"
+        assert captured.out == ""
+
+    def test_ingest_csv_with_byte_order_mark(self, tmp_path, capsys):
+        # As spreadsheet exports write UTF-8.
+        trace_csv = tmp_path / "bom.csv"
+        trace_csv.write_bytes(b"\xef\xbb\xbftimestamp,throughput_mbps\n0,5\n1,6\n")
+        assert main(["ingest", "--csv", str(trace_csv)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"trace {trace_csv}: 2 rows")
+        assert captured.err == ""
+
+    def test_synth_on_a_csv_config_fails_with_stage(self, tmp_path, capsys):
+        config = tmp_path / "csv.yaml"
+        config.write_text("dataset: {kind: csv, path: trace.csv}\n")
+        assert main(["synth", "--config", str(config), "--output", str(tmp_path / "out.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error [synth]: synth requires a config with dataset.kind: synthetic\n"
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("text, key", [
         ("dataset: {kind: nope}", "nope"),
         (f"{SYNTH}\nbackbone: {{n_tree: 3}}", "n_tree"),
@@ -499,6 +555,10 @@ class TestCommands:
         ("dataset: {kind: synthetic, length: 100, base_level: .inf}", "dataset.base_level"),
         (f"dataset: {{kind: synthetic, length: 100, base_level: 1{'0' * 400}}}", "dataset.base_level"),
         (f"{SYNTH}\nbackbone: {{seed: 1.5}}", "backbone.seed"),
+        (f"{SYNTH}\nrisk: {{lambda: 0.5}}", "risk.lambda: selection has no fallback penalty"),
+        ("dataset: {length: 100, base_level: 10.0}", "missing key 'kind' in dataset"),
+        (f"{SYNTH}\nrisk: [", "cannot parse config"),
+        ("- dataset\n- risk", "must be a mapping"),
         ("dataset: {kind: synthetic, length: 100, base_level: 10.0,\n"
          "          noise: {kind: gaussian, sigma: 5}, noise_model: {kind: uniform, half_width: 1}}",
          "dataset: names both 'noise' and 'noise_model'"),
@@ -513,7 +573,8 @@ class TestCommands:
             "history-bool", "seed-float", "length-float", "grid-size-float", "horizon-float",
             "epsilon-string", "sigma-string", "n-trees-bool", "learning-rate-bool", "delta-nan", "lambda-nan",
             "sigma-nan", "half-width-nan", "period-nan", "base-level-nan", "base-level-inf",
-            "base-level-int-beyond-float", "backbone-seed-float", "noise-and-noise-model"])
+            "base-level-int-beyond-float", "backbone-seed-float", "lambda-number", "dataset-without-kind",
+            "yaml-unparsable", "yaml-list", "noise-and-noise-model"])
     def test_run_with_bad_config_fails_with_stage(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text + "\n")
@@ -714,7 +775,7 @@ FUZZ_CONFIG = {
 # Keys each config section accepts, by path from the top of the config.
 FUZZ_SECTIONS = {
     (): _keys(ExperimentConfig),
-    ("risk",): _keys(RiskBudgetConfig),
+    ("risk",): (*_keys(RiskBudgetConfig), "lambda"),  # lambda: the fixed key older bundles name as null
     ("backbone",): (*_BACKBONE_FIXED, "seed", *_keys(BackboneParams)),  # seed: the legacy key older bundles name
     ("dataset",): (*_keys(SyntheticSpec), "noise_model"),
     ("dataset", "noise"): _keys(CyclicScaleNoise),

@@ -22,6 +22,7 @@ from riskcast.data import (
     Trace,
     UniformNoise,
     WindowMatrix,
+    WindowedDataset,
     _freeze,
     build_layout,
     check_timestamp_gaps,
@@ -57,6 +58,15 @@ class TestIngest:
         assert trace.timestamps.tolist() == [0, 1, 2]
         assert trace.throughput.tolist() == [10.0, 20.0, 30.0]
         assert trace.aux == {}
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheet exports start UTF-8 text with one.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbftimestamp,throughput_mbps,elevation_deg\n1,20,41\n0,10,40\n")
+        trace = ingest_csv(str(path))
+        assert trace.timestamps.tolist() == [0, 1]
+        assert trace.throughput.tolist() == [10.0, 20.0]
+        assert trace.aux_keys == ("elevation_deg",)
 
     def test_negative_throughput(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["0,10", "1,-5"])
@@ -197,6 +207,7 @@ class TestWindows:
             assert not Y.flags.writeable
             assert np.shares_memory(Y, trace.throughput)
             assert all(Y[:, h].flags.c_contiguous for h in range(4))
+        assert ds.X.series[0] is trace.throughput  # a read-only array passes through uncopied
 
     def test_split_chronology(self):
         ds = make_windows(constant_trace(400), 10, 5)
@@ -476,6 +487,30 @@ class TestTraceInvariants:
         assert base.flags.writeable
         view = np.lib.stride_tricks.sliding_window_view(base.ravel(), 3)
         assert _freeze(view) is view
+
+    def test_callers_arrays_stay_writable_and_unchanged(self):
+        ts, tp, cloud = np.arange(6), np.linspace(1.0, 6.0, 6), np.full(6, 50.0)
+        trace = Trace("t", ts, tp, aux={"cloud_pct": cloud})
+        X, Y, origins = np.ones((4, 2)), np.full((4, 1), 3.0), np.arange(4)
+        samples = Samples(X, Y, origins, ["a", "b"])
+        for given in (ts, tp, cloud, X, Y, origins):
+            assert given.flags.writeable
+        for held in (trace.timestamps, trace.throughput, trace.aux["cloud_pct"], samples.X, samples.Y,
+                     samples.origin_index):
+            assert not held.flags.writeable
+        tp[0], Y[0, 0] = -1.0, -1.0  # the caller may write to its own arrays; the containers keep theirs
+        assert trace.throughput[0] == 1.0 and samples.Y[0, 0] == 3.0
+        assert ts.tolist() == list(range(6)) and X.tolist() == [[1.0, 1.0]] * 4
+        assert samples.layout == ("a", "b")
+
+    @pytest.mark.parametrize("Y, train_end, cal_end, message", [
+        (-1.0, 1, 2, "targets must be non-negative"),
+        (1.0, 3, 2, "split boundaries out of order"),
+        (1.0, 1, 5, "split boundaries out of order"),
+    ], ids=["negative-targets", "cal-before-train", "cal-past-end"])
+    def test_windowed_dataset_checks_targets_and_split_bounds(self, Y, train_end, cal_end, message):
+        with pytest.raises(ValueError, match=message):
+            WindowedDataset(np.zeros((4, 2)), np.full((4, 1), Y), np.arange(4), ("a", "b"), train_end, cal_end)
 
     def test_samples_arrays_are_read_only(self):
         samples = Samples(np.zeros((4, 2)), np.zeros((4, 1)), np.arange(4), ("a", "b"))
