@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -39,7 +39,6 @@ from .metrics import METRIC_NAMES, PredictionBatch, SafetyReport, safety_report,
 METHOD_POINT = "point"
 METHOD_BUDGET_SCALE = "budget_scale"
 METHOD_SAFE_QUANTILE = "safe_quantile"
-_METHOD_ORDER = (METHOD_POINT, METHOD_BUDGET_SCALE, METHOD_SAFE_QUANTILE)
 
 DEFAULT_EPSILONS = (0.30, 0.35, 0.40, 0.45, 0.50)
 
@@ -54,15 +53,15 @@ def stage_seed(seed: int, stage: str) -> int:
 class ExperimentConfig:
     """One run's config; it checks its own ranges, so a config built in code
     is checked as one read from a file is. A rejected value raises
-    ConfigError naming its YAML key."""
+    ConfigError naming its YAML key. Every run scores both baselines."""
 
+    baselines: ClassVar[tuple[str, ...]] = (METHOD_POINT, METHOD_BUDGET_SCALE)
     dataset: data_mod.CsvSource | data_mod.SyntheticSpec
     history: int = 75
     horizon: int = 15
     split_ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
     risk: RiskBudgetConfig = field(default_factory=RiskBudgetConfig)
     backbone: BackboneParams = field(default_factory=BackboneParams)
-    baselines: tuple[str, ...] = (METHOD_POINT, METHOD_BUDGET_SCALE)
     admission_b: float = 10.0
     seed: int = 0
     output_dir: str = "runs/experiment"
@@ -75,21 +74,18 @@ class ExperimentConfig:
             data_mod.check_split_ratios(self.split_ratios)
         except ValueError as exc:
             raise ConfigError(f"config.split_ratios: {exc}") from exc
-        unknown = set(self.baselines) - {METHOD_POINT, METHOD_BUDGET_SCALE}
-        if unknown:
-            raise ConfigError(f"config.baselines: unknown baselines {sorted(unknown)}")
         if not 0.0 < self.admission_b <= sys.float_info.max:
             raise ConfigError(f"config.admission_b: must be a finite number > 0, got {self.admission_b}")
 
 
 # The fields that the YAML and config.json name otherwise.
 _YAML_KEYS = {"history": "L", "horizon": "H", "grid_size": "M"}
-# The key that older configs name a field by, read as that field.
-_OLD_KEYS = {"noise": "noise_model"}
-# Backbone keys that name the one behaviour there is: each is accepted with
-# this value only, and is not written to config.json. Every tree fits every
-# training row, so subsample is 1.0.
-_BACKBONE_FIXED = {"kind": "boosted_trees", "subsample": 1.0}
+# Keys that older configs and bundles name, each with the one value it can
+# take: each is accepted with that value only, then dropped, so config.json
+# leaves it out. Every tree is boosted and fits every training row, selection
+# weighs no fallback penalty, and every run scores both baselines.
+_FIXED = {"backbone.kind": "boosted_trees", "backbone.subsample": 1.0, "risk.lambda": None,
+          "config.baselines": list(ExperimentConfig.baselines)}
 
 
 def _keys(cls) -> tuple[str, ...]:
@@ -154,12 +150,10 @@ def _read(cls, raw, name: str, defaults: dict | None = None, /, **given):
     """cls built from its config section `raw`, a mapping (null reads as
     empty) that holds only cls's keys. A union of dataclasses is the member
     whose kind the section names, else the kind in `defaults`. Each init
-    field not `given` is read under its YAML key, or under its older key
-    (_OLD_KEYS) where the section names that instead; naming both is an
-    error. A dataclass, or a union of them, is read as a nested section
-    whose missing kind is that of the field's default_factory (noise:
-    none), anything else by _value. A missing field takes its `defaults`
-    entry, else the dataclass default."""
+    field not `given` is read under its YAML key. A dataclass, or a union
+    of them, is read as a nested section whose missing kind is that of the
+    field's default_factory (noise: none), anything else by _value. A
+    missing field takes its `defaults` entry, else the dataclass default."""
     section, defaults = {} if raw is None else raw, defaults or {}
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a mapping, got {raw!r}")
@@ -171,19 +165,14 @@ def _read(cls, raw, name: str, defaults: dict | None = None, /, **given):
         if kind not in kinds:
             raise ConfigError(f"unknown {name} kind {kind!r}")
         cls = kinds[kind]
-    unknown = set(section) - {*_keys(cls), *(_OLD_KEYS[f.name] for f in fields(cls) if f.name in _OLD_KEYS)}
+    unknown = set(section) - set(_keys(cls))
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown, key=str)}")
     hints = get_type_hints(cls)
     for f in fields(cls):
         if not f.init or f.name in given:
             continue
-        key, old = _YAML_KEYS.get(f.name, f.name), _OLD_KEYS.get(f.name)
-        if old in section:
-            if key in section:
-                raise ConfigError(f"{name}: names both {key!r} and {old!r}, its older name; give one")
-            key = old
-        hint, args = hints[f.name], get_args(hints[f.name])
+        key, hint, args = _YAML_KEYS.get(f.name, f.name), hints[f.name], get_args(hints[f.name])
         if key not in section:
             if f.name in defaults:
                 given[f.name] = defaults[f.name]
@@ -197,27 +186,49 @@ def _read(cls, raw, name: str, defaults: dict | None = None, /, **given):
     return _build(name, cls, **given)
 
 
+def _yaml(value) -> str:
+    """value on one line, as YAML writes it: null, 0.8, [point]."""
+    return yaml.dump(value, default_flow_style=True, width=float("inf")).removesuffix("...\n").strip()
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """The config that a YAML mapping or a config.json describes. A missing
-    dataset.seed derives from the config's seed; the backbone's fixed keys,
-    the seed that older bundles name there, and risk.lambda, which older
-    bundles name as null, are checked and dropped."""
+    dataset.seed derives from the config's seed. Older spellings are read
+    here, so that _read sees only the current schema: each _FIXED key is
+    checked and dropped, and dataset.noise_model is read as dataset.noise."""
+    raw = {key: dict(value) if isinstance(value, dict) else value for key, value in raw.items()}
+    for name, only in _FIXED.items():
+        section, key = name.split(".")
+        values = raw if section == "config" else raw.get(section)
+        if isinstance(values, dict) and key in values:  # a section that is not a mapping, _read reports
+            value = values.pop(key)
+            if isinstance(value, bool) or value != only:
+                raise ConfigError(f"{name}: the only {key} is {_yaml(only)}, got {_yaml(value)}")
+    spec = raw.get("dataset")
+    if isinstance(spec, dict) and "noise_model" in spec:
+        if "noise" in spec:
+            raise ConfigError("dataset: names both 'noise' and 'noise_model', its older name; give one")
+        spec["noise"] = spec.pop("noise_model")
     seed = _value(int, raw.get("seed", 0), "config.seed")
-    backbone, risk = raw.get("backbone"), raw.get("risk")
-    if isinstance(backbone, dict):  # anything else, _read reports
-        for key, only in _BACKBONE_FIXED.items():
-            if key in backbone and _value(type(only), backbone[key], f"backbone.{key}") != only:
-                raise ConfigError(f"backbone.{key}: the only {key} is {only}, got {backbone[key]!r}")
-        _value(int, backbone.get("seed", 0), "backbone.seed")  # training never read it
-        raw = {**raw, "backbone": {k: v for k, v in backbone.items() if k not in {*_BACKBONE_FIXED, "seed"}}}
-    if isinstance(risk, dict) and "lambda" in risk:  # no selection weighs a penalty
-        if risk["lambda"] is not None:
-            raise ConfigError(f"risk.lambda: selection has no fallback penalty; only null is accepted, "
-                              f"got {risk['lambda']!r}")
-        raw = {**raw, "risk": {k: v for k, v in risk.items() if k != "lambda"}}
     dataset = _read(get_type_hints(ExperimentConfig)["dataset"], raw.get("dataset"), "dataset",
                     {"seed": stage_seed(seed, "data")})
     return _read(ExperimentConfig, raw, "config", seed=seed, dataset=dataset)
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that rejects a key written twice in one mapping, as
+    YAML requires, instead of keeping the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":  # a merged mapping's keys may be overridden
+                key = self.construct_object(key_node, deep=True)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError("while constructing a mapping", node.start_mark,
+                                                            f"found duplicate key {key!r}", key_node.start_mark)
+                seen.append(key)
+        return super().construct_mapping(node, deep)
 
 
 def load_config(
@@ -228,7 +239,7 @@ def load_config(
 ) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -264,7 +275,7 @@ def load_trace(config: ExperimentConfig) -> data_mod.Trace:
 class ExperimentBundle:
     config: ExperimentConfig
     selection: SelectionResult
-    budget_scale: BudgetScaleResult | None
+    budget_scale: BudgetScaleResult
     safety: dict[str, dict[str, SafetyReport]]  # method -> subset ("all", "p30", "p10") -> report
     admission: dict[str, dict[str, AdmissionReport]]
     output_dir: Path
@@ -276,7 +287,7 @@ class BudgetOutcome:
 
     epsilon: float
     selection: SelectionResult
-    budget_scale: BudgetScaleResult | None
+    budget_scale: BudgetScaleResult
     batches: dict[str, PredictionBatch]
 
 
@@ -291,42 +302,31 @@ def calibrate_budgets(
     split; it is shut down before the first test prediction.
     """
     train, cal, test = dataset.train, dataset.calibration, dataset.test
-    point_model = cal_point = None
     with Workers(train, cal) as workers:
         evaluator = QuantileEvaluator(workers, config.backbone)
-        if METHOD_POINT in config.baselines or METHOD_BUDGET_SCALE in config.baselines:
-            try:
-                point_model = train_point_model(workers, config.backbone)
-            except RiskcastError:
-                raise
-            except Exception as exc:
-                raise PointFitFailure(f"point model fit failed: {type(exc).__name__}: {exc}") from exc
-        if METHOD_BUDGET_SCALE in config.baselines:
-            cal_point = PredictionBatch(point_model.calibration_preds, cal.Y)
+        try:
+            point_model = train_point_model(workers, config.backbone)
+        except RiskcastError:
+            raise
+        except Exception as exc:
+            raise PointFitFailure(f"point model fit failed: {type(exc).__name__}: {exc}") from exc
+        cal_point = PredictionBatch(point_model.calibration_preds, cal.Y)
         controls = [
-            (
-                e,
-                run_selection(config.risk.with_epsilon(e), evaluator),
-                budget_scale_search(cal_point, e) if cal_point is not None else None,
-            )
+            (e, run_selection(config.risk.with_epsilon(e), evaluator), budget_scale_search(cal_point, e))
             for e in epsilons
         ]
 
     # Test predictions are made only after every calibration decision: the
     # protocol guard that keeps test data out of risk control.
-    test_point = point_model.predict(test.X, test.layout) if point_model is not None else None
-    outcomes: list[BudgetOutcome] = []
-    for e, selection, scale in controls:
-        batches: dict[str, PredictionBatch] = {}
-        if METHOD_POINT in config.baselines:
-            batches[METHOD_POINT] = PredictionBatch(test_point, test.Y)
-        if scale is not None:
-            batches[METHOD_BUDGET_SCALE] = PredictionBatch(test_point * scale.c_star, test.Y)
-        batches[METHOD_SAFE_QUANTILE] = PredictionBatch(
-            selection.model.predict(test.X, test.layout), test.Y
-        )
-        outcomes.append(BudgetOutcome(e, selection, scale, batches))
-    return outcomes
+    test_point = point_model.predict(test.X, test.layout)
+    return [
+        BudgetOutcome(e, selection, scale, {
+            METHOD_POINT: PredictionBatch(test_point, test.Y),
+            METHOD_BUDGET_SCALE: PredictionBatch(test_point * scale.c_star, test.Y),
+            METHOD_SAFE_QUANTILE: PredictionBatch(selection.model.predict(test.X, test.layout), test.Y),
+        })
+        for e, selection, scale in controls
+    ]
 
 
 def _windows(config: ExperimentConfig) -> data_mod.WindowedDataset:
@@ -355,7 +355,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     _write_json(out / "config.json", config_dict(config))
     _write_json(out / "selection.json", {
         "quantile_selection": selection.to_dict(),
-        "budget_scale": asdict(scale_result) if scale_result else None,
+        "budget_scale": asdict(scale_result),
     })
     _write_json(out / "reports.json", {
         "methods": {
@@ -395,9 +395,8 @@ def run_frontier(config: ExperimentConfig, epsilons) -> list[FrontierRow]:
     eps = _sweep(epsilons)
     rows: list[FrontierRow] = []
     for outcome in calibrate_budgets(config, _windows(config), eps):
-        controls = {METHOD_POINT: 1.0, METHOD_SAFE_QUANTILE: outcome.selection.tau_star}
-        if outcome.budget_scale is not None:
-            controls[METHOD_BUDGET_SCALE] = outcome.budget_scale.c_star
+        controls = {METHOD_POINT: 1.0, METHOD_BUDGET_SCALE: outcome.budget_scale.c_star,
+                    METHOD_SAFE_QUANTILE: outcome.selection.tau_star}
         for method, batch in outcome.batches.items():
             rep = safety_report(batch)
             rows.append(FrontierRow(method, outcome.epsilon, float(controls[method]),
@@ -427,7 +426,7 @@ def long_rows(
 ) -> list[tuple]:
     """(method, split, subset, metric, value) rows from per-method, per-subset test reports."""
     rows: list[tuple] = []
-    for method in (m for m in _METHOD_ORDER if m in safety):
+    for method in safety:
         for subset in safety[method]:
             for report, metrics in ((safety[method][subset], METRIC_NAMES),
                                     (admission[method][subset], ADMISSION_METRICS)):
@@ -499,14 +498,12 @@ def _cmd_run(args) -> int:
     sel = bundle.selection
     print(f"selected quantile {sel.tau_star:.4f} "
           f"(feasible={sel.feasible}, trainings={sel.n_trainings})")
-    if bundle.budget_scale is not None:
-        print(f"budget-scale factor {bundle.budget_scale.c_star:.3f} "
-              f"(feasible={bundle.budget_scale.feasible})")
-    for method in _METHOD_ORDER:
-        if method in bundle.safety:
-            rep = bundle.safety[method]["all"]
-            print(f"{method}: test mae {rep.mae:.3f}, over_rate {rep.over_rate:.3f}, "
-                  f"mpe {rep.mpe:.3f}, p95_pos_err {rep.p95_pos_err:.3f}")
+    print(f"budget-scale factor {bundle.budget_scale.c_star:.3f} "
+          f"(feasible={bundle.budget_scale.feasible})")
+    for method, reports in bundle.safety.items():
+        rep = reports["all"]
+        print(f"{method}: test mae {rep.mae:.3f}, over_rate {rep.over_rate:.3f}, "
+              f"mpe {rep.mpe:.3f}, p95_pos_err {rep.p95_pos_err:.3f}")
     print(f"bundle written to {bundle.output_dir}")
     return 0
 

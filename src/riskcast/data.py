@@ -46,6 +46,7 @@ TIME_FEATURES = ("phase15", "minute", "hour", "day_of_week")
 THROUGHPUT_COLUMN = "throughput_mbps"
 
 _SECONDS_PER_DAY = 86_400
+_INT64 = np.iinfo(np.int64)
 
 
 def _whole_seconds(timestamps) -> np.ndarray:
@@ -466,6 +467,11 @@ class SyntheticSpec:
             raise InvalidSpec("length must be >= 1")
         if self.handover_period < 1:
             raise InvalidSpec("handover_period must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+        if not _INT64.min <= self.start_timestamp <= _INT64.max - (self.length - 1):
+            raise InvalidSpec(f"start_timestamp {self.start_timestamp} and length {self.length} put timestamps "
+                              "outside the 64-bit integer range")
 
 
 def synthetic_timestamps(spec: SyntheticSpec) -> np.ndarray:
@@ -488,7 +494,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Trace:
     ts = synthetic_timestamps(spec)
     rng = np.random.default_rng(spec.seed)
     values = deterministic_level(spec) + spec.noise.sample(rng, ts)
-    return Trace(name=f"synthetic-{spec.seed}", timestamps=ts, throughput=np.maximum(values, 0.0))
+    throughput = _freeze(np.maximum(values, 0.0), copy=False)  # read-only, so Trace keeps it uncopied
+    return Trace(name=f"synthetic-{spec.seed}", timestamps=ts, throughput=throughput)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +564,9 @@ def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None
 
     ts = np.asarray(timestamps, dtype=np.int64)
     order = np.argsort(ts, kind="stable")
-    aux = {k: np.asarray(v, dtype=np.float64)[order] for k, v in aux_values.items()}
+    aux = {k: _freeze(np.asarray(v, dtype=np.float64)[order], copy=False) for k, v in aux_values.items()}
     return Trace(name=name or str(path), timestamps=ts[order],
-                 throughput=np.asarray(throughput, dtype=np.float64)[order], aux=aux)
-
-
-_INT64 = np.iinfo(np.int64)
+                 throughput=_freeze(np.asarray(throughput, dtype=np.float64)[order], copy=False), aux=aux)
 
 
 def _parse_int(row: dict, column: str, line_no: int) -> int:

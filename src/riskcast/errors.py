@@ -43,7 +43,8 @@ class TraceTooShort(RiskcastError):
 
 
 class InvalidSpec(RiskcastError):
-    """A synthetic-trace spec has a non-positive length or period."""
+    """A synthetic-trace spec has a non-positive length or period, a negative
+    seed, or timestamps beyond the 64-bit integer range."""
 
 
 class InvalidTau(RiskcastError):

@@ -21,7 +21,7 @@ import riskcast.calibration
 from riskcast.backbone import BackboneParams
 from riskcast.calibration import RiskBudgetConfig
 from riskcast.cli import (
-    _BACKBONE_FIXED,
+    _FIXED,
     _keys,
     DEFAULT_EPSILONS,
     calibrate_budgets,
@@ -57,7 +57,6 @@ BASE_CONFIG = {
     "split_ratios": [0.6, 0.2, 0.2],
     "risk": {"epsilon": 0.35},
     "backbone": {"kind": "boosted_trees", "n_trees": 20, "max_depth": 3, "min_samples_leaf": 40},
-    "baselines": ["point", "budget_scale"],
     "admission_b": 10.0,
     "seed": 13,
 }
@@ -99,8 +98,7 @@ class TestConfig:
         ({"history": 0}, "config.L"),
         ({"horizon": 0}, "config.H"),
         ({"split_ratios": (0.5, 0.5)}, "config.split_ratios"),
-        ({"baselines": ("pointt",)}, "config.baselines"),
-    ], ids=["admission-b", "history", "horizon", "split-ratios", "baselines"])
+    ], ids=["admission-b", "history", "horizon", "split-ratios"])
     def test_a_config_built_in_code_is_checked_before_training(self, change, key):
         config = config_from_dict(BASE_CONFIG)
         with mock.patch.object(riskcast.backbone.Workers, "__init__", side_effect=AssertionError("trained")):
@@ -115,19 +113,34 @@ class TestConfig:
 
     @pytest.mark.parametrize("path", ["configs/synthetic-demo.yaml", "bench/paper_shape.yaml",
                                       "configs/paper-default.yaml"], ids=["demo", "paper_shape", "paper_default"])
-    def test_shipped_configs_name_the_one_backbone_kind(self, path):
-        # And the one subsample: both are fixed keys, which config.json leaves out.
-        raw = yaml.safe_load((ROOT / path).read_text())
-        fixed = {key: raw["backbone"][key] for key in _BACKBONE_FIXED}
-        assert fixed == {"kind": "boosted_trees", "subsample": 1.0}
-        config = load_config(str(ROOT / path))
-        assert not set(_BACKBONE_FIXED) & set(config_dict(config)["backbone"])
+    def test_shipped_configs_load_and_config_json_names_no_fixed_key(self, path):
+        written = json.loads(json.dumps(config_dict(load_config(str(ROOT / path)))))
+        for name in _FIXED:
+            section, key = name.split(".")
+            assert key not in (written if section == "config" else written[section]), name
+        if path.startswith("configs/"):  # written in config.json's keys; bench/ keeps the older spellings
+            raw = yaml.safe_load((ROOT / path).read_text())
+            assert set(_paths(raw)) - {("output_dir",)} <= set(_paths(written))
+
+    def test_both_baselines_read_as_no_baselines_key(self):
+        # Configs and bundles from before every run scored both name them.
+        named = config_from_dict({**BASE_CONFIG, "baselines": ["point", "budget_scale"]})
+        assert named == config_from_dict(BASE_CONFIG)
+        assert "baselines" not in config_dict(named)
+        assert named.baselines == ("point", "budget_scale")
 
     def test_lambda_null_reads_as_no_lambda(self):
         # Configs and bundles from before the fallback lost its penalty name risk.lambda: null.
         named = config_from_dict({**BASE_CONFIG, "risk": {"epsilon": 0.35, "lambda": None}})
         assert named == config_from_dict(BASE_CONFIG)
         assert "lambda" not in config_dict(named)["risk"]
+
+    def test_a_key_may_override_a_merged_mapping(self, tmp_path):
+        # Only a key written twice is rejected; YAML's merge key is not one.
+        path = tmp_path / "merge.yaml"
+        path.write_text(f"{SYNTH}\nbackbone: {{<<: {{n_trees: 3, max_depth: 2}}, max_depth: 4}}\n")
+        config = load_config(str(path))
+        assert (config.backbone.n_trees, config.backbone.max_depth) == (3, 4)
 
     def test_seed_override_re_derives_stage_seeds(self, tmp_path):
         path = write_config(tmp_path)
@@ -229,18 +242,6 @@ class TestRunExperiment:
         old = json.loads((bundle.output_dir / "config.json").read_text())
         assert "lambda" not in old["risk"]
         old["risk"]["lambda"] = None
-        path, out = tmp_path / "config.json", tmp_path / "rerun"
-        path.write_text(json.dumps(old))
-        assert main(["run", "--config", str(path), "--output", str(out)]) == 0
-        for name in ("selection.json", "reports.json", "metrics_long.csv", "config.json"):
-            assert (out / name).read_bytes() == (bundle.output_dir / name).read_bytes(), name
-
-    def test_old_config_json_naming_backbone_seed_repeats_the_run(self, bundle, tmp_path):
-        # Bundles written while BackboneParams took a seed record the derived
-        # one, which training never read; config.json no longer names it.
-        old = json.loads((bundle.output_dir / "config.json").read_text())
-        assert "seed" not in old["backbone"]
-        old["backbone"]["seed"] = stage_seed(old["seed"], "backbone")
         path, out = tmp_path / "config.json", tmp_path / "rerun"
         path.write_text(json.dumps(old))
         assert main(["run", "--config", str(path), "--output", str(out)]) == 0
@@ -399,17 +400,10 @@ class TestDeterminism:
 
 
 class TestFrontier:
-    @pytest.mark.parametrize("baselines", [
-        [],
-        ["point"],
-        ["budget_scale"],
-        ["point", "budget_scale"],
-    ], ids=["none", "point", "budget_scale", "point+budget_scale"])
-    def test_rows_and_consistency_with_run(self, tmp_path, baselines):
-        path = write_config(tmp_path, {"baselines": baselines})
-        config = load_config(path, output_dir=str(tmp_path / "out"))
+    def test_rows_and_consistency_with_run(self, tmp_path):
+        config = load_config(write_config(tmp_path), output_dir=str(tmp_path / "out"))
         rows = run_frontier(config, [0.35])
-        assert [r.method for r in rows] == [*baselines, "safe_quantile"]
+        assert [r.method for r in rows] == ["point", "budget_scale", "safe_quantile"]
         bundle = run_experiment(config)
         by_method = {r.method: r for r in rows}
         assert set(by_method) == set(bundle.safety)
@@ -417,12 +411,8 @@ class TestFrontier:
             assert by_method[method].over_rate == reports["all"].over_rate
             assert by_method[method].mae == reports["all"].mae
         assert by_method["safe_quantile"].control == bundle.selection.tau_star
-        if "budget_scale" in baselines:
-            assert by_method["budget_scale"].control == bundle.budget_scale.c_star
-        else:
-            assert bundle.budget_scale is None
-        if "point" in baselines:
-            assert by_method["point"].control == 1.0
+        assert by_method["budget_scale"].control == bundle.budget_scale.c_star
+        assert by_method["point"].control == 1.0
 
     def test_sweep_files(self, tmp_path):
         config = load_config(write_config(tmp_path), output_dir=str(tmp_path / "out"))
@@ -520,8 +510,13 @@ class TestCommands:
         (f"{SYNTH}\nbackbone: {{n_trees: '40'}}", "n_trees"),
         (f"{SYNTH}\nbackbone: {{kind: linear}}", "backbone.kind"),
         (f"{SYNTH}\nbackbone: {{subsample: 0.8}}", "backbone.subsample: the only subsample is 1.0, got 0.8"),
+        (f"{SYNTH}\nbackbone: {{subsample: true}}", "backbone.subsample: the only subsample is 1.0, got true"),
+        (f"{SYNTH}\nbackbone: {{seed: 3}}", "unknown backbone keys: ['seed']"),
         (f"{SYNTH}\nbackbone: {{steps: 10}}", "unknown backbone keys: ['steps']"),
         (f"{SYNTH}\nbaselines: [[1]]", "baselines"),
+        (f"{SYNTH}\nbaselines: [point]", "config.baselines: the only baselines is [point, budget_scale], got [point]"),
+        (f"{SYNTH}\nbaselines: []", "config.baselines: the only baselines is [point, budget_scale], got []"),
+        (f"{SYNTH}\nbaselines: [budget_scale, point]", "config.baselines: the only baselines is"),
         (f"{SYNTH}\nadmission_b: 0", "admission_b"),
         (f"{SYNTH}\nadmission_b: -2.5", "admission_b"),
         (f"{SYNTH}\nadmission_b: .nan", "admission_b"),
@@ -554,27 +549,35 @@ class TestCommands:
         ("dataset: {kind: synthetic, length: 100, base_level: .nan}", "dataset.base_level"),
         ("dataset: {kind: synthetic, length: 100, base_level: .inf}", "dataset.base_level"),
         (f"dataset: {{kind: synthetic, length: 100, base_level: 1{'0' * 400}}}", "dataset.base_level"),
-        (f"{SYNTH}\nbackbone: {{seed: 1.5}}", "backbone.seed"),
-        (f"{SYNTH}\nrisk: {{lambda: 0.5}}", "risk.lambda: selection has no fallback penalty"),
+        (f"{SYNTH}\nrisk: {{lambda: 0.5}}", "risk.lambda: the only lambda is null, got 0.5"),
         ("dataset: {length: 100, base_level: 10.0}", "missing key 'kind' in dataset"),
         (f"{SYNTH}\nrisk: [", "cannot parse config"),
         ("- dataset\n- risk", "must be a mapping"),
         ("dataset: {kind: synthetic, length: 100, base_level: 10.0,\n"
          "          noise: {kind: gaussian, sigma: 5}, noise_model: {kind: uniform, half_width: 1}}",
          "dataset: names both 'noise' and 'noise_model'"),
+        (f"{SYNTH}\nL: 4\nL: 6", "found duplicate key 'L'"),
+        (f"{SYNTH}\nrisk: {{epsilon: 0.3, epsilon: 0.45}}", "found duplicate key 'epsilon'"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0, start_timestamp: 100000000000000000000000}",
+         "start_timestamp 100000000000000000000000 and length 100 put timestamps outside"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0, start_timestamp: 9223372036854775800}",
+         "start_timestamp 9223372036854775800 and length 100 put timestamps outside"),
+        ("dataset: {kind: synthetic, length: 100, base_level: 10.0, seed: -1}", "seed must be >= 0, got -1"),
     ], ids=["dataset-kind", "backbone-key", "gaussian-sigma", "uniform-half-width", "cyclic-base",
             "risk-key", "top-key", "top-key-admission", "dataset-key", "noise-key",
             "backbone-not-mapping", "risk-not-mapping", "dataset-not-mapping", "risk-null-value",
-            "backbone-string-value", "backbone-kind-linear", "backbone-subsample-0.8", "backbone-steps-key",
-            "baselines-list-value",
+            "backbone-string-value", "backbone-kind-linear", "backbone-subsample-0.8", "backbone-subsample-true",
+            "backbone-seed", "backbone-steps-key", "baselines-list-value", "baselines-point", "baselines-empty",
+            "baselines-reversed",
             "admission-b-zero", "admission-b-negative", "admission-b-nan", "admission-b-inf",
             "history-zero", "horizon-zero",
             "split-ratios-length", "split-ratios-negative", "split-ratios-sum", "dataset-name-list",
             "history-bool", "seed-float", "length-float", "grid-size-float", "horizon-float",
             "epsilon-string", "sigma-string", "n-trees-bool", "learning-rate-bool", "delta-nan", "lambda-nan",
             "sigma-nan", "half-width-nan", "period-nan", "base-level-nan", "base-level-inf",
-            "base-level-int-beyond-float", "backbone-seed-float", "lambda-number", "dataset-without-kind",
-            "yaml-unparsable", "yaml-list", "noise-and-noise-model"])
+            "base-level-int-beyond-float", "lambda-number", "dataset-without-kind",
+            "yaml-unparsable", "yaml-list", "noise-and-noise-model", "top-key-repeated", "risk-key-repeated",
+            "start-timestamp-beyond-int64", "last-timestamp-beyond-int64", "dataset-seed-negative"])
     def test_run_with_bad_config_fails_with_stage(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text + "\n")
@@ -613,6 +616,18 @@ class TestCommands:
         rows = [f"{t},{100.0 + t % 7}" for t in [*range(60), *range(70, 130)]]
         trace_csv.write_text("timestamp,throughput_mbps\n" + "\n".join(rows) + "\n")
         return trace_csv
+
+    @pytest.mark.parametrize("spec", ["start_timestamp: 100000000000000000000000",
+                                      "start_timestamp: 9223372036854775800", "seed: -1"],
+                             ids=["start-timestamp-beyond-int64", "last-timestamp-beyond-int64", "seed-negative"])
+    def test_synth_with_an_out_of_range_spec_fails_with_stage(self, tmp_path, capsys, spec):
+        config = tmp_path / "bad.yaml"
+        config.write_text(f"dataset: {{kind: synthetic, length: 100, base_level: 10.0, {spec}}}\n")
+        assert main(["synth", "--config", str(config), "--output", str(tmp_path / "out.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error [synth]: {spec.split(':')[0]}")
+        assert captured.out == ""
+        assert not (tmp_path / "out.csv").exists()
 
     def test_ingest_csv_with_timestamp_gap_fails_with_stage(self, tmp_path, capsys):
         code = main(["ingest", "--csv", str(self.write_gap_csv(tmp_path))])
@@ -768,15 +783,15 @@ FUZZ_CONFIG = {
     "split_ratios": [0.5, 0.25, 0.25],
     "risk": {"epsilon": 0.3, "tau_min": 0.15, "tau_max": 0.4, "delta": 0.05, "M": 3},
     "backbone": {"n_trees": 2, "max_depth": 2, "learning_rate": 0.5, "min_samples_leaf": 5},
-    "baselines": ["point"],
     "admission_b": 10.0,
     "seed": 3,
 }
 # Keys each config section accepts, by path from the top of the config.
 FUZZ_SECTIONS = {
-    (): _keys(ExperimentConfig),
-    ("risk",): (*_keys(RiskBudgetConfig), "lambda"),  # lambda: the fixed key older bundles name as null
-    ("backbone",): (*_BACKBONE_FIXED, "seed", *_keys(BackboneParams)),  # seed: the legacy key older bundles name
+    # With the fixed keys that older configs and bundles name, and noise's older name.
+    (): (*_keys(ExperimentConfig), "baselines"),
+    ("risk",): (*_keys(RiskBudgetConfig), "lambda"),
+    ("backbone",): ("kind", "subsample", *_keys(BackboneParams)),
     ("dataset",): (*_keys(SyntheticSpec), "noise_model"),
     ("dataset", "noise"): _keys(CyclicScaleNoise),
     ("dataset", "noise", "base"): _keys(GaussianNoise),
@@ -806,6 +821,9 @@ FUZZ_OUT_OF_RANGE = {
     ("backbone", "learning_rate"): st.floats(1.0, 5.0, exclude_min=True) | st.floats(-5.0, 0.0),
     ("backbone", "max_depth"): st.integers(-3, 0),
     ("dataset", "length"): st.integers(-3, 6),
+    ("dataset", "seed"): st.integers(max_value=-1),
+    # FUZZ_CONFIG's 120 timestamps must all lie within int64.
+    ("dataset", "start_timestamp"): st.integers(min_value=2**63 - 119) | st.integers(max_value=-2**63 - 1),
     ("dataset", "noise", "base", "sigma"): st.floats(-50.0, 0.0, exclude_max=True),
 }
 
@@ -873,14 +891,15 @@ SELECTION_CONTAINERS = [("quantile_selection",), ("quantile_selection", "boundar
                         ("quantile_selection", "evaluations", 0)]
 
 
-def _selection_paths(doc, path=()):
+def _paths(doc, path=()):
+    """The path of every entry in the JSON document `doc`, the root's () first."""
     yield path
     if isinstance(doc, dict):
         for key, value in doc.items():
-            yield from _selection_paths(value, path + (key,))
+            yield from _paths(value, path + (key,))
     elif isinstance(doc, list):
         for i, value in enumerate(doc):
-            yield from _selection_paths(value, path + (i,))
+            yield from _paths(value, path + (i,))
 
 
 @st.composite
@@ -892,7 +911,7 @@ def broken_selections(draw):
         return draw(st.binary(max_size=40))
     if kind == "drop":
         optional = ("budget_scale",)
-        path = draw(st.sampled_from([p for p in _selection_paths(FUZZ_SELECTION)
+        path = draw(st.sampled_from([p for p in _paths(FUZZ_SELECTION)
                                      if p and isinstance(p[-1], str) and p != optional]))
         value = DROP
     elif kind == "not_number":
@@ -963,6 +982,23 @@ def broken_traces(draw):
 
 
 class TestCorruptInputs:
+    def test_the_fuzzed_config_runs_uncorrupted(self, tmp_path, capsys):
+        # So every corruption below is what makes its config fail.
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({**FUZZ_CONFIG, "output_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("scaled", [True, False], ids=["budget-scale", "budget-scale-null"])
+    def test_the_fuzzed_selection_inspects_uncorrupted(self, tmp_path, capsys, scaled):
+        # Bundles written while a run could leave out budget_scale hold null there.
+        selection = FUZZ_SELECTION if scaled else {**FUZZ_SELECTION, "budget_scale": None}
+        (tmp_path / "selection.json").write_text(json.dumps(selection))
+        assert main(["inspect", "--bundle", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("boundary: [0.2000, 0.3000]\n")
+        assert ("budget-scale factor: 0.900" in out) == scaled
+
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(raw=broken_configs())
     @example(raw=_replaced(FUZZ_CONFIG, ("dataset", "noise"), 0))  # was read as no noise

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import riskcast.backbone
+import riskcast.data
 from riskcast.backbone import BackboneParams, Workers, train_point_model
 from riskcast.calibration import QuantileEvaluator
 from riskcast.data import (
@@ -379,6 +380,20 @@ class TestSynthetic:
             SyntheticSpec(length=0, seed=0, base_level=1.0)
         with pytest.raises(InvalidSpec):
             SyntheticSpec(length=10, seed=0, base_level=1.0, handover_period=0)
+        with pytest.raises(InvalidSpec, match="seed must be >= 0, got -1"):
+            SyntheticSpec(length=10, seed=-1, base_level=1.0)
+
+    @pytest.mark.parametrize("start, length", [(2**63 - 99, 100), (-2**63 - 1, 10), (0, 2**63 + 1)],
+                             ids=["last-beyond-max", "first-below-min", "length-beyond-max"])
+    def test_timestamps_beyond_int64_are_rejected(self, start, length):
+        with pytest.raises(InvalidSpec, match="outside the 64-bit integer range"):
+            SyntheticSpec(length=length, seed=0, base_level=1.0, start_timestamp=start)
+
+    def test_timestamps_may_reach_both_ends_of_int64(self):
+        last = generate_synthetic(SyntheticSpec(length=100, seed=0, base_level=1.0, start_timestamp=2**63 - 100))
+        first = generate_synthetic(SyntheticSpec(length=100, seed=0, base_level=1.0, start_timestamp=-2**63))
+        assert last.timestamps[-1] == 2**63 - 1 and first.timestamps[0] == -2**63
+        assert np.all(np.diff(last.timestamps) == 1) and np.all(np.diff(first.timestamps) == 1)
 
     @pytest.mark.parametrize("noise", [
         UniformNoise(40.0),
@@ -502,6 +517,21 @@ class TestTraceInvariants:
         assert trace.throughput[0] == 1.0 and samples.Y[0, 0] == 3.0
         assert ts.tolist() == list(range(6)) and X.tolist() == [[1.0, 1.0]] * 4
         assert samples.layout == ("a", "b")
+
+    def test_builders_hand_the_trace_arrays_it_keeps_uncopied(self, tmp_path, monkeypatch):
+        passed = []
+        trace_class = riskcast.data.Trace
+        monkeypatch.setattr(riskcast.data, "Trace", lambda **kwargs: passed.append(kwargs) or trace_class(**kwargs))
+        path = tmp_path / "trace.csv"
+        path.write_text("timestamp,throughput_mbps,elevation_deg\n1,5.0,40.0\n0,4.0,41.0\n")
+        traces = [generate_synthetic(SyntheticSpec(length=50, seed=2, base_level=9.0, noise=UniformNoise(3.0))),
+                  ingest_csv(str(path))]
+        assert len(passed) == 2
+        for trace, given in zip(traces, passed):
+            assert trace.throughput is given["throughput"]
+            for key, series in trace.aux.items():
+                assert series is given["aux"][key]
+        assert traces[1].aux_keys == ("elevation_deg",)
 
     @pytest.mark.parametrize("Y, train_end, cal_end, message", [
         (-1.0, 1, 2, "targets must be non-negative"),
