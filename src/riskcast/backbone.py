@@ -45,7 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Samples, WindowMatrix
-from .errors import EmptyTrainingSet, InvalidTau, LayoutMismatch, NonFiniteFeatures, NonFiniteTargets
+from .errors import (
+    EmptyTrainingSet, FitFailure, InvalidTau, LayoutMismatch, NonFiniteFeatures, NonFiniteTargets, RiskcastError,
+)
 
 _MAX_BINS = 256
 
@@ -666,10 +668,9 @@ class Workers:
     level it is given and predicts that column on the calibration rows, so
     a model comes back with its `calibration_preds`. Only the fitted
     columns and their predictions are pickled back. Where _workers(H) is 1,
-    and outside the `with` block, the same task runs in-process. A worker's
-    exception is raised by the fit call, a killed worker gives BrokenProcessPool
-    (for this and every later fit), and no worker outlives the block or its
-    caller.
+    and outside the `with` block, the same task runs in-process. A fit that
+    raises, or whose worker is killed (which breaks every later fit too),
+    raises FitFailure (see _fit), and no worker outlives the block or its caller.
     """
 
     def __init__(self, train: Samples, cal: Samples):
@@ -711,12 +712,20 @@ class Workers:
             self._executor = None
 
     def _fit(self, tau: float | None, params: BackboneParams) -> QuantileModel:
-        """The H columns fitted at level tau (None for the point fit)."""
+        """The H columns fitted at level tau (None for the point fit). Every fit
+        comes here: any error but a RiskcastError (BrokenProcessPool from a
+        killed worker, say) is raised as FitFailure, naming the model."""
         horizon = self.horizon
-        if self._executor is None:
-            columns = [_fit_column(h, tau, params, self._split) for h in range(horizon)]
-        else:
-            columns = list(self._executor.map(_fit_column, range(horizon), [tau] * horizon, [params] * horizon))
+        try:
+            if self._executor is None:
+                columns = [_fit_column(h, tau, params, self._split) for h in range(horizon)]
+            else:
+                columns = list(self._executor.map(_fit_column, range(horizon), [tau] * horizon, [params] * horizon))
+        except RiskcastError:
+            raise
+        except Exception as exc:
+            failed = "point model fit failed" if tau is None else f"quantile model fit failed at tau={tau}"
+            raise FitFailure(f"{failed}: {type(exc).__name__}: {exc}") from exc
         return QuantileModel(
             tau=tau if tau is not None else 0.5,
             feature_layout=self.layout,

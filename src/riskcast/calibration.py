@@ -22,7 +22,7 @@ import numpy as np
 
 from .backbone import BackboneParams, QuantileModel, Workers, train_quantile_model
 from .data import Samples
-from .errors import EmptyGrid, EvaluatorFailure, InvalidGrid, RiskcastError
+from .errors import EmptyGrid, InvalidGrid
 from .metrics import PredictionBatch, mae, over_rate
 
 DEFAULT_SCALE_GRID = np.linspace(0.50, 1.00, 51)
@@ -135,8 +135,9 @@ def boundary_search(config: RiskBudgetConfig, evaluator: Evaluator) -> BoundaryR
     If the whole interval is safe the bracket collapses to tau_max; if even
     tau_min violates the budget it collapses to tau_min. Otherwise bisection
     keeps risk(tau_lo) <= epsilon < risk(tau_hi) and stops once the bracket
-    is narrower than delta. Each bisection step evaluates one new level;
-    run_selection memoises the evaluator so the fine grid reuses them.
+    is narrower than delta, or has no float inside it. Each bisection step
+    evaluates one new level; run_selection memoises the evaluator so the
+    fine grid reuses them.
     """
     lo_eval = evaluator(config.tau_min)
     hi_eval = evaluator(config.tau_max)
@@ -150,6 +151,8 @@ def boundary_search(config: RiskBudgetConfig, evaluator: Evaluator) -> BoundaryR
     bisection_log = [(tau_lo, tau_hi, r_lo)]
     while tau_hi - tau_lo >= config.delta:
         tau_mid = 0.5 * (tau_lo + tau_hi)
+        if not tau_lo < tau_mid < tau_hi:  # adjacent floats: the bracket can narrow no further
+            break
         mid_eval = evaluator(tau_mid)
         if mid_eval.over_rate <= config.epsilon:
             tau_lo, r_lo = tau_mid, mid_eval.over_rate
@@ -206,22 +209,15 @@ def select_from_grid(
 def run_selection(config: RiskBudgetConfig, evaluator: Evaluator) -> SelectionResult:
     """Coarse-to-fine selection against an arbitrary candidate evaluator.
 
-    Each level is evaluated once, by memo_ev, which raises an evaluator error
-    that is not a RiskcastError as EvaluatorFailure, naming the level.
+    Each level is evaluated once, by memo_ev. An evaluator's error is raised
+    as it is; a QuantileEvaluator's failed fit is a FitFailure naming the level.
     """
     memo: dict[float, CandidateEvaluation] = {}
 
     def memo_ev(tau: float) -> CandidateEvaluation:
         key = round(float(tau), 12)
         if key not in memo:
-            try:
-                memo[key] = evaluator(tau)
-            except RiskcastError:
-                raise
-            except Exception as exc:
-                raise EvaluatorFailure(
-                    f"candidate evaluation failed at tau={tau}: {type(exc).__name__}: {exc}"
-                ) from exc
+            memo[key] = evaluator(tau)
         return memo[key]
 
     trainings_before = getattr(evaluator, "n_trainings", None)

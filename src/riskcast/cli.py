@@ -33,7 +33,7 @@ from .calibration import (
     budget_scale_search,
     run_selection,
 )
-from .errors import ConfigError, EmptySweep, PointFitFailure, RiskcastError
+from .errors import ConfigError, RiskcastError
 from .metrics import METRIC_NAMES, PredictionBatch, SafetyReport, safety_report, subsets
 
 METHOD_POINT = "point"
@@ -304,12 +304,7 @@ def calibrate_budgets(
     train, cal, test = dataset.train, dataset.calibration, dataset.test
     with Workers(train, cal) as workers:
         evaluator = QuantileEvaluator(workers, config.backbone)
-        try:
-            point_model = train_point_model(workers, config.backbone)
-        except RiskcastError:
-            raise
-        except Exception as exc:
-            raise PointFitFailure(f"point model fit failed: {type(exc).__name__}: {exc}") from exc
+        point_model = train_point_model(workers, config.backbone)
         cal_point = PredictionBatch(point_model.calibration_preds, cal.Y)
         controls = [
             (e, run_selection(config.risk.with_epsilon(e), evaluator), budget_scale_search(cal_point, e))
@@ -382,7 +377,7 @@ def _sweep(epsilons) -> list[float]:
     """The budget values as floats, each in (0, 1), strictly ascending."""
     eps = [float(e) for e in epsilons]
     if not eps:
-        raise EmptySweep("no budget values to sweep")
+        raise ValueError("no budget values to sweep")
     if any(not 0.0 < e < 1.0 for e in eps):
         raise ValueError("budget values must lie in (0, 1)")
     if any(a >= b for a, b in zip(eps, eps[1:])):
@@ -523,9 +518,9 @@ def _cmd_frontier(args) -> int:
 
 def _cmd_inspect(args) -> int:
     path = Path(args.bundle) / "selection.json"
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
+    try:  # a file that cannot be opened is an OSError, not a malformed bundle
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         sel = doc["quantile_selection"]
         lines = [
             f"boundary: [{sel['boundary'][0]:.4f}, {sel['boundary'][1]:.4f}]",

@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    InvalidSpec,
     MissingColumn,
     NegativeThroughput,
     NonFiniteFeatures,
@@ -379,7 +378,7 @@ class UniformNoise:
 
     def __post_init__(self) -> None:
         if self.half_width < 0:
-            raise InvalidSpec("half_width must be non-negative")
+            raise ValueError("half_width must be non-negative")
 
     def sample(self, rng: np.random.Generator, timestamps: np.ndarray) -> np.ndarray:
         return rng.uniform(-self.half_width, self.half_width, size=len(timestamps))
@@ -397,7 +396,7 @@ class GaussianNoise:
 
     def __post_init__(self) -> None:
         if self.sigma < 0:
-            raise InvalidSpec("sigma must be non-negative")
+            raise ValueError("sigma must be non-negative")
 
     def sample(self, rng: np.random.Generator, timestamps: np.ndarray) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size=len(timestamps)) if self.sigma else np.zeros(len(timestamps))
@@ -422,11 +421,11 @@ class CyclicScaleNoise:
 
     def __post_init__(self) -> None:
         if not isinstance(self.base, (UniformNoise, GaussianNoise)):
-            raise InvalidSpec("cyclic_scale base must be uniform or gaussian")
+            raise ValueError("cyclic_scale base must be uniform or gaussian")
         if self.period <= 0:
-            raise InvalidSpec("period must be positive")
+            raise ValueError("period must be positive")
         if not 0 <= self.depth < 1:
-            raise InvalidSpec("depth must be in [0, 1)")
+            raise ValueError("depth must be in [0, 1)")
 
     def scale(self, timestamps: np.ndarray) -> np.ndarray:
         t = np.asarray(timestamps, dtype=np.float64)
@@ -464,14 +463,14 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         if self.length < 1:
-            raise InvalidSpec("length must be >= 1")
+            raise ValueError("length must be >= 1")
         if self.handover_period < 1:
-            raise InvalidSpec("handover_period must be >= 1")
+            raise ValueError("handover_period must be >= 1")
         if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not _INT64.min <= self.start_timestamp <= _INT64.max - (self.length - 1):
-            raise InvalidSpec(f"start_timestamp {self.start_timestamp} and length {self.length} put timestamps "
-                              "outside the 64-bit integer range")
+            raise ValueError(f"start_timestamp {self.start_timestamp} and length {self.length} put timestamps "
+                             "outside the 64-bit integer range")
 
 
 def synthetic_timestamps(spec: SyntheticSpec) -> np.ndarray:
@@ -544,6 +543,7 @@ def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None
             aux_present = [k for k in AUX_KEYS if mapping[k] in header]
 
             timestamps: list[int] = []
+            lines: list[int] = []  # each row's line in the file
             throughput: list[float] = []
             aux_values: dict[str, list[float]] = {k: [] for k in aux_present}
             for row in reader:
@@ -552,6 +552,7 @@ def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None
                     raise ParseError(f"{len(header) + len(row[None])} cells under a header of {len(header)}",
                                      row=line_no)
                 timestamps.append(_parse_int(row, mapping["timestamp"], line_no))
+                lines.append(line_no)
                 throughput.append(_parse_float(row, mapping["throughput"], line_no))
                 for key in aux_present:
                     aux_values[key].append(_parse_float(row, mapping[key], line_no))
@@ -564,13 +565,19 @@ def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None
 
     ts = np.asarray(timestamps, dtype=np.int64)
     order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    repeated = np.flatnonzero(ts[1:] == ts[:-1])
+    if repeated.size:  # the stable sort keeps a repeat after its first row
+        i = repeated[0]
+        raise ParseError(f"timestamp {ts[i]} already on row {lines[order[i]]}", row=lines[order[i + 1]],
+                         column=mapping["timestamp"])
     aux = {k: _freeze(np.asarray(v, dtype=np.float64)[order], copy=False) for k, v in aux_values.items()}
-    return Trace(name=name or str(path), timestamps=ts[order],
+    return Trace(name=name or str(path), timestamps=ts,
                  throughput=_freeze(np.asarray(throughput, dtype=np.float64)[order], copy=False), aux=aux)
 
 
 def _parse_int(row: dict, column: str, line_no: int) -> int:
-    raw = (row.get(column) or "").strip()
+    raw = row.get(column) or ""  # int and float skip whitespace themselves; str.strip also takes \x1c-\x1f
     try:
         value = int(raw)
     except ValueError:
@@ -587,7 +594,7 @@ def _parse_int(row: dict, column: str, line_no: int) -> int:
 
 
 def _parse_float(row: dict, column: str, line_no: int) -> float:
-    raw = (row.get(column) or "").strip()
+    raw = row.get(column) or ""
     try:
         value = float(raw)
     except ValueError:

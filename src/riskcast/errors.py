@@ -42,11 +42,6 @@ class TraceTooShort(RiskcastError):
     """The trace is too short for one window (history plus horizon) in each split."""
 
 
-class InvalidSpec(RiskcastError):
-    """A synthetic-trace spec has a non-positive length or period, a negative
-    seed, or timestamps beyond the 64-bit integer range."""
-
-
 class InvalidTau(RiskcastError):
     """A quantile level lies outside the open interval (0, 1)."""
 
@@ -75,12 +70,8 @@ class InvalidGrid(RiskcastError):
     """Grid endpoints or size are inconsistent."""
 
 
-class EvaluatorFailure(RiskcastError):
-    """A candidate evaluation raised during quantile selection."""
-
-
-class PointFitFailure(RiskcastError):
-    """Fitting the point model raised, for example because a worker process died."""
+class FitFailure(RiskcastError):
+    """A point or quantile model fit raised, for example because a worker process died."""
 
 
 class EmptyGrid(RiskcastError):
@@ -93,10 +84,6 @@ class InvalidBandwidth(RiskcastError):
 
 class SlotMismatch(RiskcastError):
     """Two admission reports cover different slot counts."""
-
-
-class EmptySweep(RiskcastError):
-    """A frontier sweep was requested with no budget values."""
 
 
 class ConfigError(RiskcastError):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -35,7 +36,9 @@ from riskcast.backbone import (
     train_quantile_model,
 )
 from riskcast.data import GaussianNoise, Samples, SyntheticSpec, generate_synthetic, make_windows
-from riskcast.errors import EmptyTrainingSet, InvalidTau, LayoutMismatch, NonFiniteFeatures, NonFiniteTargets
+from riskcast.errors import (
+    EmptyTrainingSet, FitFailure, InvalidTau, LayoutMismatch, NonFiniteFeatures, NonFiniteTargets,
+)
 
 from conftest import fit_model, iid_samples
 
@@ -622,8 +625,35 @@ class TestParallelTrainer:
         monkeypatch.setattr(riskcast.backbone, "_fit_boosted_column", fit)
         self.cpus(monkeypatch, 2)
         train = iid_samples(rng, 100, horizon=2)
-        with pytest.raises(ColumnFailure if fail == "raise" else BrokenProcessPool):
+        with pytest.raises(FitFailure, match="^quantile model fit failed at tau=0.5: ") as info:
             fit_model(train, 0.5, BackboneParams(n_trees=2, max_depth=2))
+        assert isinstance(info.value.__cause__, ColumnFailure if fail == "raise" else BrokenProcessPool)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
+    @pytest.mark.parametrize("tau, failed", [(0.3, "quantile model fit failed at tau=0.3"),
+                                             (None, "point model fit failed")], ids=["quantile", "point"])
+    def test_a_failed_fit_is_one_fit_failure_naming_the_model(self, rng, monkeypatch, pools, cpus, tau, failed):
+        def fit(binned, y, tau, params):
+            raise ColumnFailure("column fit failed")
+
+        monkeypatch.setattr(riskcast.backbone, "_fit_boosted_column", fit)
+        self.cpus(monkeypatch, cpus)
+        with pytest.raises(FitFailure, match=f"^{re.escape(failed)}: ColumnFailure: column fit failed$") as info:
+            fit_model(iid_samples(rng, 100, horizon=2), tau, BackboneParams(n_trees=2))
+        assert isinstance(info.value.__cause__, ColumnFailure)
+        assert pools == ([] if cpus == 1 else [2])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
+    def test_a_riskcast_error_in_a_fit_is_raised_as_itself(self, rng, monkeypatch, cpus):
+        def fit(binned, y, tau, params):
+            raise EmptyTrainingSet("no rows")
+
+        monkeypatch.setattr(riskcast.backbone, "_fit_boosted_column", fit)
+        self.cpus(monkeypatch, cpus)
+        with pytest.raises(EmptyTrainingSet, match="^no rows$"):
+            fit_model(iid_samples(rng, 100, horizon=2), 0.3, BackboneParams(n_trees=2))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])

@@ -20,7 +20,7 @@ from riskcast.calibration import (
     select_from_grid,
     select_quantile,
 )
-from riskcast.errors import EmptyGrid, EmptyTrainingSet, EvaluatorFailure, InvalidGrid
+from riskcast.errors import EmptyGrid, EmptyTrainingSet, InvalidGrid
 from riskcast.metrics import PredictionBatch, mae, over_rate
 
 from conftest import iid_samples
@@ -137,22 +137,40 @@ class TestSelection:
         assert a.boundary == b.boundary
         assert [e.tau for e in a.evaluations] == [e.tau for e in b.evaluations]
 
-    @pytest.mark.parametrize("stage", ["bisection", "fine_grid"])
-    def test_a_failed_evaluation_is_raised_as_evaluator_failure(self, stage):
-        bisection = FakeEvaluator(r_fn=lambda tau: tau)
-        boundary_search(DEFAULT, bisection)
-        fine = run_selection(DEFAULT, FakeEvaluator(r_fn=lambda tau: tau)).fine_grid
-        failing = bisection.calls[2] if stage == "bisection" else fine[2].tau
-        assert (failing in bisection.calls) == (stage == "bisection")
+    def test_an_evaluator_error_is_raised_as_itself(self):
+        # The middle of the five-level fine grid, which bisection stopped short of evaluating.
+        failing = run_selection(DEFAULT, FakeEvaluator(r_fn=lambda tau: tau)).fine_grid[2].tau
+        error = RuntimeError("fit failed")
 
         def evaluate(tau):
             if tau == failing:
-                raise RuntimeError("fit failed")
+                raise error
             return CandidateEvaluation(tau=float(tau), mae=1.0 - tau, over_rate=float(tau))
 
-        with pytest.raises(EvaluatorFailure, match=f"at tau={failing}: RuntimeError: fit failed$") as info:
+        with pytest.raises(RuntimeError) as info:
             run_selection(DEFAULT, evaluate)
-        assert isinstance(info.value.__cause__, RuntimeError)
+        assert info.value is error
+
+    @pytest.mark.parametrize("delta", [1e-20, 1e-300])
+    def test_a_delta_below_the_float_spacing_ends_the_search(self, delta):
+        # Bisection stops once its ends are adjacent floats, whose midpoint is
+        # one of them. Unmemoised, a search that never ends fails after 200
+        # evaluations instead of hanging. Under run_selection, levels closer
+        # than 1e-12 share a memo entry, so only the range of the pick is
+        # asserted there.
+        ev = FakeEvaluator(r_fn=lambda tau: tau)
+
+        def bounded(tau):
+            if len(ev.calls) == 200:
+                raise AssertionError("the search did not end after 200 evaluations")
+            return ev(tau)
+
+        config = RiskBudgetConfig(epsilon=0.3, delta=delta)
+        boundary = boundary_search(config, bounded)
+        assert boundary.tau_lo < boundary.tau_hi == np.nextafter(boundary.tau_lo, 1.0)
+        result = run_selection(config, FakeEvaluator(r_fn=lambda tau: tau))
+        assert config.tau_min <= result.tau_star <= config.tau_max
+        assert result.feasible
 
     def test_a_riskcast_error_is_raised_as_itself(self):
         def evaluate(tau):

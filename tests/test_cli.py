@@ -41,7 +41,7 @@ from riskcast.admission import AdmissionReport
 from riskcast.calibration import QuantileEvaluator, budget_scale_search, run_selection
 from riskcast.data import (CyclicScaleNoise, GaussianNoise, SyntheticSpec, WindowedDataset, ingest_csv,
                            make_windows, generate_synthetic)
-from riskcast.errors import ConfigError, EmptySweep, EvaluatorFailure
+from riskcast.errors import ConfigError, FitFailure
 from riskcast.metrics import SafetyReport
 
 BASE_CONFIG = {
@@ -250,23 +250,25 @@ class TestRunExperiment:
 
     def test_a_failed_fine_grid_fit_fails_with_stage(self, bundle, tmp_path, monkeypatch, capsys):
         # The middle of a five-level fine grid is the bracket's midpoint,
-        # which bisection stopped short of evaluating.
+        # which bisection stopped short of evaluating. Patched before the
+        # pool forks, so any workers inherit the patch.
         lo, hi = bundle.selection.boundary
         assert lo < hi and len(bundle.selection.fine_grid) == 5
         failing = bundle.selection.fine_grid[2].tau
-        train = riskcast.calibration.train_quantile_model
+        fit = riskcast.backbone._fit_boosted_column
 
-        def fit(workers, tau, params):
+        def failing_fit(binned, y, tau, params):
             if tau == failing:
                 raise RuntimeError("fit failed")
-            return train(workers, tau, params)
+            return fit(binned, y, tau, params)
 
-        monkeypatch.setattr(riskcast.calibration, "train_quantile_model", fit)
+        monkeypatch.setattr(riskcast.backbone, "_fit_boosted_column", failing_fit)
         config = bundle.output_dir / "config.json"
         assert main(["run", "--config", str(config), "--output", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
-        assert captured.err == (f"error [run]: candidate evaluation failed at tau={failing}: "
+        assert captured.err == (f"error [run]: quantile model fit failed at tau={failing}: "
                                 "RuntimeError: fit failed\n")
+        assert multiprocessing.active_children() == []
 
     def test_csv_json_reports_agree(self, bundle):
         with open(bundle.output_dir / "metrics_long.json") as fh:
@@ -362,7 +364,7 @@ class TestCalibrateBudgets:
         monkeypatch.setattr(riskcast.backbone, "_fit_boosted_column", failing)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         config = load_config(write_config(tmp_path))
-        with pytest.raises(EvaluatorFailure, match="tau=0.4: RuntimeError: fit failed"):
+        with pytest.raises(FitFailure, match="^quantile model fit failed at tau=0.4: RuntimeError: fit failed$"):
             calibrate_budgets(config, self.dataset(config), [0.35])
         assert pools == [2]
         assert multiprocessing.active_children() == []
@@ -384,7 +386,7 @@ class TestCalibrateBudgets:
         if command == "frontier":
             argv += ["--epsilons", "0.25,0.35"]
         assert main(argv) == 2
-        failed = {"point": "point model fit failed", "quantile": "candidate evaluation failed at tau=0.15"}
+        failed = {"point": "point model fit failed", "quantile": "quantile model fit failed at tau=0.15"}
         assert capsys.readouterr().err.startswith(f"error [{command}]: {failed[dies_in]}: BrokenProcessPool: ")
         assert multiprocessing.active_children() == []
 
@@ -423,7 +425,7 @@ class TestFrontier:
 
     def test_empty_sweep(self, tmp_path):
         config = load_config(write_config(tmp_path), output_dir=str(tmp_path / "out"))
-        with pytest.raises(EmptySweep):
+        with pytest.raises(ValueError, match="^no budget values to sweep$"):
             run_frontier(config, [])
 
     def test_unsorted_sweep_rejected(self, tmp_path):
@@ -625,9 +627,38 @@ class TestCommands:
         config.write_text(f"dataset: {{kind: synthetic, length: 100, base_level: 10.0, {spec}}}\n")
         assert main(["synth", "--config", str(config), "--output", str(tmp_path / "out.csv")]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error [synth]: {spec.split(':')[0]}")
+        assert captured.err.startswith(f"error [synth]: dataset: {spec.split(':')[0]}")
         assert captured.out == ""
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    @pytest.mark.parametrize("noise, message", [
+        ("{kind: gaussian, sigma: -1}", "dataset.noise: sigma must be non-negative"),
+        ("{kind: cyclic_scale, base: {kind: uniform, half_width: -1}}",
+         "dataset.noise.base: half_width must be non-negative"),
+    ], ids=["sigma-negative", "base-half-width-negative"])
+    def test_an_out_of_range_noise_value_names_its_section(self, tmp_path, capsys, command, noise, message):
+        config = tmp_path / "bad.yaml"
+        config.write_text(f"dataset: {{kind: synthetic, length: 100, base_level: 10.0, noise: {noise}}}\n")
+        assert main([command, "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error [{command}]: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    def test_a_repeated_timestamp_names_both_rows(self, tmp_path, capsys, command):
+        trace_csv = tmp_path / "repeat.csv"
+        trace_csv.write_text("timestamp,throughput_mbps\n0,5\n1,5\n2,5\n1,6\n3,5\n")  # 1 on lines 3 and 5
+        argv = ["ingest", "--csv", str(trace_csv)]
+        if command == "run":
+            config = tmp_path / "repeat.yaml"
+            config.write_text(f"dataset: {{kind: csv, path: {trace_csv}}}\nL: 4\nH: 2\n")
+            argv = ["run", "--config", str(config), "--output", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error [{command}]: timestamp 1 already on row 3 (row 5, column 'timestamp')\n"
+        assert captured.out == ""
 
     def test_ingest_csv_with_timestamp_gap_fails_with_stage(self, tmp_path, capsys):
         code = main(["ingest", "--csv", str(self.write_gap_csv(tmp_path))])
@@ -1017,18 +1048,21 @@ class TestCorruptInputs:
     @given(content=broken_selections())
     @example(content=json.dumps(_replaced(FUZZ_SELECTION, ("quantile_selection", "tau_star"), 10**400))
              .encode())  # int too large for a float
+    @example(content=json.dumps(FUZZ_SELECTION).encode()[:-9])  # truncated: exited 3, naming no file
+    @example(content=b"\xff" + json.dumps(FUZZ_SELECTION).encode())  # not UTF-8: the same
     def test_broken_selection_fails_to_inspect(self, tmp_path, capsys, content):
         (tmp_path / "selection.json").write_bytes(content)
         code = main(["inspect", "--bundle", str(tmp_path)])
         captured = capsys.readouterr()
-        assert code in (2, 3)
-        assert captured.err.startswith("error [inspect]: ")
+        assert code == 2, captured.err
+        assert captured.err.startswith(f"error [inspect]: {tmp_path / 'selection.json'} is malformed: ")
         assert captured.out == ""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(content=broken_traces())
     @example(content=f"{TRACE_HEADER}\n0,5,1\n1e30,5,1\n".encode())  # an OverflowError traceback
     @example(content=f"{TRACE_HEADER}\n0,5,1\n1,5,1,5\n".encode())  # read without a word
+    @example(content=f"{TRACE_HEADER}\n0,5,1\n1,0\x1f,1\n".encode())  # read as 0: str.strip takes \x1f, float does not
     def test_broken_trace_fails_to_ingest(self, tmp_path, capsys, content):
         trace_csv = tmp_path / "trace.csv"
         trace_csv.write_bytes(content)
