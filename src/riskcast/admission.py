@@ -56,8 +56,8 @@ class AdmissionReport:
     def __post_init__(self) -> None:
         if not 0.0 <= self.violation_rate <= 1.0:
             raise ValueError("violation_rate must lie in [0, 1]")
-        if self.p95_dropped < 0 or self.mean_dropped < 0:
-            raise ValueError("drop statistics must be non-negative")
+        if not (0 <= self.p95_dropped < math.inf and 0 <= self.mean_dropped < math.inf):
+            raise ValueError("drop statistics must be finite and non-negative")
 
     def metric(self, name: str) -> float:
         return float(getattr(self, name))
@@ -67,6 +67,8 @@ def simulate(batch: PredictionBatch, b: float) -> AdmissionReport:
     """One admission decision per (sample, horizon) element."""
     if b <= 0:
         raise InvalidBandwidth(f"per-service bandwidth must be positive, got {b}")
+    if not math.isfinite(float(max(np.abs(batch.preds).max(), batch.truths.max())) / b):
+        raise InvalidBandwidth(f"per-service bandwidth {b} is too small: session counts overflow")
     drops = np.maximum(np.floor(batch.preds / b) - np.floor(batch.truths / b), 0.0)
     return AdmissionReport(float(drops.mean()), float(np.mean(drops > 0)),
                            percentile(drops, 95.0), drops.size)

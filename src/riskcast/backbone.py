@@ -11,16 +11,18 @@ the residuals that landed in it.
 Trees are grown exactly, level by level, over (feature, bin) histograms of
 a training split that is binned once (`BinnedFeatures`); every split and
 leaf equals what a node-at-a-time scan of the same bins would pick. A
-quantile fit's histograms are integer counts: N, the rows, and P, the rows
-with a positive residual, since the pinball subgradient sums to
-(1 - tau) * N - P. A point fit counts N and sums its float gradients. Counts
-are shared and subtracted without changing any sum: the root's N is counted
-once per split, a quantile fit carries its root's P from one boosting round
-to the next by counting only the rows whose residual changed sign, and the
-larger of two growing siblings takes its parent's counts minus the smaller
-one's. Each depth's splits come from one flat scan over every feature's
-bins. As every quantile gain is a function of the counts alone, equal counts
-give equal gains, and ties go to the lowest feature, then the lowest bin.
+node's histograms share one float64 array: a quantile fit counts N, the
+rows, and P, the rows with a positive residual, since the pinball
+subgradient sums to (1 - tau) * N - P; a point fit counts N and sums its
+gradients. Counts stay below 2**53, so they are exact, and are shared and
+subtracted without changing any sum: the root's N is counted once per
+split, a quantile fit carries its root's P from one boosting round to the
+next by counting only the rows whose residual changed sign, and the larger
+of two growing siblings takes its parent's counts minus the smaller one's.
+Each depth's splits come from one scan over every feature's bins, summed
+within each feature from its bin 0. As every quantile gain is a function of
+the counts alone, equal counts give equal gains, and ties go to the lowest
+feature, then the lowest bin.
 A split's bins are held once, as one matrix of histogram cells that every
 scan reads (`BinnedFeatures.cells`).
 
@@ -211,52 +213,50 @@ def _best_splits(
 ) -> tuple[list[int | None], np.ndarray]:
     """The cell whose split is best for each node at one depth, or None for a leaf.
 
-    A node's histograms are integer counts per (feature, bin) cell: N, its
-    rows, and for a quantile fit (tau set, `target` the rows' resid > 0) P,
-    its rows with a positive residual. The pinball subgradient is -tau on a
-    positive residual and 1 - tau otherwise, so a cell's gradient sum is
+    A node's histograms are one float64 array of two channels over the
+    (feature, bin) cells. The first is N, its rows. For a quantile fit (tau
+    set, `target` the rows' resid > 0) the second is P, its rows with a
+    positive residual. The pinball subgradient is -tau on a positive
+    residual and 1 - tau otherwise, so a cell's gradient sum is
     (1 - tau) * N - P, and every gain is a function of the integers
-    (N_left, P_left) alone. A point fit (`target` the rows' gradients) adds
-    a float histogram, one weighted bincount over every node, whose cells
-    sum their rows in ascending row order. Either way cumsum and gain are
-    taken element for element, so every gain is bit-identical to a
+    (N_left, P_left) alone; counts are below 2**53, so float64 sums and
+    differences of them are exact. For a point fit (`target` the rows'
+    gradients) the second is G, one weighted bincount over every node, whose
+    cells sum their rows in ascending row order. Either way cumsum and gain
+    are taken element for element, so every gain is bit-identical to a
     node-at-a-time scan of a (feature, bin) grid, and ties go, as that
     grid's row-major argmax sends them, to the lowest feature index, then
     the lowest bin. The order of `nodes` only decides which histogram row
     each node uses. A split at cell c is the split at bin c - starts[s] of
     feature[c], s = segment[c].
 
-    Every cell of every width group is scanned in one flat pass. The counts
-    take one int64 cumsum along all cells. Each feature's segment holds each
-    of a node's rows once, so at segment s that running sum would be s node
-    totals ahead; the totals come off the first cell of every later segment
-    for the cumsum and go back after it, all in exact integers. One cast to
-    float64 follows (exact for counts below 2**53). A point fit's gradient
-    sums run within each feature from its bin 0, group by group into one
-    buffer. The gains are then computed in place over (nodes, cells), every
-    cell through the same float operations in the same order as the formula
-    written out; cells that are not candidates get -inf. A cell at or past
-    its feature's last bin sends the whole node left, so its n_right is 0;
-    min_samples_leaf >= 1, which BackboneParams enforces, is what keeps
-    such a cell from being a candidate. Each group's argmax
-    takes the lowest feature and bin of its best gain, and ties between
-    groups go to the lower feature.
+    Both channels take one cumsum within each feature, from its bin 0, group
+    by group into one buffer. The gains are then computed in place over
+    (nodes, cells), every cell through the same float operations in the
+    same order as the formula written out; cells that are not candidates get
+    -inf. A cell at or past its feature's last bin sends the whole node
+    left, so its n_right is 0; min_samples_leaf >= 1, which BackboneParams
+    enforces, is what keeps such a cell from being a candidate. A quantile
+    node's P total is its first feature's last cumsum cell. Each group's
+    argmax takes the lowest feature and bin of its best gain, and ties
+    between groups go to the lower feature.
 
     Counts are exact, so the last len(parents) nodes are not counted: each
-    takes its parent's histograms, parents[j], minus those of its smaller
+    takes its parent's counts, parents[j], minus those of its smaller
     sibling, nodes[j]. The root, whose histograms come with it, is the one
     such node without a sibling, and is alone at its depth. A quantile fit
-    gathers only the counted nodes' rows. Also returns every node's count
-    histograms, shape (len(nodes), 1 or 2 for [N] or [N, P], cells).
+    gathers only the counted nodes' rows; a point fit sums every node's G,
+    as float sums do not subtract exactly. Also returns every node's
+    histograms, shape (len(nodes), 2, cells): [N, P], or [N, G] for a point fit.
     """
     k = len(nodes)
     counted = k - len(parents)
     n_cells = binned.n_cells
     per_row = binned.cells.shape[1]
-    c = 1 if tau is None else 2
+    m = 1 if tau is None else 2  # the count channels: [N] or [N, P]
     sizes = np.asarray([idx.size for idx in nodes], dtype=np.int64)
     gathered = nodes if tau is None else nodes[:counted]
-    hist = np.empty((k, c, n_cells), dtype=np.int64)
+    hist = np.empty((k, 2, n_cells))
     if gathered:
         rows = np.concatenate(gathered)
         if tau is None and k == 1 and rows.size == len(binned.cells):  # a point root: every row in order
@@ -264,44 +264,39 @@ def _best_splits(
         else:
             # Each row counts into its node's slot. A quantile node has two,
             # for its non-positive and its positive rows, which sum to N.
-            slot = np.repeat(np.arange(len(gathered), dtype=np.int64) * c, sizes[: len(gathered)])
+            slot = np.repeat(np.arange(len(gathered), dtype=np.int64) * m, sizes[: len(gathered)])
             if tau is not None:
                 slot += target[rows]
             flat = binned.cells[rows]
             flat += (slot * n_cells)[:, None]
             flat = flat.ravel()
         prefix = flat[: int(sizes[:counted].sum()) * per_row]  # the counted nodes' rows
-        hist[:counted] = np.bincount(prefix, minlength=counted * c * n_cells).reshape(counted, c, n_cells)
+        hist[:counted, :m] = np.bincount(prefix, minlength=counted * m * n_cells).reshape(counted, m, n_cells)
         if tau is None:
-            hist_g = np.bincount(flat, weights=np.repeat(target[rows], per_row), minlength=k * n_cells)
-            hist_g = hist_g.reshape(k, -1)
+            sums = np.bincount(flat, weights=np.repeat(target[rows], per_row), minlength=k * n_cells)
+            hist[:, 1] = sums.reshape(k, -1)
         else:
             hist[:counted, 0] += hist[:counted, 1]
     if parents:
-        hist[counted:] = parents
+        hist[counted:, :m] = [parent[:m] for parent in parents]
         if counted:
-            hist[counted:] -= hist[: len(parents)]
-    totals = hist[:, :, : binned.groups[0][2]].sum(axis=2)  # each node's N (and P), from the first segment
-    later = binned.starts[1:]  # taken off there for the cumsum only, so it restarts at each feature
-    hist[:, :, later] -= totals[:, :, None]
-    cum = hist.cumsum(axis=2)
-    hist[:, :, later] += totals[:, :, None]
-    cum = cum.astype(np.float64)
+            hist[counted:, :m] -= hist[: len(parents), :m]
+    cum = np.empty_like(hist)
+    for start, stop, width in binned.groups:  # each feature's sums run from its bin 0
+        by_feature = (k, 2, -1, width)
+        np.cumsum(hist[:, :, start:stop].reshape(by_feature), axis=3, out=cum[:, :, start:stop].reshape(by_feature))
     cum_n = cum[:, 0]
     n_right = sizes[:, None] - cum_n
     ok = cum_n >= min_samples_leaf
     ok &= n_right >= min_samples_leaf
     if tau is None:
         total_g = np.asarray([target[idx].sum() for idx in nodes], dtype=np.float64)
-        cum_g = np.empty((k, n_cells))
-        for start, stop, width in binned.groups:
-            by_feature = (k, -1, width)
-            np.cumsum(hist_g[:, start:stop].reshape(by_feature), axis=2, out=cum_g[:, start:stop].reshape(by_feature))
+        cum_g = cum[:, 1]
         g_right = total_g[:, None] - cum_g
     else:
-        p_total = totals[:, 1]
-        total_g = (1.0 - tau) * sizes - p_total
         cum_p = cum[:, 1]
+        p_total = cum_p[:, binned.groups[0][2] - 1]  # the first feature's last cell counts every row
+        total_g = (1.0 - tau) * sizes - p_total
         cum_g = (1.0 - tau) * cum_n
         cum_g -= cum_p
         g_right = (1.0 - tau) * n_right

@@ -96,7 +96,7 @@ class QuantileEvaluator:
         self._cache: dict[float, CandidateEvaluation] = {}
 
     def __call__(self, tau: float) -> CandidateEvaluation:
-        key = round(float(tau), 12)
+        key = float(tau)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -215,7 +215,7 @@ def run_selection(config: RiskBudgetConfig, evaluator: Evaluator) -> SelectionRe
     memo: dict[float, CandidateEvaluation] = {}
 
     def memo_ev(tau: float) -> CandidateEvaluation:
-        key = round(float(tau), 12)
+        key = float(tau)
         if key not in memo:
             memo[key] = evaluator(tau)
         return memo[key]

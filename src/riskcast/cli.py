@@ -584,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     except RiskcastError as exc:
         print(f"error [{args.stage}]: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error [{args.stage}]: {exc}", file=sys.stderr)
         return 3
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,10 +94,25 @@ class TestSimulate:
         with pytest.raises(InvalidBandwidth):
             simulate(PredictionBatch(truths, truths), 0.0)
 
+    def test_a_bandwidth_that_overflows_a_session_count_is_rejected_without_a_warning(self, rng):
+        truths = rng.uniform(0, 500, size=(3, 2))
+        batch = PredictionBatch(truths, truths)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidBandwidth, match="1e-320"):
+                simulate(batch, 1e-320)
+            report = simulate(PredictionBatch(truths + 20.0, truths), 1e-300)
+        assert report.mean_dropped > 0 and np.isfinite(report.mean_dropped)
+
 
 class TestCompare:
     def make(self, mean, viol, p95, n=100):
         return AdmissionReport(mean_dropped=mean, violation_rate=viol, p95_dropped=p95, n_slots=n)
+
+    @pytest.mark.parametrize("mean, p95", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, np.inf)])
+    def test_non_finite_statistics_are_rejected(self, mean, p95):
+        with pytest.raises(ValueError, match="finite"):
+            self.make(mean, 0.5, p95)
 
     def test_identical_reports(self):
         a = self.make(2.0, 0.5, 4.0)

@@ -151,13 +151,13 @@ class TestSelection:
             run_selection(DEFAULT, evaluate)
         assert info.value is error
 
-    @pytest.mark.parametrize("delta", [1e-20, 1e-300])
+    @pytest.mark.parametrize("delta", [1e-13, 1e-20, 1e-300])
     def test_a_delta_below_the_float_spacing_ends_the_search(self, delta):
         # Bisection stops once its ends are adjacent floats, whose midpoint is
-        # one of them. Unmemoised, a search that never ends fails after 200
-        # evaluations instead of hanging. Under run_selection, levels closer
-        # than 1e-12 share a memo entry, so only the range of the pick is
-        # asserted there.
+        # one of them, or, for 1e-13, once they are closer than delta.
+        # Unmemoised, a search that never ends fails after 200 evaluations
+        # instead of hanging. Under run_selection every level, however close
+        # to another, is evaluated as itself.
         ev = FakeEvaluator(r_fn=lambda tau: tau)
 
         def bounded(tau):
@@ -167,10 +167,17 @@ class TestSelection:
 
         config = RiskBudgetConfig(epsilon=0.3, delta=delta)
         boundary = boundary_search(config, bounded)
-        assert boundary.tau_lo < boundary.tau_hi == np.nextafter(boundary.tau_lo, 1.0)
+        if delta < np.spacing(config.epsilon):
+            assert boundary.tau_lo < boundary.tau_hi == np.nextafter(boundary.tau_lo, 1.0)
+        else:
+            assert 0 < boundary.tau_hi - boundary.tau_lo < delta
         result = run_selection(config, FakeEvaluator(r_fn=lambda tau: tau))
-        assert config.tau_min <= result.tau_star <= config.tau_max
-        assert result.feasible
+        lo, hi = result.boundary
+        assert lo <= config.epsilon < hi
+        assert [e.tau for e in result.fine_grid] == lin_space(lo, hi, config.grid_size).tolist()
+        assert all(e.over_rate == e.tau for e in result.fine_grid)
+        assert result.tau_star in [e.tau for e in result.fine_grid]
+        assert result.feasible and result.tau_star <= config.epsilon
 
     def test_a_riskcast_error_is_raised_as_itself(self):
         def evaluate(tau):
@@ -261,6 +268,17 @@ class TestEvaluatorCache:
             second = ev(0.25)
         assert ev.n_trainings == 1
         assert second is first
+
+    def test_levels_one_float_apart_are_fitted_apart(self, rng):
+        train, cal = iid_samples(rng, n=300), iid_samples(rng, n=200)
+        params = BackboneParams(n_trees=5, max_depth=2)
+        near = float(np.nextafter(0.25, 1.0))
+        with Workers(train, cal) as workers:
+            ev = QuantileEvaluator(workers, params)
+            first, second = ev(0.25), ev(near)
+        assert ev.n_trainings == 2
+        assert (first.tau, second.tau) == (0.25, near)
+        assert (first.model.tau, second.model.tau) == (0.25, near)
 
     def test_the_cache_keeps_no_calibration_predictions(self, rng):
         train, cal = iid_samples(rng, n=300, horizon=2), iid_samples(rng, n=200, horizon=2)

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -722,6 +723,28 @@ class TestCommands:
         assert "error [run]" in captured.err
         assert "before row 60: step 11" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_an_allocation_failure_fails_with_stage(self, tmp_path, capsys, command):
+        # 10**14 rows lie past a 47-bit address space, so numpy refuses them
+        # at once, whatever the kernel would overcommit.
+        config = tmp_path / "huge.yaml"
+        config.write_text(f"dataset: {{kind: synthetic, length: {10**14}, base_level: 10.0}}\n")
+        assert main([command, "--config", str(config), "--output", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error [{command}]: Unable to allocate ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_a_bandwidth_that_overflows_the_session_counts_fails_with_stage(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"admission_b": 1e-320})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error [run]: per-service bandwidth 1e-320 is too small: session counts overflow\n"
+        assert not (tmp_path / "out").exists()
 
     def test_run_has_no_format_option(self, tmp_path):
         with pytest.raises(SystemExit):
