@@ -29,11 +29,13 @@ class AdmissionOutcome:
 
 
 def admit(y_safe: float, y_true: float, b: float) -> AdmissionOutcome:
-    """Floor-based admission of b-Mbps sessions against a forecast."""
+    """Floor-based admission of b-Mbps sessions against a forecast, by simulate's rules."""
     if b <= 0:
         raise InvalidBandwidth(f"per-service bandwidth must be positive, got {b}")
-    if y_safe < 0 or y_true < 0:
-        raise ValueError("throughput values must be non-negative")
+    if not (0 <= y_safe < math.inf and 0 <= y_true < math.inf):
+        raise ValueError(f"throughput values must be finite and non-negative, got {y_safe} and {y_true}")
+    if not math.isfinite(max(y_safe, y_true) / b):
+        raise InvalidBandwidth(f"per-service bandwidth {b} is too small: session counts overflow")
     n_admit = math.floor(y_safe / b)
     n_oracle = math.floor(y_true / b)
     return AdmissionOutcome(

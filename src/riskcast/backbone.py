@@ -24,7 +24,9 @@ within each feature from its bin 0. As every quantile gain is a function of
 the counts alone, equal counts give equal gains, and ties go to the lowest
 feature, then the lowest bin.
 A split's bins are held once, as one matrix of histogram cells that every
-scan reads (`BinnedFeatures.cells`).
+scan reads (`BinnedFeatures.cells`), with one cell segment per distinct
+binned column: a column whose bin codes repeat a lower feature's gets none,
+as it would tie with that feature at every cell and lose every tie.
 
 Every tree fits every training row, and nothing in training is random.
 On Linux a model's H horizon columns are fitted on up to min(H, usable
@@ -148,11 +150,14 @@ def _cuts(col: np.ndarray) -> np.ndarray:
 class BinnedFeatures:
     """A split's features X, binned once for the tree trainer into one matrix of histogram cells.
 
-    Each feature with a cut owns a segment of `width` consecutive cells, a
-    power of two above its cut count, from cell starts[s] on; segments go in
-    order of width, then of feature, and `groups` holds the (start, stop,
-    width) cell bounds of each width, so a node's histogram is scanned at
-    each group's width instead of padding every feature to the widest.
+    Each distinct binned column owns a segment of `width` consecutive cells,
+    a power of two above its cut count, from cell starts[s] on: every feature
+    with a cut but a repeat, whose bin codes equal a lower feature's with as
+    many cuts. A repeat would give every node that feature's counts, sums and
+    gains, after it in the same width group, so it could never win a split.
+    Segments go in order of width, then of feature, and `groups` holds the
+    (start, stop, width) cell bounds of each width, so a node's histogram is
+    scanned at each group's width instead of padding every feature to the widest.
     cells[i, s] is starts[s] plus the bin b of row i, X[i, j] <= cuts[j][b].
     For each cell c, `segment` and `feature` say what it counts, so
     `_best_splits` scans all cells in one flat pass. A split at c sends
@@ -184,14 +189,24 @@ class BinnedFeatures:
     @staticmethod
     def of(X: WindowMatrix | np.ndarray) -> "BinnedFeatures":
         cuts = [_cuts(X[:, j]) for j in range(X.shape[1])]
-        widths = np.asarray([1 << c.size.bit_length() for c in cuts], dtype=np.int64)
-        used = np.flatnonzero(widths > 1)
-        used = used[np.argsort(widths[used], kind="stable")]
-        widths = widths[used]
+
+        def codes(j: int) -> np.ndarray:
+            return np.searchsorted(cuts[j], X[:, j], side="left")
+        # One digest per kept column; a match is confirmed on codes made again, so cells is the one big matrix.
+        used, seen = [], {}
+        for j in (j for j, c in enumerate(cuts) if c.size):
+            mine = codes(j)
+            like = seen.setdefault((cuts[j].size, hash(mine.tobytes())), [])
+            if not any(np.array_equal(mine, codes(i)) for i in like):
+                like.append(j)
+                used.append(j)
+        widths = np.asarray([1 << cuts[j].size.bit_length() for j in used], dtype=np.int64)
+        order = np.argsort(widths, kind="stable")
+        used, widths = np.asarray(used, dtype=np.int64)[order], widths[order]
         starts = np.cumsum(widths) - widths
         cells = np.empty((len(X), used.size), dtype=np.int64)  # C order: a node's rows gather whole rows
         for s, j in enumerate(used.tolist()):
-            cells[:, s] = np.searchsorted(cuts[j], X[:, j], side="left") + starts[s]
+            cells[:, s] = codes(j) + starts[s]
         groups = []
         for width in np.unique(widths).tolist():
             in_group = starts[widths == width]

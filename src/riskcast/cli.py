@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
 from typing import ClassVar, get_args, get_origin, get_type_hints
 
@@ -86,6 +87,10 @@ _YAML_KEYS = {"history": "L", "horizon": "H", "grid_size": "M"}
 # weighs no fallback penalty, and every run scores both baselines.
 _FIXED = {"backbone.kind": "boosted_trees", "backbone.subsample": 1.0, "risk.lambda": None,
           "config.baselines": list(ExperimentConfig.baselines)}
+
+
+# Annotations are strings (postponed evaluation): each class's are compiled once, into a dict callers only read.
+_type_hints = cache(get_type_hints)
 
 
 def _keys(cls) -> tuple[str, ...]:
@@ -168,7 +173,7 @@ def _read(cls, raw, name: str, defaults: dict | None = None, /, **given):
     unknown = set(section) - set(_keys(cls))
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown, key=str)}")
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     for f in fields(cls):
         if not f.init or f.name in given:
             continue
@@ -210,7 +215,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError("dataset: names both 'noise' and 'noise_model', its older name; give one")
         spec["noise"] = spec.pop("noise_model")
     seed = _value(int, raw.get("seed", 0), "config.seed")
-    dataset = _read(get_type_hints(ExperimentConfig)["dataset"], raw.get("dataset"), "dataset",
+    dataset = _read(_type_hints(ExperimentConfig)["dataset"], raw.get("dataset"), "dataset",
                     {"seed": stage_seed(seed, "data")})
     return _read(ExperimentConfig, raw, "config", seed=seed, dataset=dataset)
 

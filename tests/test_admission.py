@@ -31,6 +31,18 @@ class TestAdmit:
         with pytest.raises(InvalidBandwidth):
             admit(10.0, 10.0, -1.0)
 
+    def test_a_bandwidth_that_overflows_a_session_count_is_rejected(self):
+        with pytest.raises(InvalidBandwidth, match="1e-320"):
+            admit(300.0, 100.0, 1e-320)
+        with pytest.raises(InvalidBandwidth, match="1e-320"):
+            admit(100.0, 300.0, 1e-320)
+        assert admit(300.0, 100.0, 1e-300).n_drop > 0
+
+    @pytest.mark.parametrize("y_safe, y_true", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan), (-1.0, 1.0)])
+    def test_throughput_that_is_not_finite_and_non_negative_is_rejected(self, y_safe, y_true):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            admit(y_safe, y_true, 1.0)
+
     def test_identities(self, rng):
         for _ in range(200):
             y_safe, y_true = rng.uniform(0, 300, size=2)

@@ -304,6 +304,9 @@ class TestBinnedFeatures:
     # A constant, a two-valued and a tied column, and one with ties among
     # more than 256 distinct values, so its cuts are quantiles.
     @example(seed=0, n=1200, distinct=[1, 2, 9, 1000])
+    # X is [0, .25, .25], [0, .25, .25] and [1, 2, 2] (columns): their bins
+    # are the same, so only feature 0 keeps a segment.
+    @example(seed=21389, n=3, distinct=[2, 2, 9])
     def test_a_split_at_a_cell_sends_left_the_rows_its_threshold_does(self, seed, n, distinct):
         # Column j draws from distinct[j] values on a grid, so ties are
         # common and a quantile cut can equal a value.
@@ -311,7 +314,12 @@ class TestBinnedFeatures:
         X = np.column_stack([rng.integers(0, d, size=n) * 0.25 for d in distinct])
         binned = BinnedFeatures.of(X)
         varying = {j for j in range(X.shape[1]) if np.unique(X[:, j]).size > 1}
-        assert set(binned.feature.tolist()) == varying
+        kept = set(binned.feature.tolist())
+        assert kept <= varying
+        codes = [np.searchsorted(binned.cuts[j], X[:, j], side="left") for j in range(X.shape[1])]
+        for j in varying - kept:  # a repeat: the bins of a lower kept feature with as many cuts
+            assert any(binned.cuts[i].size == binned.cuts[j].size and np.array_equal(codes[i], codes[j])
+                       for i in kept if i < j)
         for c in range(binned.n_cells):
             f, s = binned.feature[c], binned.segment[c]
             left = binned.cells[:, s] <= c
@@ -319,6 +327,45 @@ class TestBinnedFeatures:
                 assert np.array_equal(left, X[:, f] <= binned.threshold(c))
             else:  # at or past the feature's last bin: every row goes left
                 assert left.all()
+
+    @pytest.mark.parametrize("collide", [False, True], ids=["digests", "colliding-digests"])
+    def test_a_decreasing_copy_keeps_its_segment(self, monkeypatch, collide):
+        # Its bins run the other way, so a point fit sums its gradients from
+        # the other end, and that float sum can differ in its last bit.
+        if collide:
+            monkeypatch.setattr(riskcast.backbone, "hash", lambda data: 0, raising=False)
+        x = np.arange(40.0) % 7
+        binned = BinnedFeatures.of(np.column_stack([x, 10.0 - x, 2.0 * x + 3.0]))
+        assert set(binned.feature.tolist()) == {0, 1}
+
+    def test_columns_whose_digests_collide_are_told_apart_by_their_bins(self, monkeypatch):
+        # Every column has the same digest, so only the codes themselves
+        # show which columns repeat: 3 and 4 repeat 1 and 0.
+        monkeypatch.setattr(riskcast.backbone, "hash", lambda data: 0, raising=False)
+        rng = np.random.default_rng(5)
+        a, b, c = (rng.permutation(np.repeat([0.0, 1.0, 2.0], 30)) for _ in range(3))
+        binned = BinnedFeatures.of(np.column_stack([a, b, c, b - 1.0, 2.0 * a + 3.0]))
+        assert set(binned.feature.tolist()) == {0, 1, 2}
+        assert binned.cells.shape == (90, 3)
+
+    def test_binning_holds_one_cells_matrix_and_a_few_columns(self):
+        # 16 of 24 binned columns repeat an earlier one. Neither a second
+        # matrix over every binned column nor the bytes of every kept column
+        # fit in this bound.
+        rng = np.random.default_rng(0)
+        n = 20_000
+        distinct = [rng.normal(size=n), rng.integers(0, 60, size=n) * 1.0, np.arange(n) % 15.0,
+                    rng.integers(0, 2, size=n) * 3.0, *(rng.integers(0, 9, size=(4, n)) * 0.25)]
+        X = np.column_stack(distinct + [2.0 * x + 3.0 for x in distinct] + [x - 1.0 for x in distinct])
+        BinnedFeatures.of(X[:100])  # so that what a first call loads is not counted
+        tracemalloc.start()
+        try:
+            binned = BinnedFeatures.of(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert binned.cells.shape == (n, 8)
+        assert peak < binned.cells.nbytes + 6 * n * 8
 
 
 class TestExactTrainer:
@@ -369,6 +416,51 @@ class TestExactTrainer:
         model = _fit_boosted_column(BinnedFeatures.of(X), y, tau, params)
         oracle = reference_trainer.fit_boosted_column(X, y, tau, params)
         assert [t.feature.size for t in model.trees] == [t.feature.size for t in oracle.trees]
+        assert np.array_equal(model.predict(X), reference_trainer.predict(oracle, X))
+        assert np.array_equal(model.predict(held), reference_trainer.predict(oracle, held))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=3),
+        # (which column, how relabelled, placed before it): an exact copy, a
+        # scaled one, or a clock lag one period earlier, which reads one less.
+        repeats=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(["copy", "2x+3", "x-1"]), st.booleans()),
+                         min_size=1, max_size=4),
+        tau=st.sampled_from([0.2, 0.7, None]),
+        max_depth=st.integers(2, 5),
+    )
+    @example(seed=1, n=400, kinds=["tied", "many", "two_valued"], repeats=[(0, "x-1", True), (1, "copy", False),
+             (2, "2x+3", True), (1, "2x+3", True)], tau=None, max_depth=5)
+    @example(seed=2, n=400, kinds=["tied", "many"], repeats=[(0, "copy", False), (1, "x-1", True)],
+             tau=0.2, max_depth=4)
+    def test_repeated_columns_give_the_reference_trainers_trees(self, seed, n, kinds, repeats, tau, max_depth):
+        # reference_trainer bins and scans every column, repeats included.
+        rng = np.random.default_rng(seed)
+        relabel = {"copy": lambda x: x.copy(), "2x+3": lambda x: 2.0 * x + 3.0, "x-1": lambda x: x - 1.0}
+
+        def with_repeats(rows: int) -> np.ndarray:
+            originals = [make_column(k, rng, rows) for k in kinds]
+            columns = list(originals)
+            for j, how, before in repeats:
+                x = originals[j % len(kinds)]
+                at = next(i for i, column in enumerate(columns) if column is x) if before else len(columns)
+                columns.insert(at, relabel[how](x))
+            return np.column_stack(columns)
+
+        X, held = with_repeats(n), with_repeats(50)
+        y = np.round(rng.normal(100.0, 20.0, size=n), 1) + 4.0 * X[:, -1]
+        params = BackboneParams(n_trees=3, max_depth=max_depth, learning_rate=0.5, min_samples_leaf=5)
+        binned = BinnedFeatures.of(X)
+        codes, cuts = reference_trainer._bin_features(X)
+        distinct = {(c.size, codes[:, j].tobytes()) for j, c in enumerate(cuts) if c.size}
+        assert binned.cells.shape[1] == len(distinct)
+        model = _fit_boosted_column(binned, y, tau, params)
+        oracle = reference_trainer.fit_boosted_column(X, y, tau, params)
+        for tree, expected in zip(model.trees, oracle.trees, strict=True):
+            assert sorted(tree.feature.tolist()) == sorted(expected.feature.tolist())
+            assert sorted(tree.threshold.tolist()) == sorted(expected.threshold.tolist())
         assert np.array_equal(model.predict(X), reference_trainer.predict(oracle, X))
         assert np.array_equal(model.predict(held), reference_trainer.predict(oracle, held))
 
