@@ -14,15 +14,19 @@ leaf equals what a node-at-a-time scan of the same bins would pick. A
 node's histograms share one float64 array: a quantile fit counts N, the
 rows, and P, the rows with a positive residual, since the pinball
 subgradient sums to (1 - tau) * N - P; a point fit counts N and sums its
-gradients. Counts stay below 2**53, so they are exact, and are shared and
-subtracted without changing any sum: the root's N is counted once per
-split, a quantile fit carries its root's P from one boosting round to the
-next by counting only the rows whose residual changed sign, and the larger
-of two growing siblings takes its parent's counts minus the smaller one's.
-Each depth's splits come from one scan over every feature's bins, summed
-within each feature from its bin 0. As every quantile gain is a function of
-the counts alone, equal counts give equal gains, and ties go to the lowest
-feature, then the lowest bin.
+gradients. Nodes carry them running, summed within each feature from its
+bin 0, as each depth's scan over every feature's bins reads them. Counts
+stay below 2**53, so they are exact, and are shared and subtracted without
+changing any sum: the root's N is counted once per split, a quantile fit
+carries its root's P from one boosting round to the next by counting only
+the rows whose residual changed sign, and the larger of two growing
+siblings takes its parent's running counts minus the smaller one's, in one
+subtraction. Only the other nodes are counted and summed within each
+feature: the root, smaller siblings and nodes whose sibling is a leaf. A
+point fit sums every node's G that way, as float sums do not subtract
+exactly. As every quantile gain is a function of the counts alone, equal
+counts give equal gains, and ties go to the lowest feature, then the lowest
+bin.
 A split's bins are held once, as one matrix of histogram cells that every
 scan reads (`BinnedFeatures.cells`), with one cell segment per distinct
 binned column: a column whose bin codes repeat a lower feature's gets none,
@@ -218,6 +222,17 @@ class BinnedFeatures:
         )
 
 
+def _running(binned: BinnedFeatures, hist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """hist summed within each feature from its bin 0, along its last axis,
+    into `out` (a new float64 array if not given), width group by width group."""
+    if out is None:
+        out = np.empty(hist.shape)
+    for start, stop, width in binned.groups:
+        by_feature = hist.shape[:-1] + ((stop - start) // width, width)
+        np.cumsum(hist[..., start:stop].reshape(by_feature), axis=-1, out=out[..., start:stop].reshape(by_feature))
+    return out
+
+
 def _best_splits(
     binned: BinnedFeatures,
     nodes: list[np.ndarray],
@@ -229,40 +244,46 @@ def _best_splits(
     """The cell whose split is best for each node at one depth, or None for a leaf.
 
     A node's histograms are one float64 array of two channels over the
-    (feature, bin) cells. The first is N, its rows. For a quantile fit (tau
-    set, `target` the rows' resid > 0) the second is P, its rows with a
-    positive residual. The pinball subgradient is -tau on a positive
-    residual and 1 - tau otherwise, so a cell's gradient sum is
+    (feature, bin) cells, held running: each cell sums its feature's bins
+    from bin 0 up to its own. The first channel is N, its rows. For a
+    quantile fit (tau set, `target` the rows' resid > 0) the second is P,
+    its rows with a positive residual. The pinball subgradient is -tau on a
+    positive residual and 1 - tau otherwise, so a cell's gradient sum is
     (1 - tau) * N - P, and every gain is a function of the integers
     (N_left, P_left) alone; counts are below 2**53, so float64 sums and
     differences of them are exact. For a point fit (`target` the rows'
-    gradients) the second is G, one weighted bincount over every node, whose
-    cells sum their rows in ascending row order. Either way cumsum and gain
-    are taken element for element, so every gain is bit-identical to a
-    node-at-a-time scan of a (feature, bin) grid, and ties go, as that
-    grid's row-major argmax sends them, to the lowest feature index, then
-    the lowest bin. The order of `nodes` only decides which histogram row
-    each node uses. A split at cell c is the split at bin c - starts[s] of
-    feature[c], s = segment[c].
-
-    Both channels take one cumsum within each feature, from its bin 0, group
-    by group into one buffer. The gains are then computed in place over
-    (nodes, cells), every cell through the same float operations in the
-    same order as the formula written out; cells that are not candidates get
-    -inf. A cell at or past its feature's last bin sends the whole node
-    left, so its n_right is 0; min_samples_leaf >= 1, which BackboneParams
-    enforces, is what keeps such a cell from being a candidate. A quantile
-    node's P total is its first feature's last cumsum cell. Each group's
-    argmax takes the lowest feature and bin of its best gain, and ties
-    between groups go to the lower feature.
+    gradients) the second is G, a weighted bincount of the node's rows in
+    ascending order, so each cell sums its rows in row order. Either way
+    cumsum and gain are taken element for element, so every gain is
+    bit-identical to a node-at-a-time scan of a (feature, bin) grid, and
+    ties go, as that grid's row-major argmax sends them, to the lowest
+    feature index, then the lowest bin. The order of `nodes` only decides
+    which histogram row each node uses. A split at cell c is the split at
+    bin c - starts[s] of feature[c], s = segment[c].
 
     Counts are exact, so the last len(parents) nodes are not counted: each
-    takes its parent's counts, parents[j], minus those of its smaller
-    sibling, nodes[j]. The root, whose histograms come with it, is the one
-    such node without a sibling, and is alone at its depth. A quantile fit
-    gathers only the counted nodes' rows; a point fit sums every node's G,
-    as float sums do not subtract exactly. Also returns every node's
-    histograms, shape (len(nodes), 2, cells): [N, P], or [N, G] for a point fit.
+    takes its parent's running counts, parents[j], minus those of its
+    smaller sibling, nodes[j], in one subtraction. The root, whose running
+    histograms come with it, is the one such node without a sibling, and is
+    alone at its depth. The other nodes, smaller siblings and lone nodes,
+    are counted: each is gathered once from `cells` and takes one cumsum
+    within each feature. A quantile node gathers its non-positive rows, then
+    its positive ones, and takes one bincount over each slice; N is their
+    sum. A point node gathers its rows in ascending order and takes one
+    bincount for N and one weighted by its gradients for G. A point fit
+    sums every node's G that way, as float sums do not subtract exactly.
+
+    The gains are then computed over (nodes, cells) in fresh arrays, every
+    cell through the same float operations in the same order as the formula
+    written out; cells that are not candidates get -inf. A cell with no row
+    on one side divides by zero, and min_samples_leaf >= 1, which
+    BackboneParams enforces, is what keeps it from being a candidate; that
+    also rules out a cell at or past its feature's last bin, which sends the
+    whole node left. A quantile node's P total is its first feature's last
+    cell. Each group's argmax takes the lowest feature and bin of its best
+    gain, and ties between groups go to the lower feature. Also returns
+    every node's running histograms, shape (len(nodes), 2, cells): [N, P],
+    or [N, G] for a point fit.
     """
     k = len(nodes)
     counted = k - len(parents)
@@ -271,60 +292,54 @@ def _best_splits(
     m = 1 if tau is None else 2  # the count channels: [N] or [N, P]
     sizes = np.asarray([idx.size for idx in nodes], dtype=np.int64)
     gathered = nodes if tau is None else nodes[:counted]
+    plain = np.empty((len(gathered), 2, n_cells))
+    for s, idx in enumerate(gathered):
+        if tau is None:  # a point root holds every row in order, as cells does
+            flat = (binned.cells if idx.size == len(binned.cells) else binned.cells[idx]).ravel()
+            plain[s, 1] = np.bincount(flat, weights=np.repeat(target[idx], per_row), minlength=n_cells)
+            if s < counted:
+                plain[s, 0] = np.bincount(flat, minlength=n_cells)
+        else:  # the non-positive rows, then the positive ones: N is the sum of their counts
+            positive = target[idx]
+            flat = binned.cells[np.concatenate([idx[~positive], idx[positive]])].ravel()
+            split = (idx.size - np.count_nonzero(positive)) * per_row
+            plain[s, 1] = np.bincount(flat[split:], minlength=n_cells)
+            np.add(np.bincount(flat[:split], minlength=n_cells), plain[s, 1], out=plain[s, 0])
     hist = np.empty((k, 2, n_cells))
-    if gathered:
-        rows = np.concatenate(gathered)
-        if tau is None and k == 1 and rows.size == len(binned.cells):  # a point root: every row in order
-            flat = binned.cells.ravel()
-        else:
-            # Each row counts into its node's slot. A quantile node has two,
-            # for its non-positive and its positive rows, which sum to N.
-            slot = np.repeat(np.arange(len(gathered), dtype=np.int64) * m, sizes[: len(gathered)])
-            if tau is not None:
-                slot += target[rows]
-            flat = binned.cells[rows]
-            flat += (slot * n_cells)[:, None]
-            flat = flat.ravel()
-        prefix = flat[: int(sizes[:counted].sum()) * per_row]  # the counted nodes' rows
-        hist[:counted, :m] = np.bincount(prefix, minlength=counted * m * n_cells).reshape(counted, m, n_cells)
-        if tau is None:
-            sums = np.bincount(flat, weights=np.repeat(target[rows], per_row), minlength=k * n_cells)
-            hist[:, 1] = sums.reshape(k, -1)
-        else:
-            hist[:counted, 0] += hist[:counted, 1]
+    _running(binned, plain[:counted], hist[:counted])
+    if tau is None:
+        _running(binned, plain[counted:, 1:], hist[counted:, 1:])
     if parents:
         hist[counted:, :m] = [parent[:m] for parent in parents]
         if counted:
             hist[counted:, :m] -= hist[: len(parents), :m]
-    cum = np.empty_like(hist)
-    for start, stop, width in binned.groups:  # each feature's sums run from its bin 0
-        by_feature = (k, 2, -1, width)
-        np.cumsum(hist[:, :, start:stop].reshape(by_feature), axis=3, out=cum[:, :, start:stop].reshape(by_feature))
-    cum_n = cum[:, 0]
+    cum_n = hist[:, 0]
     n_right = sizes[:, None] - cum_n
     ok = cum_n >= min_samples_leaf
     ok &= n_right >= min_samples_leaf
     if tau is None:
         total_g = np.asarray([target[idx].sum() for idx in nodes], dtype=np.float64)
-        cum_g = cum[:, 1]
+        cum_g = hist[:, 1]
         g_right = total_g[:, None] - cum_g
+        gain = np.square(cum_g)
     else:
-        cum_p = cum[:, 1]
+        cum_p = hist[:, 1]
         p_total = cum_p[:, binned.groups[0][2] - 1]  # the first feature's last cell counts every row
         total_g = (1.0 - tau) * sizes - p_total
-        cum_g = (1.0 - tau) * cum_n
-        cum_g -= cum_p
+        gain = (1.0 - tau) * cum_n
+        gain -= cum_p
+        np.square(gain, out=gain)
         g_right = (1.0 - tau) * n_right
         g_right -= p_total[:, None] - cum_p
     base_score = total_g * total_g / sizes
-    # cum_g**2 / max(cum_n, 1) + g_right**2 / max(n_right, 1) - base_score,
-    # taken in place, in that order.
-    gain = np.square(cum_g, out=cum_g)
-    gain /= np.maximum(cum_n, 1.0, out=cum_n)
-    np.square(g_right, out=g_right)
-    g_right /= np.maximum(n_right, 1.0, out=n_right)
-    gain += g_right
-    gain -= base_score[:, None]
+    # cum_g**2 / cum_n + g_right**2 / n_right - base_score, in that order.
+    # Nothing here writes into hist, whose counts the next depth reads.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain /= cum_n
+        np.square(g_right, out=g_right)
+        g_right /= n_right
+        gain += g_right
+        gain -= base_score[:, None]
     np.copyto(gain, -np.inf, where=~ok)
     at = np.empty((k, len(binned.groups)), dtype=np.int64)  # each group's best cell
     for j, (start, stop, _) in enumerate(binned.groups):
@@ -428,14 +443,14 @@ def _grow_tree(
             column.append(blank)
         return len(feature) - 1
 
-    # A level holds sets of siblings with their parent's count histograms;
+    # A level holds sets of siblings with their parent's running histograms;
     # the root comes with its own. Where every sibling grows, the largest
     # takes its counts by subtraction and the smaller is counted; the rest
     # are counted alone. Node ids follow `growing`, whatever order
     # _best_splits sees them in.
     if root is None:
         root = _root_histograms(binned, target, tau)
-    level = [(root, [(0, np.arange(len(resid), dtype=np.int64))])]
+    level = [(_running(binned, root), [(0, np.arange(len(resid), dtype=np.int64))])]
     for depth in range(max_depth + 1):
         growing, smaller, lone, larger, parents = [], [], [], [], []
         for counts, siblings in level:

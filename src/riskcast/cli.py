@@ -302,9 +302,10 @@ def calibrate_budgets(
     """Calibrate both risk controls at each budget, then predict the test split.
 
     One evaluator serves every budget, so a level shared between budgets is
-    trained once; the point model is trained once and predicted once per split.
-    One worker set fits every model and predicts it on the calibration
-    split; it is shut down before the first test prediction.
+    trained once and predicted on the test split once; the point model is
+    trained once and predicted once per split. One worker set fits every
+    model and predicts it on the calibration split; it is shut down before
+    the first test prediction.
     """
     train, cal, test = dataset.train, dataset.calibration, dataset.test
     with Workers(train, cal) as workers:
@@ -319,11 +320,15 @@ def calibrate_budgets(
     # Test predictions are made only after every calibration decision: the
     # protocol guard that keeps test data out of risk control.
     test_point = point_model.predict(test.X, test.layout)
+    test_safe = {}  # by model: budgets that select the same cached level share it
+    for _, selection, _ in controls:
+        if id(selection.model) not in test_safe:
+            test_safe[id(selection.model)] = selection.model.predict(test.X, test.layout)
     return [
         BudgetOutcome(e, selection, scale, {
             METHOD_POINT: PredictionBatch(test_point, test.Y),
             METHOD_BUDGET_SCALE: PredictionBatch(test_point * scale.c_star, test.Y),
-            METHOD_SAFE_QUANTILE: PredictionBatch(selection.model.predict(test.X, test.layout), test.Y),
+            METHOD_SAFE_QUANTILE: PredictionBatch(test_safe[id(selection.model)], test.Y),
         })
         for e, selection, scale in controls
     ]

@@ -464,6 +464,54 @@ class TestExactTrainer:
         assert np.array_equal(model.predict(X), reference_trainer.predict(oracle, X))
         assert np.array_equal(model.predict(held), reference_trainer.predict(oracle, held))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(100, 400),
+        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=0, max_size=3),
+        tau=st.sampled_from([0.2, 0.7, None]),
+        min_samples_leaf=st.integers(1, 5),
+    )
+    @example(seed=1, n=400, kinds=["many", "tied"], tau=0.2, min_samples_leaf=1)
+    @example(seed=2, n=400, kinds=["many", "tied"], tau=None, min_samples_leaf=1)
+    def test_every_node_carries_the_running_counts_of_its_own_rows(self, seed, n, kinds, tau, min_samples_leaf):
+        # y jumps with flag, so the root splits it into two large halves
+        # that both grow, and the larger takes its counts by subtraction. A
+        # copy of flag and the tied columns are there to be repeated and
+        # low-cardinality.
+        rng = np.random.default_rng(seed)
+        flag = make_column("two_valued", rng, n)
+        X = np.column_stack([flag, *(make_column(k, rng, n) for k in kinds), 2.0 * flag + 3.0,
+                             make_column("tied", rng, n)])
+        y = np.round(rng.normal(100.0, 20.0, size=n), 1) + 40.0 * flag
+        binned = BinnedFeatures.of(X)
+        per_row = binned.cells.shape[1]
+        calls = []
+        best_splits = riskcast.backbone._best_splits
+
+        def spy(binned, nodes, target, tau, min_samples_leaf, parents):
+            splits, hist = best_splits(binned, nodes, target, tau, min_samples_leaf, parents)
+            calls.append((nodes, target, len(parents), hist.copy()))
+            return splits, hist
+
+        params = BackboneParams(n_trees=2, max_depth=4, learning_rate=0.5, min_samples_leaf=min_samples_leaf)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(riskcast.backbone, "_best_splits", spy)
+            _fit_boosted_column(binned, y, tau, params)
+        assert any(len(nodes) > subtracted > 0 for nodes, _, subtracted, _ in calls)
+        for nodes, target, _, hist in calls:
+            for idx, running in zip(nodes, hist, strict=True):
+                flat = binned.cells[idx].ravel()
+                if tau is None:
+                    second = np.bincount(flat, weights=np.repeat(target[idx], per_row), minlength=binned.n_cells)
+                else:
+                    second = np.bincount(binned.cells[idx[target[idx]]].ravel(), minlength=binned.n_cells)
+                fresh = np.stack([np.bincount(flat, minlength=binned.n_cells).astype(np.float64), second])
+                for segment, start in enumerate(binned.starts.tolist()):
+                    stop = start + np.count_nonzero(binned.segment == segment)
+                    fresh[:, start:stop] = np.cumsum(fresh[:, start:stop], axis=1)
+                assert np.array_equal(running, fresh)
+
     @pytest.mark.parametrize("wide_first", [True, False])
     def test_equal_gains_across_width_groups_go_to_the_lower_feature(self, wide_first):
         # Both features split the rows into the same halves at their best bin,

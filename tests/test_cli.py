@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import riskcast.backbone
 import riskcast.calibration
-from riskcast.backbone import BackboneParams
+from riskcast.backbone import BackboneParams, QuantileModel
 from riskcast.calibration import RiskBudgetConfig
 from riskcast.cli import (
     _FIXED,
@@ -341,6 +341,23 @@ class TestCalibrateBudgets:
     @staticmethod
     def dataset(config):
         return make_windows(generate_synthetic(config.dataset), config.history, config.horizon, config.split_ratios)
+
+    def test_predicts_each_selected_model_once_on_the_test_split(self, tmp_path, monkeypatch):
+        # 0.45 and 0.50 both select tau_max, the same cached model.
+        predicted = []
+        predict = QuantileModel.predict
+        monkeypatch.setattr(QuantileModel, "predict",
+                            lambda model, X, layout: predicted.append(model) or predict(model, X, layout))
+        config = load_config(write_config(tmp_path))
+        dataset = self.dataset(config)
+        outcomes = calibrate_budgets(config, dataset, [0.25, 0.45, 0.50])
+        models = [o.selection.model for o in outcomes]
+        assert models[1] is models[2] and models[0] is not models[1]
+        assert len(predicted) == 3  # the point model, then the two selected ones
+        assert predicted[1] is models[0] and predicted[2] is models[1]
+        for outcome in outcomes:
+            expected = predict(outcome.selection.model, dataset.test.X, dataset.test.layout)
+            assert np.array_equal(outcome.batches["safe_quantile"].preds, expected)
 
     @forking
     @pytest.mark.parametrize("epsilons", [[0.35], [0.25, 0.35]], ids=["one-budget", "two-budgets"])
