@@ -29,8 +29,9 @@ counts give equal gains, and ties go to the lowest feature, then the lowest
 bin.
 A split's bins are held once, as one matrix of histogram cells that every
 scan reads (`BinnedFeatures.cells`), with one cell segment per distinct
-binned column: a column whose bin codes repeat a lower feature's gets none,
-as it would tie with that feature at every cell and lose every tie.
+binned column, in feature order: a column whose bin codes repeat a lower
+feature's gets none, as it would tie with that feature at every cell and
+lose every tie.
 
 Every tree fits every training row, and nothing in training is random.
 On Linux a model's H horizon columns are fitted on up to min(H, usable
@@ -154,41 +155,38 @@ def _cuts(col: np.ndarray) -> np.ndarray:
 class BinnedFeatures:
     """A split's features X, binned once for the tree trainer into one matrix of histogram cells.
 
-    Each distinct binned column owns a segment of `width` consecutive cells,
-    a power of two above its cut count, from cell starts[s] on: every feature
-    with a cut but a repeat, whose bin codes equal a lower feature's with as
-    many cuts. A repeat would give every node that feature's counts, sums and
-    gains, after it in the same width group, so it could never win a split.
-    Segments go in order of width, then of feature, and `groups` holds the
-    (start, stop, width) cell bounds of each width, so a node's histogram is
-    scanned at each group's width instead of padding every feature to the widest.
-    cells[i, s] is starts[s] plus the bin b of row i, X[i, j] <= cuts[j][b].
-    For each cell c, `segment` and `feature` say what it counts, so
+    Each distinct binned column owns a segment of consecutive cells, in
+    order of feature, as wide as the power of two above its cut count:
+    every feature with a cut but a repeat, whose bin codes equal a lower
+    feature's with as many cuts. A repeat would give every node that
+    feature's counts, sums and gains, after it, so it could never win a
+    split. `groups` holds the (start, stop, width) cell bounds of each
+    maximal run of segments that share a width, so a node's histogram is
+    scanned at each run's width instead of padding every feature to the
+    widest. cells[i, s] is the first cell of segment s plus the bin b of
+    row i, the lowest b with X[i, j] <= cut b of feature j. For each cell c,
+    `feature` says what it counts and `cut` is its threshold, so
     `_best_splits` scans all cells in one flat pass. A split at c sends
-    X[i, feature[c]] <= threshold(c) left, exactly the rows with
-    cells[i, segment[c]] <= c. _grow_tree routes on X, as
-    DecisionTree.predict does: a column of a WindowMatrix is contiguous,
-    and one of cells is not. A feature's last cell is never a candidate.
+    X[i, feature[c]] <= cut[c] left, exactly the rows whose cell in that
+    segment is at most c. cut is +inf on a cell at or past its feature's
+    last cut, which sends every row left and is never a candidate.
+    _grow_tree routes on X, as DecisionTree.predict does: a column of a
+    WindowMatrix is contiguous, and one of cells is not.
     root_counts holds the rows in each cell, the N of every tree's root.
     All are fields of the split, made once with it, so forked workers
     inherit them; X is held as given, and a WindowMatrix is a view.
     """
 
     X: WindowMatrix | np.ndarray
-    cuts: list[np.ndarray]
     cells: np.ndarray
-    starts: np.ndarray
-    segment: np.ndarray
     feature: np.ndarray
+    cut: np.ndarray
     groups: tuple[tuple[int, int, int], ...]
     root_counts: np.ndarray
 
     @property
     def n_cells(self) -> int:
         return self.feature.size
-
-    def threshold(self, c: int) -> float:
-        return float(self.cuts[self.feature[c]][c - self.starts[self.segment[c]]])
 
     @staticmethod
     def of(X: WindowMatrix | np.ndarray) -> "BinnedFeatures":
@@ -205,26 +203,24 @@ class BinnedFeatures:
                 like.append(j)
                 used.append(j)
         widths = np.asarray([1 << cuts[j].size.bit_length() for j in used], dtype=np.int64)
-        order = np.argsort(widths, kind="stable")
-        used, widths = np.asarray(used, dtype=np.int64)[order], widths[order]
         starts = np.cumsum(widths) - widths
-        cells = np.empty((len(X), used.size), dtype=np.int64)  # C order: a node's rows gather whole rows
-        for s, j in enumerate(used.tolist()):
+        cells = np.empty((len(X), len(used)), dtype=np.int64)  # C order: a node's rows gather whole rows
+        cut = np.full(int(widths.sum()), np.inf)
+        for s, j in enumerate(used):
             cells[:, s] = codes(j) + starts[s]
-        groups = []
-        for width in np.unique(widths).tolist():
-            in_group = starts[widths == width]
-            groups.append((int(in_group[0]), int(in_group[-1]) + width, width))
-        segment = np.repeat(np.arange(used.size), widths)
+            cut[starts[s] : starts[s] + cuts[j].size] = cuts[j]
+        first = np.flatnonzero(np.diff(widths, prepend=0))  # the first segment of each run of one width
+        stops = np.append(starts[first[1:]], cut.size)
         return BinnedFeatures(
-            X, cuts, cells, starts, segment, used[segment], tuple(groups),
-            root_counts=np.bincount(cells.ravel(), minlength=segment.size),
+            X, cells, np.repeat(np.asarray(used, dtype=np.int64), widths), cut,
+            tuple(zip(starts[first].tolist(), stops.tolist(), widths[first].tolist())),
+            root_counts=np.bincount(cells.ravel(), minlength=cut.size),
         )
 
 
 def _running(binned: BinnedFeatures, hist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """hist summed within each feature from its bin 0, along its last axis,
-    into `out` (a new float64 array if not given), width group by width group."""
+    into `out` (a new float64 array if not given), one run of equal width at a time."""
     if out is None:
         out = np.empty(hist.shape)
     for start, stop, width in binned.groups:
@@ -255,11 +251,8 @@ def _best_splits(
     gradients) the second is G, a weighted bincount of the node's rows in
     ascending order, so each cell sums its rows in row order. Either way
     cumsum and gain are taken element for element, so every gain is
-    bit-identical to a node-at-a-time scan of a (feature, bin) grid, and
-    ties go, as that grid's row-major argmax sends them, to the lowest
-    feature index, then the lowest bin. The order of `nodes` only decides
-    which histogram row each node uses. A split at cell c is the split at
-    bin c - starts[s] of feature[c], s = segment[c].
+    bit-identical to a node-at-a-time scan of a (feature, bin) grid. The
+    order of `nodes` only decides which histogram row each node uses.
 
     Counts are exact, so the last len(parents) nodes are not counted: each
     takes its parent's running counts, parents[j], minus those of its
@@ -280,10 +273,13 @@ def _best_splits(
     BackboneParams enforces, is what keeps it from being a candidate; that
     also rules out a cell at or past its feature's last bin, which sends the
     whole node left. A quantile node's P total is its first feature's last
-    cell. Each group's argmax takes the lowest feature and bin of its best
-    gain, and ties between groups go to the lower feature. Also returns
-    every node's running histograms, shape (len(nodes), 2, cells): [N, P],
-    or [N, G] for a point fit.
+    cell. The cells lie in feature order, so one argmax over a node's gains
+    sends ties, as that grid's row-major argmax does, to the lowest feature,
+    then the lowest bin. A node is a leaf unless its best gain clears a
+    threshold, which -inf (no candidate) and NaN (only where gradient sums
+    overflow float64) never do. Also returns every node's running
+    histograms, shape (len(nodes), 2, cells): [N, P], or [N, G] for a point
+    fit.
     """
     k = len(nodes)
     counted = k - len(parents)
@@ -341,19 +337,10 @@ def _best_splits(
         gain += g_right
         gain -= base_score[:, None]
     np.copyto(gain, -np.inf, where=~ok)
-    at = np.empty((k, len(binned.groups)), dtype=np.int64)  # each group's best cell
-    for j, (start, stop, _) in enumerate(binned.groups):
-        at[:, j] = gain[:, start:stop].argmax(axis=1)
-        at[:, j] += start
-    node = np.arange(k)
-    gain_at = gain[node[:, None], at]
-    gain_at[np.isnan(gain_at)] = -np.inf  # a NaN gain never wins
-    best_gain = gain_at.max(axis=1)
-    tied = np.where(gain_at == best_gain[:, None], binned.feature[at], len(binned.cuts))
-    best = at[node, tied.argmin(axis=1)]
-    any_ok = ok.any(axis=1)
+    best = gain.argmax(axis=1)
+    best_gain = gain[np.arange(k), best]
     splits = [
-        int(best[s]) if any_ok[s] and best_gain[s] > 1e-9 * max(1.0, abs(base_score[s])) else None
+        int(best[s]) if best_gain[s] > 1e-9 * max(1.0, abs(base_score[s])) else None
         for s in range(k)
     ]
     return splits, hist
@@ -480,7 +467,7 @@ def _grow_tree(
                 make_leaf(node, idx)
                 continue
             feature[node] = f = int(binned.feature[c])
-            threshold[node] = binned.threshold(c)
+            threshold[node] = float(binned.cut[c])
             go_left = binned.X[idx, f] <= threshold[node]
             left[node] = add_node()
             right[node] = add_node()

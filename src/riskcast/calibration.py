@@ -115,8 +115,6 @@ def lin_space(a: float, b: float, m: int) -> np.ndarray:
         raise InvalidGrid(f"grid start {a} exceeds end {b}")
     if m < 1 or (m == 1 and a != b):
         raise InvalidGrid("m must be >= 2, or 1 only for a degenerate interval")
-    if a == b:
-        return np.full(m, float(a))
     return np.linspace(float(a), float(b), m)
 
 

@@ -313,19 +313,37 @@ class TestBinnedFeatures:
         rng = np.random.default_rng(seed)
         X = np.column_stack([rng.integers(0, d, size=n) * 0.25 for d in distinct])
         binned = BinnedFeatures.of(X)
+        codes, cuts = reference_trainer._bin_features(X)
         varying = {j for j in range(X.shape[1]) if np.unique(X[:, j]).size > 1}
         kept = set(binned.feature.tolist())
         assert kept <= varying
-        codes = [np.searchsorted(binned.cuts[j], X[:, j], side="left") for j in range(X.shape[1])]
         for j in varying - kept:  # a repeat: the bins of a lower kept feature with as many cuts
-            assert any(binned.cuts[i].size == binned.cuts[j].size and np.array_equal(codes[i], codes[j])
+            assert any(cuts[i].size == cuts[j].size and np.array_equal(codes[:, i], codes[:, j])
                        for i in kept if i < j)
+        # Segments lie in feature order, each as wide as the power of two
+        # above its cut count, and the groups are the maximal runs of one
+        # width, tiling the cells.
+        assert np.all(np.diff(binned.feature) >= 0)
+        features, firsts, widths = (a.tolist() for a in np.unique(binned.feature, return_index=True,
+                                                                   return_counts=True))
+        assert widths == [1 << cuts[f].size.bit_length() for f in features]
+        runs = []
+        for first, width in zip(firsts, widths):
+            if runs and runs[-1][2] == width:
+                runs[-1][1] += width
+            else:
+                runs.append([first, first + width, width])
+        assert [list(group) for group in binned.groups] == runs
+        assert (runs[-1][1] if runs else 0) == binned.n_cells
         for c in range(binned.n_cells):
-            f, s = binned.feature[c], binned.segment[c]
+            s = features.index(binned.feature[c])
+            f, b = features[s], c - firsts[s]
             left = binned.cells[:, s] <= c
-            if c - binned.starts[s] < binned.cuts[f].size:
-                assert np.array_equal(left, X[:, f] <= binned.threshold(c))
-            else:  # at or past the feature's last bin: every row goes left
+            if b < cuts[f].size:
+                assert binned.cut[c] == cuts[f][b]
+                assert np.array_equal(left, X[:, f] <= binned.cut[c])
+            else:  # at or past the feature's last cut: every row goes left
+                assert binned.cut[c] == np.inf
                 assert left.all()
 
     @pytest.mark.parametrize("collide", [False, True], ids=["digests", "colliding-digests"])
@@ -406,6 +424,12 @@ class TestExactTrainer:
     # counts carry from round to round.
     @example(seed=8, n=600, kinds=["two_valued", "many", "constant", "tied"], tau=0.3,
              max_depth=4, min_samples_leaf=7, n_trees=6)
+    # Bin widths 2, 256, 16, 256 and 2 alternate column by column, so each
+    # column is a run of its own width and equal gains tie across runs.
+    @example(seed=9, n=600, kinds=["two_valued", "many", "tied", "many", "two_valued"], tau=None,
+             max_depth=5, min_samples_leaf=3, n_trees=4)
+    @example(seed=9, n=600, kinds=["two_valued", "many", "tied", "many", "two_valued"], tau=0.5,
+             max_depth=5, min_samples_leaf=3, n_trees=4)
     def test_matches_reference_trainer(self, seed, n, kinds, tau, max_depth, min_samples_leaf, n_trees):
         rng = np.random.default_rng(seed)
         X = np.column_stack([make_column(k, rng, n) for k in kinds])
@@ -507,8 +531,8 @@ class TestExactTrainer:
                 else:
                     second = np.bincount(binned.cells[idx[target[idx]]].ravel(), minlength=binned.n_cells)
                 fresh = np.stack([np.bincount(flat, minlength=binned.n_cells).astype(np.float64), second])
-                for segment, start in enumerate(binned.starts.tolist()):
-                    stop = start + np.count_nonzero(binned.segment == segment)
+                _, firsts, widths = np.unique(binned.feature, return_index=True, return_counts=True)
+                for start, stop in zip(firsts.tolist(), (firsts + widths).tolist()):
                     fresh[:, start:stop] = np.cumsum(fresh[:, start:stop], axis=1)
                 assert np.array_equal(running, fresh)
 
@@ -544,7 +568,7 @@ class TestExactTrainer:
         X = np.column_stack([flag, mid, level] if flag_first else [level, mid, flag])
         resid = np.where(flag > 0, 5.0, -5.0)
         binned = BinnedFeatures.of(X)
-        assert [width for _, _, width in binned.groups] == [2, 4, 8]
+        assert [width for _, _, width in binned.groups] == ([2, 4, 8] if flag_first else [8, 4, 2])
         tree, _ = _grow_tree(binned, resid, tau, 1, 1)
         codes, cuts = reference_trainer._bin_features(X)
         oracle = reference_trainer._grow_tree(codes, cuts, resid, tau, 1, 1)
@@ -565,8 +589,8 @@ class TestExactTrainer:
         resid = np.where(level >= 7, 5.0, -5.0)
         target = resid > 0 if tau is not None else -resid
         cells, _ = _best_splits(binned, [node], target, tau, 1, [])
-        splits = [(int(binned.feature[c]), int(c - binned.starts[binned.segment[c]])) for c in cells]
-        assert splits == [(1, 2)]
+        splits = [(int(binned.feature[c]), float(binned.cut[c])) for c in cells]
+        assert splits == [(1, 2.5)]
 
     def test_carried_root_counts_equal_a_fresh_count_every_round(self, monkeypatch):
         # Each round's root histograms, as _grow_tree receives them, against
