@@ -31,7 +31,8 @@ A split's bins are held once, as one matrix of histogram cells that every
 scan reads (`BinnedFeatures.cells`), with one cell segment per distinct
 binned column, in feature order: a column whose bin codes repeat a lower
 feature's gets none, as it would tie with that feature at every cell and
-lose every tie.
+lose every tie. Each column is binned in one pass: one sort gives its
+cuts, one search of them its bin codes, and the codes find a repeat.
 
 Every tree fits every training row, and nothing in training is random.
 On Linux a model's H horizon columns are fitted on up to min(H, usable
@@ -141,16 +142,6 @@ class DecisionTree:
         return out
 
 
-def _cuts(col: np.ndarray) -> np.ndarray:
-    """A column's bin edges: bin b holds the values x <= cuts[b] above cuts[b - 1]."""
-    uniq = np.unique(col)
-    if uniq.size <= 1:
-        return np.empty(0, dtype=np.float64)
-    if uniq.size <= _MAX_BINS:
-        return (uniq[:-1] + uniq[1:]) / 2.0
-    return np.unique(np.quantile(col, np.linspace(0.0, 1.0, _MAX_BINS)[1:-1]))
-
-
 @dataclass(frozen=True)
 class BinnedFeatures:
     """A split's features X, binned once for the tree trainer into one matrix of histogram cells.
@@ -175,6 +166,11 @@ class BinnedFeatures:
     root_counts holds the rows in each cell, the N of every tree's root.
     All are fields of the split, made once with it, so forked workers
     inherit them; X is held as given, and a WindowMatrix is a view.
+    `of` sorts each column once: the midpoints of its distinct values, or
+    above 256 of them the distinct quantiles at 254 even levels, are its
+    cuts, and one search of them gives its uint8 bin codes. A column
+    repeats when its (cut count, codes) key is held already; the kept
+    columns' codes, a byte a row, are held there until `cells` is filled.
     """
 
     X: WindowMatrix | np.ndarray
@@ -190,29 +186,29 @@ class BinnedFeatures:
 
     @staticmethod
     def of(X: WindowMatrix | np.ndarray) -> "BinnedFeatures":
-        cuts = [_cuts(X[:, j]) for j in range(X.shape[1])]
-
-        def codes(j: int) -> np.ndarray:
-            return np.searchsorted(cuts[j], X[:, j], side="left")
-        # One digest per kept column; a match is confirmed on codes made again, so cells is the one big matrix.
-        used, seen = [], {}
-        for j in (j for j, c in enumerate(cuts) if c.size):
-            mine = codes(j)
-            like = seen.setdefault((cuts[j].size, hash(mine.tobytes())), [])
-            if not any(np.array_equal(mine, codes(i)) for i in like):
-                like.append(j)
-                used.append(j)
-        widths = np.asarray([1 << cuts[j].size.bit_length() for j in used], dtype=np.int64)
+        kept = {}  # (cut count, bin codes) -> the first feature binned so and its cuts, in feature order
+        for j in range(X.shape[1]):
+            col = np.sort(X[:, j])
+            uniq = col[np.append(True, col[1:] != col[:-1])]
+            if uniq.size <= 1:
+                continue
+            if uniq.size <= _MAX_BINS:
+                cuts = (uniq[:-1] + uniq[1:]) / 2.0
+            else:
+                cuts = np.unique(np.quantile(col, np.linspace(0.0, 1.0, _MAX_BINS)[1:-1]))
+            codes = np.searchsorted(cuts, X[:, j], side="left").astype(np.uint8)
+            kept.setdefault((cuts.size, codes.tobytes()), (j, cuts))
+        widths = np.asarray([1 << cuts.size.bit_length() for _, cuts in kept.values()], dtype=np.int64)
         starts = np.cumsum(widths) - widths
-        cells = np.empty((len(X), len(used)), dtype=np.int64)  # C order: a node's rows gather whole rows
+        cells = np.empty((len(X), len(kept)), dtype=np.int64)  # C order: a node's rows gather whole rows
         cut = np.full(int(widths.sum()), np.inf)
-        for s, j in enumerate(used):
-            cells[:, s] = codes(j) + starts[s]
-            cut[starts[s] : starts[s] + cuts[j].size] = cuts[j]
+        for s, ((_, codes), (_, cuts)) in enumerate(kept.items()):
+            np.add(np.frombuffer(codes, dtype=np.uint8), starts[s], out=cells[:, s], dtype=np.int64)
+            cut[starts[s] : starts[s] + cuts.size] = cuts
         first = np.flatnonzero(np.diff(widths, prepend=0))  # the first segment of each run of one width
         stops = np.append(starts[first[1:]], cut.size)
         return BinnedFeatures(
-            X, cells, np.repeat(np.asarray(used, dtype=np.int64), widths), cut,
+            X, cells, np.repeat(np.asarray([j for j, _ in kept.values()], dtype=np.int64), widths), cut,
             tuple(zip(starts[first].tolist(), stops.tolist(), widths[first].tolist())),
             root_counts=np.bincount(cells.ravel(), minlength=cut.size),
         )

@@ -269,12 +269,12 @@ def budget_scale_search(
     """Exhaustively score every factor; feasible ones compete on MAE.
 
     Among feasible factors the smallest-MAE one wins; with no feasible factor
-    the minimal-over_rate one wins. Ties go to the smaller factor in both
-    branches (grid order is ascending).
+    the minimal-over_rate one wins. Factors are scored in ascending order,
+    whatever the grid's, so ties go to the smaller factor in both branches.
     """
     if c_grid is None:
         c_grid = DEFAULT_SCALE_GRID
-    factors = np.asarray(list(c_grid), dtype=np.float64)
+    factors = np.sort(np.asarray(list(c_grid), dtype=np.float64))
     if factors.size == 0:
         raise EmptyGrid("scale-factor grid is empty")
     if np.any(factors <= 0):

@@ -285,19 +285,22 @@ def check_timestamp_gaps(trace: Trace) -> None:
     step would put a gap inside them and a shorter one would space their lags
     unevenly. The first longer step is reported if there is one, else the
     first shorter one. The timestamps ascend, so their steps are exact in
-    uint64, where an int64 difference could wrap."""
+    uint64, where an int64 difference could wrap, and are compared with
+    their median in integers, as float64 cannot tell them apart above 2**53."""
     steps = np.diff(trace.timestamps.view(np.uint64))
     if steps.size == 0:
         return
-    usual = float(np.median(steps))
-    gaps = np.flatnonzero(steps > usual)
+    a, b = np.sort(steps)[[(steps.size - 1) // 2, steps.size // 2]]
+    lo, half = a + (b - a) // 2, (b - a) % 2  # the median is lo + half / 2: longer steps exceed lo
+    usual = int(lo) + int(half) / 2
+    gaps = np.flatnonzero(steps > lo)
     if gaps.size:
         row = int(gaps[0]) + 1
         raise TimestampGap(
             f"timestamp gap before row {row}: step {steps[row - 1]} against the trace's usual step "
             f"{usual:g}; windows would span it"
         )
-    short = np.flatnonzero(steps < usual)
+    short = np.flatnonzero(steps < lo + half)
     if short.size:
         row = int(short[0]) + 1
         raise TimestampGap(

@@ -294,6 +294,47 @@ def make_column(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.normal(size=n)  # more than 256 distinct values once n > 256
 
 
+def check_bins_against_the_reference_trainer(X: np.ndarray) -> BinnedFeatures:
+    """BinnedFeatures.of(X), once its segments, groups, cuts and cells agree
+    with the reference trainer's bins of X."""
+    binned = BinnedFeatures.of(X)
+    codes, cuts = reference_trainer._bin_features(X)
+    varying = {j for j in range(X.shape[1]) if np.unique(X[:, j]).size > 1}
+    kept = set(binned.feature.tolist())
+    assert kept <= varying
+
+    def repeats(j: int) -> bool:  # the bins of a lower kept feature with as many cuts
+        return any(cuts[i].size == cuts[j].size and np.array_equal(codes[:, i], codes[:, j]) for i in kept if i < j)
+    assert not any(repeats(j) for j in kept)
+    assert all(repeats(j) for j in varying - kept)
+    # Segments lie in feature order, each as wide as the power of two
+    # above its cut count, and the groups are the maximal runs of one
+    # width, tiling the cells.
+    assert np.all(np.diff(binned.feature) >= 0)
+    features, firsts, widths = (a.tolist() for a in np.unique(binned.feature, return_index=True,
+                                                               return_counts=True))
+    assert widths == [1 << cuts[f].size.bit_length() for f in features]
+    runs = []
+    for first, width in zip(firsts, widths):
+        if runs and runs[-1][2] == width:
+            runs[-1][1] += width
+        else:
+            runs.append([first, first + width, width])
+    assert [list(group) for group in binned.groups] == runs
+    assert (runs[-1][1] if runs else 0) == binned.n_cells
+    for c in range(binned.n_cells):
+        s = features.index(binned.feature[c])
+        f, b = features[s], c - firsts[s]
+        left = binned.cells[:, s] <= c
+        if b < cuts[f].size:
+            assert binned.cut[c] == cuts[f][b]
+            assert np.array_equal(left, X[:, f] <= binned.cut[c])
+        else:  # at or past the feature's last cut: every row goes left
+            assert binned.cut[c] == np.inf
+            assert left.all()
+    return binned
+
+
 class TestBinnedFeatures:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -311,55 +352,47 @@ class TestBinnedFeatures:
         # Column j draws from distinct[j] values on a grid, so ties are
         # common and a quantile cut can equal a value.
         rng = np.random.default_rng(seed)
-        X = np.column_stack([rng.integers(0, d, size=n) * 0.25 for d in distinct])
-        binned = BinnedFeatures.of(X)
-        codes, cuts = reference_trainer._bin_features(X)
-        varying = {j for j in range(X.shape[1]) if np.unique(X[:, j]).size > 1}
-        kept = set(binned.feature.tolist())
-        assert kept <= varying
-        for j in varying - kept:  # a repeat: the bins of a lower kept feature with as many cuts
-            assert any(cuts[i].size == cuts[j].size and np.array_equal(codes[:, i], codes[:, j])
-                       for i in kept if i < j)
-        # Segments lie in feature order, each as wide as the power of two
-        # above its cut count, and the groups are the maximal runs of one
-        # width, tiling the cells.
-        assert np.all(np.diff(binned.feature) >= 0)
-        features, firsts, widths = (a.tolist() for a in np.unique(binned.feature, return_index=True,
-                                                                   return_counts=True))
-        assert widths == [1 << cuts[f].size.bit_length() for f in features]
-        runs = []
-        for first, width in zip(firsts, widths):
-            if runs and runs[-1][2] == width:
-                runs[-1][1] += width
-            else:
-                runs.append([first, first + width, width])
-        assert [list(group) for group in binned.groups] == runs
-        assert (runs[-1][1] if runs else 0) == binned.n_cells
-        for c in range(binned.n_cells):
-            s = features.index(binned.feature[c])
-            f, b = features[s], c - firsts[s]
-            left = binned.cells[:, s] <= c
-            if b < cuts[f].size:
-                assert binned.cut[c] == cuts[f][b]
-                assert np.array_equal(left, X[:, f] <= binned.cut[c])
-            else:  # at or past the feature's last cut: every row goes left
-                assert binned.cut[c] == np.inf
-                assert left.all()
+        check_bins_against_the_reference_trainer(
+            np.column_stack([rng.integers(0, d, size=n) * 0.25 for d in distinct]))
 
-    @pytest.mark.parametrize("collide", [False, True], ids=["digests", "colliding-digests"])
-    def test_a_decreasing_copy_keeps_its_segment(self, monkeypatch, collide):
+    def test_a_cut_that_rounds_up_to_a_value_puts_both_values_in_one_bin(self):
+        # The midpoint of these adjacent floats rounds to the larger one, so
+        # both lie at or below the one cut: each column's codes are all 0,
+        # however its rows alternate, and feature 1 repeats feature 0.
+        a, b = 1 + 2**-52, 1 + 2**-51
+        assert (a + b) / 2.0 == b
+        binned = check_bins_against_the_reference_trainer(
+            np.column_stack([np.tile([a, b], 20), np.tile([a, a, b, b], 10)]))
+        assert binned.cells.shape == (40, 1) and not binned.cells.any()
+
+    def test_signed_zeros_are_one_value(self):
+        # Column 0 is constant (-0.0 == 0.0), so only column 1 is binned,
+        # and its -0.0 and 0.0 rows share a bin.
+        zeros = np.tile([-0.0, 0.0], 10)
+        binned = check_bins_against_the_reference_trainer(
+            np.column_stack([zeros, np.tile([-0.0, 1.0, 0.0, -1.0], 5)]))
+        assert set(binned.feature.tolist()) == {1}
+        assert binned.cut[:2].tolist() == [-0.5, 0.5]
+
+    def test_quantile_cuts_over_many_tied_values(self):
+        # 400 values on a grid, each drawn about 5 times: more than 256
+        # distinct values, so the cuts are quantiles, and some cuts fall on
+        # a value and repeat before they are made unique.
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 400, size=2000) * 0.5
+        binned = check_bins_against_the_reference_trainer(np.column_stack([x, -x, x + 1.0]))
+        assert set(binned.feature.tolist()) == {0, 1}
+
+    def test_a_decreasing_copy_keeps_its_segment(self):
         # Its bins run the other way, so a point fit sums its gradients from
         # the other end, and that float sum can differ in its last bit.
-        if collide:
-            monkeypatch.setattr(riskcast.backbone, "hash", lambda data: 0, raising=False)
         x = np.arange(40.0) % 7
         binned = BinnedFeatures.of(np.column_stack([x, 10.0 - x, 2.0 * x + 3.0]))
         assert set(binned.feature.tolist()) == {0, 1}
 
-    def test_columns_whose_digests_collide_are_told_apart_by_their_bins(self, monkeypatch):
-        # Every column has the same digest, so only the codes themselves
-        # show which columns repeat: 3 and 4 repeat 1 and 0.
-        monkeypatch.setattr(riskcast.backbone, "hash", lambda data: 0, raising=False)
+    def test_columns_of_equal_value_counts_are_told_apart_by_their_bins(self):
+        # Every column holds the same values as often, so only the codes
+        # themselves show which columns repeat: 3 and 4 repeat 1 and 0.
         rng = np.random.default_rng(5)
         a, b, c = (rng.permutation(np.repeat([0.0, 1.0, 2.0], 30)) for _ in range(3))
         binned = BinnedFeatures.of(np.column_stack([a, b, c, b - 1.0, 2.0 * a + 3.0]))
@@ -367,9 +400,9 @@ class TestBinnedFeatures:
         assert binned.cells.shape == (90, 3)
 
     def test_binning_holds_one_cells_matrix_and_a_few_columns(self):
-        # 16 of 24 binned columns repeat an earlier one. Neither a second
-        # matrix over every binned column nor the bytes of every kept column
-        # fit in this bound.
+        # 16 of 24 binned columns repeat an earlier one. An int64 matrix over
+        # every binned column does not fit in this bound; the kept columns'
+        # uint8 bin codes, n bytes each and held until cells is filled, do.
         rng = np.random.default_rng(0)
         n = 20_000
         distinct = [rng.normal(size=n), rng.integers(0, 60, size=n) * 1.0, np.arange(n) % 15.0,

@@ -370,6 +370,15 @@ class TestBudgetScale:
         result = budget_scale_search(PredictionBatch(np.full((4, 2), preds), np.full((4, 2), 10.0)), 0.35)
         assert (result.c_star, result.feasible) == (0.5, feasible)
 
+    @pytest.mark.parametrize("preds, grid, feasible", [(0.0, [1.0, 0.5], True), (5.0, [0.6, 0.5], False)],
+                             ids=["feasible", "infeasible"])
+    def test_ties_go_to_the_smaller_factor_in_a_descending_grid(self, preds, grid, feasible):
+        # Zero predictions score the same MAE at every factor; 3.0 and 2.5
+        # both lie above the truths of 1.0, so every factor over-predicts.
+        result = budget_scale_search(PredictionBatch(np.full((4, 2), preds), np.ones((4, 2))), 0.35, grid)
+        assert (result.c_star, result.feasible) == (0.5, feasible)
+        assert [row.factor for row in result.grid] == sorted(grid)
+
     def test_empty_grid(self, rng):
         truths = rng.uniform(10, 100, size=(5, 2))
         with pytest.raises(EmptyGrid):

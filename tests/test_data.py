@@ -468,6 +468,19 @@ class TestTraceInvariants:
         with pytest.raises(TimestampGap, match="before row 2: step 17999999999999999999 "):
             check_timestamp_gaps(trace)
 
+    @pytest.mark.parametrize("steps, row, longer", [
+        ([2**55, 2**55 + 1, 2**55], 2, True),  # the median is 2**55
+        ([2**60, 2**60 + 1], 2, True),  # the median is 2**60 + 1/2
+        ([2**55 + 1, 2**55, 2**55 + 1], 2, False),
+    ], ids=["longer", "longer-than-a-half-step-median", "shorter"])
+    def test_steps_that_float64_cannot_tell_apart_are_compared_exactly(self, steps, row, longer):
+        # Above 2**53 these steps round to one float64 value.
+        assert len({float(step) for step in steps}) == 1
+        trace = Trace("huge", np.cumsum([0, *steps]), np.ones(len(steps) + 1))
+        kind = "gap" if longer else "step"
+        with pytest.raises(TimestampGap, match=f"timestamp {kind} before row {row}: step {steps[row - 1]} "):
+            check_timestamp_gaps(trace)
+
     def test_rejects_negative_throughput(self):
         with pytest.raises(NegativeThroughput):
             Trace("bad", np.array([1, 2]), np.array([1.0, -2.0]))
