@@ -8,25 +8,24 @@ subgradient with a unit curvature surrogate (the true second derivative is
 zero almost everywhere), then each leaf value is refit to the tau-quantile of
 the residuals that landed in it.
 
-Trees are grown exactly, level by level, over (feature, bin) histograms of
-a training split that is binned once (`BinnedFeatures`); every split and
-leaf equals what a node-at-a-time scan of the same bins would pick. A
-node's histograms share one float64 array: a quantile fit counts N, the
-rows, and P, the rows with a positive residual, since the pinball
-subgradient sums to (1 - tau) * N - P; a point fit counts N and sums its
-gradients. Nodes carry them running, summed within each feature from its
-bin 0, as each depth's scan over every feature's bins reads them. Counts
-stay below 2**53, so they are exact, and are shared and subtracted without
-changing any sum: the root's N is counted once per split, a quantile fit
-carries its root's P from one boosting round to the next by counting only
-the rows whose residual changed sign, and the larger of two growing
-siblings takes its parent's running counts minus the smaller one's, in one
-subtraction. Only the other nodes are counted and summed within each
-feature: the root, smaller siblings and nodes whose sibling is a leaf. A
-point fit sums every node's G that way, as float sums do not subtract
-exactly. As every quantile gain is a function of the counts alone, equal
-counts give equal gains, and ties go to the lowest feature, then the lowest
-bin.
+Trees are grown exactly, one node at a time and breadth-first, over
+(feature, bin) histograms of a training split that is binned once
+(`BinnedFeatures`). A node's histograms share one float64 array: a
+quantile fit counts N, the rows, and P, the rows with a positive residual,
+since the pinball subgradient sums to (1 - tau) * N - P; a point fit
+counts N and sums its gradients. Nodes carry them running, summed within
+each feature from its bin 0, as the node's scan over every feature's bins
+reads them. Counts stay below 2**53, so they are exact, and are shared and
+subtracted without changing any sum: the root's N is counted once per
+split, a quantile fit carries its root's P from one boosting round to the
+next by counting only the rows whose residual changed sign, and a split
+whose two children both grow counts the smaller, and hands the larger its
+own running counts minus the smaller one's, in one subtraction. Only the
+other nodes are counted and summed within each feature: the root, smaller
+siblings and nodes whose sibling is a leaf. A point fit sums every node's
+G that way, as float sums do not subtract exactly. As every quantile gain
+is a function of the counts alone, equal counts give equal gains, and ties
+go to the lowest feature, then the lowest bin.
 A split's bins are held once, as one matrix of histogram cells that every
 scan reads (`BinnedFeatures.cells`), with one cell segment per distinct
 binned column, in feature order: a column whose bin codes repeat a lower
@@ -50,6 +49,7 @@ import math
 import numbers
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,7 +157,7 @@ class BinnedFeatures:
     widest. cells[i, s] is the first cell of segment s plus the bin b of
     row i, the lowest b with X[i, j] <= cut b of feature j. For each cell c,
     `feature` says what it counts and `cut` is its threshold, so
-    `_best_splits` scans all cells in one flat pass. A split at c sends
+    `_best_split` scans a node's cells in one flat pass. A split at c sends
     X[i, feature[c]] <= cut[c] left, exactly the rows whose cell in that
     segment is at most c. cut is +inf on a cell at or past its feature's
     last cut, which sends every row left and is never a candidate.
@@ -225,127 +225,106 @@ def _running(binned: BinnedFeatures, hist: np.ndarray, out: np.ndarray | None = 
     return out
 
 
-def _best_splits(
+def _count(binned: BinnedFeatures, idx: np.ndarray, target: np.ndarray, tau: float | None, out: np.ndarray) -> None:
+    """Count the running histograms of the node holding rows idx into `out`.
+
+    A quantile node (tau set, `target` the rows' resid > 0) gathers its
+    non-positive rows from `cells`, then its positive ones, and takes one
+    bincount over each slice; `out` gets [N, P], N being their sum. A
+    point node (`target` the rows' gradients) gathers its rows in ascending
+    order, or takes `cells` whole if it holds every row, and takes one
+    bincount weighted by its gradients, so each cell sums its rows in row
+    order: `out` gets G in its last channel, and N, from one more bincount,
+    in its first if it has two. Each channel is then summed within each
+    feature from its bin 0 (_running).
+    """
+    n_cells = binned.n_cells
+    per_row = binned.cells.shape[1]
+    if tau is None:
+        flat = (binned.cells if idx.size == len(binned.cells) else binned.cells[idx]).ravel()
+        _running(binned, np.bincount(flat, weights=np.repeat(target[idx], per_row), minlength=n_cells), out[-1])
+        if len(out) == 2:
+            _running(binned, np.bincount(flat, minlength=n_cells), out[0])
+    else:
+        positive = target[idx]
+        flat = binned.cells[np.concatenate([idx[~positive], idx[positive]])].ravel()
+        split = (idx.size - np.count_nonzero(positive)) * per_row
+        p = np.bincount(flat[split:], minlength=n_cells)
+        _running(binned, np.stack([np.bincount(flat[:split], minlength=n_cells) + p, p]), out)
+
+
+def _best_split(
     binned: BinnedFeatures,
-    nodes: list[np.ndarray],
+    idx: np.ndarray,
+    hist: np.ndarray,
     target: np.ndarray,
     tau: float | None,
     min_samples_leaf: int,
-    parents: list[np.ndarray],
-) -> tuple[list[int | None], np.ndarray]:
-    """The cell whose split is best for each node at one depth, or None for a leaf.
+) -> int | None:
+    """The cell whose split is best for the node holding rows idx, or None for a leaf.
 
-    A node's histograms are one float64 array of two channels over the
-    (feature, bin) cells, held running: each cell sums its feature's bins
-    from bin 0 up to its own. The first channel is N, its rows. For a
-    quantile fit (tau set, `target` the rows' resid > 0) the second is P,
-    its rows with a positive residual. The pinball subgradient is -tau on a
-    positive residual and 1 - tau otherwise, so a cell's gradient sum is
-    (1 - tau) * N - P, and every gain is a function of the integers
-    (N_left, P_left) alone; counts are below 2**53, so float64 sums and
-    differences of them are exact. For a point fit (`target` the rows'
-    gradients) the second is G, a weighted bincount of the node's rows in
-    ascending order, so each cell sums its rows in row order. Either way
-    cumsum and gain are taken element for element, so every gain is
-    bit-identical to a node-at-a-time scan of a (feature, bin) grid. The
-    order of `nodes` only decides which histogram row each node uses.
+    `hist` holds the node's histograms, one float64 array of two channels
+    over the (feature, bin) cells, held running: each cell sums its
+    feature's bins from bin 0 up to its own. The first channel is N, its
+    rows. For a quantile fit (tau set, `target` the rows' resid > 0) the
+    second is P, its rows with a positive residual. The pinball subgradient
+    is -tau on a positive residual and 1 - tau otherwise, so a cell's
+    gradient sum is (1 - tau) * N - P, and every gain is a function of the
+    integers (N_left, P_left) alone; counts are below 2**53, so float64
+    sums and differences of them are exact. For a point fit (`target` the
+    rows' gradients) the second is G, its gradients summed in row order
+    (_count). Either way every gain is bit-identical to a scan of the
+    node's own (feature, bin) grid.
 
-    Counts are exact, so the last len(parents) nodes are not counted: each
-    takes its parent's running counts, parents[j], minus those of its
-    smaller sibling, nodes[j], in one subtraction. The root, whose running
-    histograms come with it, is the one such node without a sibling, and is
-    alone at its depth. The other nodes, smaller siblings and lone nodes,
-    are counted: each is gathered once from `cells` and takes one cumsum
-    within each feature. A quantile node gathers its non-positive rows, then
-    its positive ones, and takes one bincount over each slice; N is their
-    sum. A point node gathers its rows in ascending order and takes one
-    bincount for N and one weighted by its gradients for G. A point fit
-    sums every node's G that way, as float sums do not subtract exactly.
-
-    The gains are then computed over (nodes, cells) in fresh arrays, every
-    cell through the same float operations in the same order as the formula
-    written out; cells that are not candidates get -inf. A cell with no row
-    on one side divides by zero, and min_samples_leaf >= 1, which
-    BackboneParams enforces, is what keeps it from being a candidate; that
-    also rules out a cell at or past its feature's last bin, which sends the
-    whole node left. A quantile node's P total is its first feature's last
-    cell. The cells lie in feature order, so one argmax over a node's gains
-    sends ties, as that grid's row-major argmax does, to the lowest feature,
-    then the lowest bin. A node is a leaf unless its best gain clears a
+    Every cell goes through the same float operations in the same order as
+    the formula written out, and cells that are not candidates get -inf. A
+    cell with no row on one side divides by zero, and min_samples_leaf >= 1,
+    which BackboneParams enforces, is what keeps it from being a candidate;
+    that also rules out a cell at or past its feature's last bin, which
+    sends the whole node left. A quantile node's P total is its first
+    feature's last cell. The cells lie in feature order, so one argmax sends
+    ties, as that grid's row-major argmax does, to the lowest feature, then
+    the lowest bin. The node is a leaf unless its best gain clears a
     threshold, which -inf (no candidate) and NaN (only where gradient sums
-    overflow float64) never do. Also returns every node's running
-    histograms, shape (len(nodes), 2, cells): [N, P], or [N, G] for a point
-    fit.
+    overflow float64) never do. Nothing here writes into hist, which a
+    larger child's subtraction reads.
     """
-    k = len(nodes)
-    counted = k - len(parents)
-    n_cells = binned.n_cells
-    per_row = binned.cells.shape[1]
-    m = 1 if tau is None else 2  # the count channels: [N] or [N, P]
-    sizes = np.asarray([idx.size for idx in nodes], dtype=np.int64)
-    gathered = nodes if tau is None else nodes[:counted]
-    plain = np.empty((len(gathered), 2, n_cells))
-    for s, idx in enumerate(gathered):
-        if tau is None:  # a point root holds every row in order, as cells does
-            flat = (binned.cells if idx.size == len(binned.cells) else binned.cells[idx]).ravel()
-            plain[s, 1] = np.bincount(flat, weights=np.repeat(target[idx], per_row), minlength=n_cells)
-            if s < counted:
-                plain[s, 0] = np.bincount(flat, minlength=n_cells)
-        else:  # the non-positive rows, then the positive ones: N is the sum of their counts
-            positive = target[idx]
-            flat = binned.cells[np.concatenate([idx[~positive], idx[positive]])].ravel()
-            split = (idx.size - np.count_nonzero(positive)) * per_row
-            plain[s, 1] = np.bincount(flat[split:], minlength=n_cells)
-            np.add(np.bincount(flat[:split], minlength=n_cells), plain[s, 1], out=plain[s, 0])
-    hist = np.empty((k, 2, n_cells))
-    _running(binned, plain[:counted], hist[:counted])
-    if tau is None:
-        _running(binned, plain[counted:, 1:], hist[counted:, 1:])
-    if parents:
-        hist[counted:, :m] = [parent[:m] for parent in parents]
-        if counted:
-            hist[counted:, :m] -= hist[: len(parents), :m]
-    cum_n = hist[:, 0]
-    n_right = sizes[:, None] - cum_n
+    size = idx.size
+    cum_n = hist[0]
+    n_right = size - cum_n
     ok = cum_n >= min_samples_leaf
     ok &= n_right >= min_samples_leaf
     if tau is None:
-        total_g = np.asarray([target[idx].sum() for idx in nodes], dtype=np.float64)
-        cum_g = hist[:, 1]
-        g_right = total_g[:, None] - cum_g
+        total_g = target[idx].sum()
+        cum_g = hist[1]
+        g_right = total_g - cum_g
         gain = np.square(cum_g)
     else:
-        cum_p = hist[:, 1]
-        p_total = cum_p[:, binned.groups[0][2] - 1]  # the first feature's last cell counts every row
-        total_g = (1.0 - tau) * sizes - p_total
+        cum_p = hist[1]
+        p_total = cum_p[binned.groups[0][2] - 1]  # the first feature's last cell counts every row
+        total_g = (1.0 - tau) * size - p_total
         gain = (1.0 - tau) * cum_n
         gain -= cum_p
         np.square(gain, out=gain)
         g_right = (1.0 - tau) * n_right
-        g_right -= p_total[:, None] - cum_p
-    base_score = total_g * total_g / sizes
+        g_right -= p_total - cum_p
+    base_score = total_g * total_g / size
     # cum_g**2 / cum_n + g_right**2 / n_right - base_score, in that order.
-    # Nothing here writes into hist, whose counts the next depth reads.
     with np.errstate(divide="ignore", invalid="ignore"):
         gain /= cum_n
         np.square(g_right, out=g_right)
         g_right /= n_right
         gain += g_right
-        gain -= base_score[:, None]
+        gain -= base_score
     np.copyto(gain, -np.inf, where=~ok)
-    best = gain.argmax(axis=1)
-    best_gain = gain[np.arange(k), best]
-    splits = [
-        int(best[s]) if best_gain[s] > 1e-9 * max(1.0, abs(base_score[s])) else None
-        for s in range(k)
-    ]
-    return splits, hist
+    best = int(gain.argmax())
+    return best if gain[best] > 1e-9 * max(1.0, abs(base_score)) else None
 
 
 def _root_histograms(
     binned: BinnedFeatures, target: np.ndarray, tau: float | None, last: tuple | None = None
 ) -> np.ndarray:
-    """The histograms of a root holding every row, as _best_splits takes them.
+    """The histograms of a root holding every row, not yet running: [N], or [N, P] for a quantile fit.
 
     N is the split's root_counts. A quantile fit's P counts only the
     minority sign of `target` (resid > 0), taking the majority's as N minus
@@ -400,74 +379,72 @@ def _grow_tree(
     min_samples_leaf: int,
     root: np.ndarray | None = None,
 ) -> tuple[DecisionTree, np.ndarray]:
-    """Grow one tree level by level over every row.
+    """Grow one tree over every row, one node at a time, breadth-first.
 
     A quantile fit splits on the signs of `resid` (zero counts as
     non-positive, as in pinball_subgradient); a point fit on the gradients
-    -resid. `root` holds the root's histograms, as _root_histograms gives
-    them, if the caller has them. Nodes are numbered breadth-first. Returns
-    the tree and the leaf of each row.
+    -resid. A node grows if it lies above max_depth and holds at least
+    2 * min_samples_leaf rows, the root only if some column is binned; it
+    is queued with its running histograms and becomes a leaf unless
+    _best_split finds it a split. `root` holds the root's histograms, as
+    _root_histograms gives them, if the caller has them. A split routes its
+    rows on X and queues its children, left then right. If both grow, the
+    smaller (the left on a tie) is counted (_count), and the larger takes N,
+    and P, as its parent's minus its sibling's; a growing child whose
+    sibling is a leaf is counted. Nodes are numbered in the order they are
+    queued, so each one's entry is made as it leaves the queue. Returns the
+    tree and the leaf of each row.
     """
-    feature = [-1]
-    threshold = [0.0]
-    left = [-1]
-    right = [-1]
-    value = [0.0]
-    leaf_of = np.empty(len(resid), dtype=np.int64)
     target = resid > 0 if tau is not None else -resid
+    m = 1 if tau is None else 2  # the channels a node may take by subtraction: [N], or [N, P]
+    leaf_of = np.empty(len(resid), dtype=np.int64)
+    nodes = []  # (feature, threshold, left, right, value) of each node, by node number
 
-    def make_leaf(node: int, idx: np.ndarray) -> None:
-        r = resid[idx]
-        value[node] = _leaf_quantile(r, tau) if tau is not None else float(r.mean())
-        leaf_of[idx] = node
+    def grows(depth: int, idx: np.ndarray) -> bool:
+        return depth < max_depth and idx.size >= 2 * min_samples_leaf
 
-    def add_node() -> int:
-        for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (value, 0.0)):
-            column.append(blank)
-        return len(feature) - 1
+    def histograms(idx: np.ndarray, parent: np.ndarray | None = None, sibling: np.ndarray | None = None):
+        hist = np.empty((2, binned.n_cells))
+        if sibling is None:
+            _count(binned, idx, target, tau, hist)
+        else:
+            np.subtract(parent[:m], sibling[:m], out=hist[:m])
+            if tau is None:
+                _count(binned, idx, target, tau, hist[1:])
+        return hist
 
-    # A level holds sets of siblings with their parent's running histograms;
-    # the root comes with its own. Where every sibling grows, the largest
-    # takes its counts by subtraction and the smaller is counted; the rest
-    # are counted alone. Node ids follow `growing`, whatever order
-    # _best_splits sees them in.
-    if root is None:
-        root = _root_histograms(binned, target, tau)
-    level = [(_running(binned, root), [(0, np.arange(len(resid), dtype=np.int64))])]
-    for depth in range(max_depth + 1):
-        growing, smaller, lone, larger, parents = [], [], [], [], []
-        for counts, siblings in level:
-            grows = []
-            for node, idx in siblings:
-                if depth >= max_depth or idx.size < 2 * min_samples_leaf or not binned.groups:
-                    make_leaf(node, idx)
-                else:
-                    grows.append(len(growing))
-                    growing.append((node, idx))
-            if len(grows) < len(siblings):
-                lone += grows
-            else:
-                *rest, largest = sorted(grows, key=lambda g: growing[g][1].size)
-                smaller += rest
-                larger.append(largest)
-                parents.append(counts)
-        if not growing:
-            break
-        order = smaller + lone + larger
-        splits, hist = _best_splits(binned, [growing[g][1] for g in order], target, tau, min_samples_leaf, parents)
-        at = {g: s for s, g in enumerate(order)}
-        level = []
-        for g, (node, idx) in enumerate(growing):
-            c = splits[at[g]]
-            if c is None:
-                make_leaf(node, idx)
-                continue
-            feature[node] = f = int(binned.feature[c])
-            threshold[node] = float(binned.cut[c])
-            go_left = binned.X[idx, f] <= threshold[node]
-            left[node] = add_node()
-            right[node] = add_node()
-            level.append((hist[at[g]], [(left[node], idx[go_left]), (right[node], idx[~go_left])]))
+    rows = np.arange(len(resid), dtype=np.int64)
+    hist = None
+    if grows(0, rows) and binned.groups:
+        hist = np.empty((2, binned.n_cells))
+        _running(binned, _root_histograms(binned, target, tau) if root is None else root, hist[:m])
+        if tau is None:
+            _count(binned, rows, target, tau, hist[1:])
+    queue = deque([(0, 0, rows, hist)])
+    numbered = 1
+    while queue:
+        node, depth, idx, hist = queue.popleft()
+        c = None if hist is None else _best_split(binned, idx, hist, target, tau, min_samples_leaf)
+        if c is None:
+            r = resid[idx]
+            nodes.append((-1, 0.0, -1, -1, _leaf_quantile(r, tau) if tau is not None else float(r.mean())))
+            leaf_of[idx] = node
+            continue
+        f, cut = int(binned.feature[c]), float(binned.cut[c])
+        go_left = binned.X[idx, f] <= cut
+        children = [idx[go_left], idx[~go_left]]
+        if grows(depth + 1, children[0]) and grows(depth + 1, children[1]):
+            counts = [None, None]
+            small = int(children[1].size < children[0].size)  # the left one on a tie
+            counts[small] = histograms(children[small])
+            counts[1 - small] = histograms(children[1 - small], hist, counts[small])
+        else:
+            counts = [histograms(child) if grows(depth + 1, child) else None for child in children]
+        nodes.append((f, cut, numbered, numbered + 1, 0.0))
+        for child, child_hist in zip(children, counts):
+            queue.append((numbered, depth + 1, child, child_hist))
+            numbered += 1
+    feature, threshold, left, right, value = zip(*nodes)
     tree = DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -615,13 +592,13 @@ def _keep_freed_heap() -> None:
     """Have glibc serve blocks below 32 MiB from the heap and keep up to
     64 MiB freed at its top, for this process and every worker it forks.
 
-    The split scan allocates and frees temporaries of several MB at every
-    depth. glibc maps blocks above its mmap threshold afresh each time, and
+    The split scan allocates and frees temporaries of up to a MB at every
+    node. glibc maps blocks above its mmap threshold afresh each time, and
     that threshold starts at 128 KiB, rising only when a larger mapped block
     is freed; every fresh mapping faults its pages in again. Without this, a
-    paper-shaped run (bench/paper_shape.yaml, 2 workers) took about 735k
-    minor faults and 1.4 s of system time in its workers, against 14k and
-    0.06 s with it. The values are glibc's 64-bit maximum threshold and
+    paper-shaped run (bench/paper_shape.yaml, 2 workers on 2 CPUs) took
+    about 110k minor faults and 0.2 s of system time in its workers, against
+    12k and 0.04 s with it. The values are glibc's 64-bit maximum threshold and
     twice it for trimming, where glibc's own dynamic rule would set them;
     fixed values also stop that rule. Setting them again changes nothing.
     Off Linux, and where the C library has no mallopt, this does nothing.

@@ -585,15 +585,17 @@ def _parse_int(row: dict, column: str, line_no: int) -> int:
         value = int(raw)
     except ValueError:
         try:
-            f = float(raw)
+            float(raw)  # float decides what is a number: Decimal also reads '1__0' and 'nan123'
         except ValueError:
             raise ParseError("not an integer", row=line_no, column=column) from None
-        if not f.is_integer():
+        from decimal import Decimal  # here only: a float rounds above 2**53, a Decimal keeps every digit
+
+        value = Decimal(raw)
+        if not value.is_finite() or value != value.to_integral_value():
             raise ParseError("timestamp is not a whole number of seconds", row=line_no, column=column)
-        value = int(f)
     if not _INT64.min <= value <= _INT64.max:
         raise ParseError("timestamp outside the 64-bit integer range", row=line_no, column=column)
-    return value
+    return int(value)
 
 
 def _parse_float(row: dict, column: str, line_no: int) -> float:

@@ -28,7 +28,8 @@ from riskcast.backbone import (
     pinball_loss,
     pinball_subgradient,
     _fit_boosted_column,
-    _best_splits,
+    _best_split,
+    _count,
     _grow_tree,
     _leaf_quantile,
     _root_histograms,
@@ -543,31 +544,36 @@ class TestExactTrainer:
         y = np.round(rng.normal(100.0, 20.0, size=n), 1) + 40.0 * flag
         binned = BinnedFeatures.of(X)
         per_row = binned.cells.shape[1]
-        calls = []
-        best_splits = riskcast.backbone._best_splits
+        calls, counted = [], []
+        best_split, count = riskcast.backbone._best_split, riskcast.backbone._count
 
-        def spy(binned, nodes, target, tau, min_samples_leaf, parents):
-            splits, hist = best_splits(binned, nodes, target, tau, min_samples_leaf, parents)
-            calls.append((nodes, target, len(parents), hist.copy()))
-            return splits, hist
+        def scan_spy(binned, idx, hist, target, tau, min_samples_leaf):
+            calls.append((idx, target, hist.copy()))
+            return best_split(binned, idx, hist, target, tau, min_samples_leaf)
+
+        def count_spy(binned, idx, target, tau, out):
+            counted.append(len(out) == 2)  # N counted too, not taken by subtraction
+            count(binned, idx, target, tau, out)
 
         params = BackboneParams(n_trees=2, max_depth=4, learning_rate=0.5, min_samples_leaf=min_samples_leaf)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(riskcast.backbone, "_best_splits", spy)
+            patch.setattr(riskcast.backbone, "_best_split", scan_spy)
+            patch.setattr(riskcast.backbone, "_count", count_spy)
             _fit_boosted_column(binned, y, tau, params)
-        assert any(len(nodes) > subtracted > 0 for nodes, _, subtracted, _ in calls)
-        for nodes, target, _, hist in calls:
-            for idx, running in zip(nodes, hist, strict=True):
-                flat = binned.cells[idx].ravel()
-                if tau is None:
-                    second = np.bincount(flat, weights=np.repeat(target[idx], per_row), minlength=binned.n_cells)
-                else:
-                    second = np.bincount(binned.cells[idx[target[idx]]].ravel(), minlength=binned.n_cells)
-                fresh = np.stack([np.bincount(flat, minlength=binned.n_cells).astype(np.float64), second])
-                _, firsts, widths = np.unique(binned.feature, return_index=True, return_counts=True)
-                for start, stop in zip(firsts.tolist(), (firsts + widths).tolist()):
-                    fresh[:, start:stop] = np.cumsum(fresh[:, start:stop], axis=1)
-                assert np.array_equal(running, fresh)
+        # A root holds every row and comes with its N; some other node takes its N by subtraction.
+        roots = sum(idx.size == n for idx, _, _ in calls)
+        assert sum(counted) < len(calls) - roots
+        for idx, target, running in calls:
+            flat = binned.cells[idx].ravel()
+            if tau is None:
+                second = np.bincount(flat, weights=np.repeat(target[idx], per_row), minlength=binned.n_cells)
+            else:
+                second = np.bincount(binned.cells[idx[target[idx]]].ravel(), minlength=binned.n_cells)
+            fresh = np.stack([np.bincount(flat, minlength=binned.n_cells).astype(np.float64), second])
+            _, firsts, widths = np.unique(binned.feature, return_index=True, return_counts=True)
+            for start, stop in zip(firsts.tolist(), (firsts + widths).tolist()):
+                fresh[:, start:stop] = np.cumsum(fresh[:, start:stop], axis=1)
+            assert np.array_equal(running, fresh)
 
     @pytest.mark.parametrize("wide_first", [True, False])
     def test_equal_gains_across_width_groups_go_to_the_lower_feature(self, wide_first):
@@ -621,9 +627,33 @@ class TestExactTrainer:
         node = np.flatnonzero((level <= 2) | (level >= 7))
         resid = np.where(level >= 7, 5.0, -5.0)
         target = resid > 0 if tau is not None else -resid
-        cells, _ = _best_splits(binned, [node], target, tau, 1, [])
-        splits = [(int(binned.feature[c]), float(binned.cut[c])) for c in cells]
-        assert splits == [(1, 2.5)]
+        hist = np.empty((2, binned.n_cells))
+        _count(binned, node, target, tau, hist)
+        c = _best_split(binned, node, hist, target, tau, 1)
+        assert (int(binned.feature[c]), float(binned.cut[c])) == (1, 2.5)
+
+    @pytest.mark.parametrize("tau", [None, 0.3], ids=["point", "quantile"])
+    @pytest.mark.parametrize("root", ["too few rows", "constant columns", "max_depth 0"])
+    def test_a_root_that_cannot_grow_is_one_leaf_over_every_row(self, root, tau, monkeypatch):
+        # A root grows only at depth 0 < max_depth, with at least
+        # 2 * min_samples_leaf rows and some binned column; otherwise no
+        # scan runs, not even over an empty set of cells.
+        rng = np.random.default_rng(5)
+        X = np.ones((40, 3)) if root == "constant columns" else rng.uniform(0.0, 1.0, (40, 3))
+        resid = rng.normal(0.0, 1.0, 40)
+        binned = BinnedFeatures.of(X)
+        assert (binned.groups == ()) == (root == "constant columns")
+        min_samples_leaf = 21 if root == "too few rows" else 1
+        max_depth = 0 if root == "max_depth 0" else 3
+
+        def scan(*args):
+            raise AssertionError("a root that cannot grow was scanned")
+
+        monkeypatch.setattr(riskcast.backbone, "_best_split", scan)
+        tree, leaf_of = _grow_tree(binned, resid, tau, max_depth, min_samples_leaf)
+        assert [a.tolist() for a in (tree.feature, tree.left, tree.right)] == [[-1], [-1], [-1]]
+        assert tree.value.tolist() == [float(np.quantile(resid, tau)) if tau is not None else float(resid.mean())]
+        assert leaf_of.tolist() == [0] * 40
 
     def test_carried_root_counts_equal_a_fresh_count_every_round(self, monkeypatch):
         # Each round's root histograms, as _grow_tree receives them, against

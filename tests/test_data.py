@@ -87,6 +87,34 @@ class TestIngest:
         assert trace.throughput.tolist() == [10.0, 20.0]
         check_timestamp_gaps(trace)
 
+    def test_decimal_timestamps_above_2_53_ingest_exactly(self, tmp_path):
+        # A float64 rounds 2**53 + 1 and 2**53 + 3 to an even neighbour; -2**63 is int64's lowest.
+        path = write_csv(tmp_path / "t.csv", ["9007199254740993.0,10", "9007199254740994.0,20",
+                                              "9.007199254740995e15,30", "-9223372036854775808.0,40"])
+        trace = ingest_csv(path)
+        assert trace.timestamps.tolist() == [-2**63, 2**53 + 1, 2**53 + 2, 2**53 + 3]
+
+    @pytest.mark.parametrize("cell, message", [
+        ("1.5", "not a whole number"),
+        ("9007199254740993.5", "not a whole number"),  # a float64 reads 2**53 + 2
+        ("1e-400", "not a whole number"),  # a float64 reads 0
+        ("1e-999999999", "not a whole number"),
+        ("inf", "not a whole number"),
+        ("nan", "not a whole number"),
+        ("9223372036854775808.0", "outside the 64-bit integer range"),
+        ("1e400", "outside the 64-bit integer range"),
+        ("1e999999999", "outside the 64-bit integer range"),
+        ("nan123", "not an integer"),
+        ("1__0.0", "not an integer"),
+        ("0x10", "not an integer"),
+        ("", "not an integer"),
+    ])
+    def test_timestamps_that_are_not_whole_int64_numbers_are_rejected(self, tmp_path, cell, message):
+        path = write_csv(tmp_path / "t.csv", ["0,10", f"{cell},20"])
+        with pytest.raises(ParseError, match=message) as err:
+            ingest_csv(path)
+        assert (err.value.row, err.value.column) == (3, "timestamp")
+
     def test_unsorted_rows_are_sorted(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["5,50", "1,10", "3,30"])
         trace = ingest_csv(path)
