@@ -24,7 +24,6 @@ from .calibration import (
     SelectionResult,
     boundary_search,
     budget_scale_search,
-    lin_space,
     run_selection,
     select_from_grid,
     select_quantile,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBandwidth, SlotMismatch
-from .metrics import PredictionBatch, percentile
+from .metrics import PredictionBatch
 
 ADMISSION_METRICS = ("mean_dropped", "violation_rate", "p95_dropped")
 
@@ -73,7 +73,7 @@ def simulate(batch: PredictionBatch, b: float) -> AdmissionReport:
         raise InvalidBandwidth(f"per-service bandwidth {b} is too small: session counts overflow")
     drops = np.maximum(np.floor(batch.preds / b) - np.floor(batch.truths / b), 0.0)
     return AdmissionReport(float(drops.mean()), float(np.mean(drops > 0)),
-                           percentile(drops, 95.0), drops.size)
+                           float(np.percentile(drops, 95.0)), drops.size)
 
 
 def compare(baseline: AdmissionReport, candidate: AdmissionReport) -> dict[str, float | None]:

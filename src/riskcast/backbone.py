@@ -214,15 +214,12 @@ class BinnedFeatures:
         )
 
 
-def _running(binned: BinnedFeatures, hist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """hist summed within each feature from its bin 0, along its last axis,
-    into `out` (a new float64 array if not given), one run of equal width at a time."""
-    if out is None:
-        out = np.empty(hist.shape)
+def _running(binned: BinnedFeatures, hist: np.ndarray, out: np.ndarray) -> None:
+    """Write hist summed within each feature from its bin 0, along its last
+    axis, into `out`, which the caller owns: one run of equal width at a time."""
     for start, stop, width in binned.groups:
         by_feature = hist.shape[:-1] + ((stop - start) // width, width)
         np.cumsum(hist[..., start:stop].reshape(by_feature), axis=-1, out=out[..., start:stop].reshape(by_feature))
-    return out
 
 
 def _count(binned: BinnedFeatures, idx: np.ndarray, target: np.ndarray, tau: float | None, out: np.ndarray) -> None:

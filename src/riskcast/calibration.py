@@ -109,15 +109,6 @@ class QuantileEvaluator:
         return ev
 
 
-def lin_space(a: float, b: float, m: int) -> np.ndarray:
-    """m evenly spaced levels including both endpoints."""
-    if a > b:
-        raise InvalidGrid(f"grid start {a} exceeds end {b}")
-    if m < 1 or (m == 1 and a != b):
-        raise InvalidGrid("m must be >= 2, or 1 only for a degenerate interval")
-    return np.linspace(float(a), float(b), m)
-
-
 @dataclass
 class BoundaryResult:
     """Outcome of the coarse search: a bracket and the bisection path."""
@@ -221,7 +212,7 @@ def run_selection(config: RiskBudgetConfig, evaluator: Evaluator) -> SelectionRe
     trainings_before = getattr(evaluator, "n_trainings", None)
     boundary = boundary_search(config, memo_ev)
     lo, hi = boundary.tau_lo, boundary.tau_hi
-    fine = [memo_ev(t) for t in lin_space(lo, hi, 1 if lo == hi else config.grid_size)]
+    fine = [memo_ev(t) for t in np.linspace(lo, hi, 1 if lo == hi else config.grid_size)]
     best, is_feasible = select_from_grid(fine, config.epsilon)
     return SelectionResult(
         tau_star=best.tau,
@@ -264,7 +255,7 @@ class BudgetScaleResult:
 
 
 def budget_scale_search(
-    cal_batch: PredictionBatch, epsilon: float, c_grid=None
+    cal_batch: PredictionBatch, epsilon: float, c_grid=DEFAULT_SCALE_GRID
 ) -> BudgetScaleResult:
     """Exhaustively score every factor; feasible ones compete on MAE.
 
@@ -272,8 +263,6 @@ def budget_scale_search(
     the minimal-over_rate one wins. Factors are scored in ascending order,
     whatever the grid's, so ties go to the smaller factor in both branches.
     """
-    if c_grid is None:
-        c_grid = DEFAULT_SCALE_GRID
     factors = np.sort(np.asarray(list(c_grid), dtype=np.float64))
     if factors.size == 0:
         raise EmptyGrid("scale-factor grid is empty")

@@ -278,7 +278,6 @@ def load_trace(config: ExperimentConfig) -> data_mod.Trace:
 
 @dataclass
 class ExperimentBundle:
-    config: ExperimentConfig
     selection: SelectionResult
     budget_scale: BudgetScaleResult
     safety: dict[str, dict[str, SafetyReport]]  # method -> subset ("all", "p30", "p10") -> report
@@ -351,7 +350,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = ExperimentBundle(config, selection, scale_result, safety, adm, out)
+    bundle = ExperimentBundle(selection, scale_result, safety, adm, out)
     _write_json(out / "manifest.json", {
         "config_hash": config_hash(config),
         "seed": config.seed,
@@ -559,31 +558,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.add_argument("--schema", nargs="*", metavar="FIELD=COLUMN")
     p.add_argument("--output", default=None, help="write a normalized copy")
-    p.set_defaults(func=_cmd_ingest, stage="ingest")
+    p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic trace CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_synth, stage="synth")
+    p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("run", help="run the full experiment pipeline")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--output", default=None, help="override the output directory")
     p.add_argument("--epsilon", type=float, default=None, help="override the risk budget")
-    p.set_defaults(func=_cmd_run, stage="run")
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("frontier", help="sweep the risk budget and tabulate the frontier")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", default=None)
     p.add_argument("--epsilons", default=None, help="comma-separated budgets, ascending")
-    p.set_defaults(func=_cmd_frontier, stage="frontier")
+    p.set_defaults(func=_cmd_frontier)
 
     p = sub.add_parser("inspect", help="print a saved selection report")
     p.add_argument("--bundle", required=True)
-    p.set_defaults(func=_cmd_inspect, stage="inspect")
+    p.set_defaults(func=_cmd_inspect)
     return parser
 
 
@@ -592,10 +591,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except RiskcastError as exc:
-        print(f"error [{args.stage}]: {exc}", file=sys.stderr)
+        print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, MemoryError) as exc:
-        print(f"error [{args.stage}]: {exc}", file=sys.stderr)
+        print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 3
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import re
 import statistics
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cached_property
 
 import numpy as np
@@ -46,6 +48,9 @@ THROUGHPUT_COLUMN = "throughput_mbps"
 
 _SECONDS_PER_DAY = 86_400
 _INT64 = np.iinfo(np.int64)
+# A number cell: ASCII decimal notation or a signed inf, infinity or nan, with ASCII blanks around it
+# (re.ASCII: \s and \d). int and float also read underscores, digits of any script and Unicode spaces.
+_NUMBER = re.compile(r"\s*([+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan))\s*", re.ASCII | re.I)
 
 
 def _whole_seconds(timestamps) -> np.ndarray:
@@ -281,31 +286,29 @@ def check_split_ratios(split_ratios) -> tuple[float, float, float]:
 
 def check_timestamp_gaps(trace: Trace) -> None:
     """Raise TimestampGap unless every step between consecutive timestamps
-    is the trace's usual (median) step: windows slide over rows, so a longer
-    step would put a gap inside them and a shorter one would space their lags
-    unevenly. The first longer step is reported if there is one, else the
-    first shorter one. The timestamps ascend, so their steps are exact in
-    uint64, where an int64 difference could wrap, and are compared with
-    their median in integers, as float64 cannot tell them apart above 2**53."""
+    is the trace's usual step, their lower median: windows slide over rows,
+    so a longer step would put a gap inside them and a shorter one would
+    space their lags unevenly. The first longer step is reported if there
+    is one, else the first shorter one. The timestamps ascend, so their
+    steps are exact in uint64, where an int64 difference could wrap, and
+    the usual step is one of them, so all compare as integers, exactly."""
     steps = np.diff(trace.timestamps.view(np.uint64))
     if steps.size == 0:
         return
-    a, b = np.sort(steps)[[(steps.size - 1) // 2, steps.size // 2]]
-    lo, half = a + (b - a) // 2, (b - a) % 2  # the median is lo + half / 2: longer steps exceed lo
-    usual = int(lo) + int(half) / 2
-    gaps = np.flatnonzero(steps > lo)
+    usual = int(np.sort(steps)[(steps.size - 1) // 2])
+    gaps = np.flatnonzero(steps > usual)
     if gaps.size:
         row = int(gaps[0]) + 1
         raise TimestampGap(
             f"timestamp gap before row {row}: step {steps[row - 1]} against the trace's usual step "
-            f"{usual:g}; windows would span it"
+            f"{usual}; windows would span it"
         )
-    short = np.flatnonzero(steps < lo + half)
+    short = np.flatnonzero(steps < usual)
     if short.size:
         row = int(short[0]) + 1
         raise TimestampGap(
             f"timestamp step before row {row}: step {steps[row - 1]} is shorter than the trace's usual "
-            f"step {usual:g}; windows would space their lags unevenly"
+            f"step {usual}; windows would space their lags unevenly"
         )
 
 
@@ -515,12 +518,6 @@ class CsvSource:
     kind: str = field(default="csv", init=False)
 
 
-def default_schema() -> dict[str, str]:
-    schema = {"timestamp": "timestamp", "throughput": THROUGHPUT_COLUMN}
-    schema.update({k: k for k in AUX_KEYS})
-    return schema
-
-
 def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None = None) -> Trace:
     """Read a UTF-8 trace CSV (a leading byte-order mark is skipped), sort
     by timestamp, and check it as Trace does.
@@ -529,7 +526,7 @@ def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None
     the column names actually present in the file; omitted aux fields fall
     back to their canonical names and are skipped when absent.
     """
-    mapping = default_schema()
+    mapping = {"timestamp": "timestamp", "throughput": THROUGHPUT_COLUMN, **{k: k for k in AUX_KEYS}}
     if schema:
         for key, col in schema.items():
             if key not in mapping:
@@ -579,17 +576,19 @@ def ingest_csv(path: str, schema: dict[str, str] | None = None, name: str | None
                  throughput=_freeze(np.asarray(throughput, dtype=np.float64)[order], copy=False), aux=aux)
 
 
+def _number(row: dict, column: str, line_no: int, kind: str) -> str:
+    """The row's cell in `column` without its blanks if _NUMBER matches it, else a ParseError: not `kind`."""
+    match = _NUMBER.fullmatch(row.get(column) or "")
+    if match is None:
+        raise ParseError(f"not {kind}", row=line_no, column=column)
+    return match.group(1)
+
+
 def _parse_int(row: dict, column: str, line_no: int) -> int:
-    raw = row.get(column) or ""  # int and float skip whitespace themselves; str.strip also takes \x1c-\x1f
+    raw = _number(row, column, line_no, "an integer")
     try:
         value = int(raw)
-    except ValueError:
-        try:
-            float(raw)  # float decides what is a number: Decimal also reads '1__0' and 'nan123'
-        except ValueError:
-            raise ParseError("not an integer", row=line_no, column=column) from None
-        from decimal import Decimal  # here only: a float rounds above 2**53, a Decimal keeps every digit
-
+    except ValueError:  # a point, an exponent, inf or nan: a float rounds above 2**53, a Decimal keeps every digit
         value = Decimal(raw)
         if not value.is_finite() or value != value.to_integral_value():
             raise ParseError("timestamp is not a whole number of seconds", row=line_no, column=column)
@@ -599,11 +598,7 @@ def _parse_int(row: dict, column: str, line_no: int) -> int:
 
 
 def _parse_float(row: dict, column: str, line_no: int) -> float:
-    raw = row.get(column) or ""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError("not a number", row=line_no, column=column) from None
+    value = float(_number(row, column, line_no, "a number"))
     if not math.isfinite(value):
         raise ParseError("non-finite value", row=line_no, column=column)
     return value

@@ -48,11 +48,6 @@ class PredictionBatch:
         return PredictionBatch(self.preds * factor, self.truths)
 
 
-def percentile(values: np.ndarray, q: float) -> float:
-    """Empirical percentile, linear interpolation between closest ranks."""
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
-
-
 def mae(batch: PredictionBatch) -> float:
     return float(np.mean(np.abs(batch.preds - batch.truths)))
 
@@ -73,15 +68,14 @@ def mpe(batch: PredictionBatch) -> float:
 
 def p95_pos_err(batch: PredictionBatch) -> float:
     """95th percentile of max(pred - truth, 0), zeros included."""
-    return percentile(np.maximum(batch.preds - batch.truths, 0.0), 95.0)
+    return float(np.percentile(np.maximum(batch.preds - batch.truths, 0.0), 95.0))
 
 
 def subset_mask(batch: PredictionBatch, pct: float) -> np.ndarray:
     """Element mask selecting truths at or below the given truth percentile."""
     if pct <= 0 or pct >= 100:
         raise ValueError("percentile must lie in (0, 100)")
-    threshold = percentile(batch.truths, pct)
-    return batch.truths <= threshold
+    return batch.truths <= np.percentile(batch.truths, pct)
 
 
 def subsets(batch: PredictionBatch) -> dict[str, PredictionBatch]:

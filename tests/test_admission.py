@@ -126,6 +126,11 @@ class TestCompare:
         with pytest.raises(ValueError, match="finite"):
             self.make(mean, 0.5, p95)
 
+    @pytest.mark.parametrize("viol", [-0.1, 1.5, np.nan])
+    def test_violation_rate_outside_the_unit_interval_is_rejected(self, viol):
+        with pytest.raises(ValueError, match=r"violation_rate must lie in \[0, 1\]"):
+            self.make(1.0, viol, 2.0)
+
     def test_identical_reports(self):
         a = self.make(2.0, 0.5, 4.0)
         assert compare(a, a) == {"mean_dropped": 0.0, "violation_rate": 0.0, "p95_dropped": 0.0}

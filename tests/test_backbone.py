@@ -114,6 +114,10 @@ class TestPredict:
         model = stump_model(base_score=-3.0)  # leaves at -3 + 2 and -3 + 8
         assert model.predict(np.array([[1.0, 2.0], [6.0, 2.0]]), ("f0", "f1")).tolist() == [[0.0], [5.0]]
 
+    def test_a_model_needs_a_horizon_model(self):
+        with pytest.raises(ValueError, match="at least one horizon step"):
+            QuantileModel(tau=0.5, feature_layout=("f0", "f1"), horizon_models=[])
+
     def test_layout_mismatch(self):
         model = stump_model()
         with pytest.raises(LayoutMismatch):

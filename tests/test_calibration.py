@@ -15,7 +15,6 @@ from riskcast.calibration import (
     RiskBudgetConfig,
     boundary_search,
     budget_scale_search,
-    lin_space,
     run_selection,
     select_from_grid,
     select_quantile,
@@ -39,31 +38,6 @@ class FakeEvaluator:
     def __call__(self, tau: float) -> CandidateEvaluation:
         self.calls.append(tau)
         return CandidateEvaluation(tau=float(tau), mae=float(self.a_fn(tau)), over_rate=float(self.r_fn(tau)))
-
-
-class TestLinSpace:
-    def test_five_points(self):
-        assert np.allclose(lin_space(0.2, 0.3, 5), [0.200, 0.225, 0.250, 0.275, 0.300], atol=1e-12)
-
-    def test_degenerate_single_point(self):
-        assert lin_space(0.4, 0.4, 1).tolist() == [0.4]
-
-    def test_two_endpoints(self):
-        assert lin_space(0.0, 1.0, 2).tolist() == [0.0, 1.0]
-
-    def test_equal_gaps(self):
-        grid = lin_space(0.15, 0.40, 11)
-        gaps = np.diff(grid)
-        assert np.all(np.abs(gaps - gaps[0]) < 1e-12)
-        assert grid[0] == 0.15 and grid[-1] == 0.40
-
-    def test_invalid(self):
-        with pytest.raises(InvalidGrid):
-            lin_space(0.5, 0.4, 3)
-        with pytest.raises(InvalidGrid):
-            lin_space(0.2, 0.3, 1)
-        with pytest.raises(InvalidGrid):
-            lin_space(0.2, 0.3, 0)
 
 
 class TestBoundarySearch:
@@ -174,7 +148,7 @@ class TestSelection:
         result = run_selection(config, FakeEvaluator(r_fn=lambda tau: tau))
         lo, hi = result.boundary
         assert lo <= config.epsilon < hi
-        assert [e.tau for e in result.fine_grid] == lin_space(lo, hi, config.grid_size).tolist()
+        assert [e.tau for e in result.fine_grid] == np.linspace(lo, hi, config.grid_size).tolist()
         assert all(e.over_rate == e.tau for e in result.fine_grid)
         assert result.tau_star in [e.tau for e in result.fine_grid]
         assert result.feasible and result.tau_star <= config.epsilon
@@ -208,6 +182,10 @@ class TestSelectFromGrid:
             self.grid([(0.2, 9.0, 0.40), (0.3, 5.0, 0.45), (0.4, 1.0, 0.60)]), 0.35
         )
         assert not feasible and best.tau == 0.2
+
+    def test_no_candidates_is_rejected(self):
+        with pytest.raises(InvalidGrid, match="no candidates"):
+            select_from_grid([], 0.35)
 
     def test_fallback_tie_takes_smaller_tau(self):
         best, _ = select_from_grid(
@@ -378,6 +356,12 @@ class TestBudgetScale:
         result = budget_scale_search(PredictionBatch(np.full((4, 2), preds), np.ones((4, 2))), 0.35, grid)
         assert (result.c_star, result.feasible) == (0.5, feasible)
         assert [row.factor for row in result.grid] == sorted(grid)
+
+    @pytest.mark.parametrize("grid", [[0.5, 0.0, 1.0], [-0.5, 1.0]], ids=["zero", "negative"])
+    def test_non_positive_factor_is_rejected(self, grid):
+        truths = np.full((4, 2), 10.0)
+        with pytest.raises(ValueError, match="scale factors must be positive"):
+            budget_scale_search(PredictionBatch(truths, truths), 0.3, grid)
 
     def test_empty_grid(self, rng):
         truths = rng.uniform(10, 100, size=(5, 2))

@@ -173,13 +173,14 @@ class TestConfig:
         BASE_CONFIG,
         {"dataset": {"kind": "csv", "path": "trace.csv", "schema": {"throughput": "rate"}, "name": "site"},
          "risk": {"lambda": None, "M": 4}},
+        {"dataset": {"kind": "csv", "path": "trace.csv"}},  # config.json writes its name as null
         {"dataset": {"kind": "synthetic", "length": 500, "base_level": 80, "noise": None}},
         {"dataset": {"kind": "synthetic", "length": 500, "base_level": 80,
                      "noise": {"kind": "gaussian", "sigma": 12}}},
         {"dataset": {"kind": "synthetic", "length": 500, "base_level": 80, "noise_model": {
             "kind": "cyclic_scale", "base": {"kind": "uniform", "half_width": 9.5}, "period": 900,
             "depth": 0.3}}},
-    ], ids=["demo", "paper_shape", "paper_default", "uniform", "csv", "no-noise", "gaussian", "cyclic-uniform"])
+    ], ids=["demo", "paper_shape", "paper_default", "uniform", "csv", "csv-unnamed", "no-noise", "gaussian", "cyclic-uniform"])
     def test_config_json_reads_back_as_the_same_config(self, source):
         config = load_config(str(ROOT / source)) if isinstance(source, str) else config_from_dict(source)
         written = json.loads(json.dumps(config_dict(config)))

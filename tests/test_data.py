@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import riskcast.backbone
@@ -25,6 +28,8 @@ from riskcast.data import (
     WindowMatrix,
     WindowedDataset,
     _freeze,
+    _parse_float,
+    _parse_int,
     build_layout,
     check_timestamp_gaps,
     derive_time_features,
@@ -108,12 +113,71 @@ class TestIngest:
         ("1__0.0", "not an integer"),
         ("0x10", "not an integer"),
         ("", "not an integer"),
+        ("1_0", "not an integer"),  # int reads 10
+        ("1_0.0", "not an integer"),
+        ("\u0661\u0662", "not an integer"),  # Arabic-Indic digits: int reads 12
+        ("\uff11\uff12", "not an integer"),  # fullwidth digits
+        ("\xa05\xa0", "not an integer"),  # no-break spaces, which int strips
+        ("\x1c5", "not an integer"),  # a separator control that str.strip takes
     ])
     def test_timestamps_that_are_not_whole_int64_numbers_are_rejected(self, tmp_path, cell, message):
         path = write_csv(tmp_path / "t.csv", ["0,10", f"{cell},20"])
         with pytest.raises(ParseError, match=message) as err:
             ingest_csv(path)
         assert (err.value.row, err.value.column) == (3, "timestamp")
+
+    @pytest.mark.parametrize("cell", ["oops", "1_0.5", "\u0663", "\uff13", "\u20037\u2003", "0x1p3", "1e", "."])
+    def test_throughput_cells_that_are_not_ascii_numbers_are_rejected(self, tmp_path, cell):
+        path = write_csv(tmp_path / "t.csv", ["0,10", f"1,{cell}"])
+        with pytest.raises(ParseError, match="not a number") as err:
+            ingest_csv(path)
+        assert (err.value.row, err.value.column) == (3, "throughput_mbps")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="0123456789+-.eEinfatyINFATY \t\n\r\x0b\x0c", max_size=12))
+    def test_ascii_cells_read_as_int_and_float_read_them(self, cell):
+        # A cell of ASCII digits, signs, points, exponents, inf/nan letters and
+        # blanks reads as int() and float() read it (no underscores: those
+        # cells are rejected, though int and float read them).
+        def parsed(parse):
+            try:
+                return parse({"c": cell}, "c", 2)
+            except ParseError as exc:
+                return str(exc)
+
+        try:
+            value = float(cell)
+        except ValueError:
+            value = None
+        if value is None:
+            assert parsed(_parse_float).startswith("not a number")
+        elif math.isfinite(value):
+            assert parsed(_parse_float) == value
+        else:
+            assert parsed(_parse_float).startswith("non-finite value")
+        try:
+            whole = Decimal(int(cell))
+        except ValueError:
+            whole = None if value is None else Decimal(cell)
+        if whole is None:
+            assert parsed(_parse_int).startswith("not an integer")
+        elif not whole.is_finite() or whole != whole.to_integral_value():
+            assert parsed(_parse_int).startswith("timestamp is not a whole number")
+        elif not -2**63 <= whole < 2**63:
+            assert parsed(_parse_int).startswith("timestamp outside the 64-bit integer range")
+        else:
+            assert parsed(_parse_int) == int(whole)
+
+    def test_cells_keep_their_values_with_ascii_blanks_around(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", ['" +0 ",\t10.5', '"1\r\n",\x0b.25e2\x0c', "2.0E0,  7.  "])
+        trace = ingest_csv(path)
+        assert trace.timestamps.tolist() == [0, 1, 2]
+        assert trace.throughput.tolist() == [10.5, 25.0, 7.0]
+
+    def test_unknown_schema_field_is_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", ["0,10", "1,20"])
+        with pytest.raises(MissingColumn, match="unknown schema field 'rate'"):
+            ingest_csv(path, schema={"rate": "throughput_mbps"})
 
     def test_unsorted_rows_are_sorted(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["5,50", "1,10", "3,30"])
@@ -305,6 +369,49 @@ class TestWindows:
         with pytest.raises(ValueError):
             make_windows(constant_trace(100), 4, 2, (0.5, 0.2, 0.2))
 
+    def test_history_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="history and horizon must be >= 1"):
+            make_windows(constant_trace(100), 0, 2)
+
+
+def median_gap_rule(steps: list[int]) -> tuple[str, int] | None:
+    """The gap rule against the exact median, in Python integers: the first
+    step longer than the median is a "gap", else the first shorter one a
+    short "step"; returns (kind, row), or None when every step is the median."""
+    ordered = sorted(steps)
+    twice_median = ordered[(len(steps) - 1) // 2] + ordered[len(steps) // 2]
+    for kind, off in (("gap", lambda s: 2 * s > twice_median), ("step", lambda s: 2 * s < twice_median)):
+        rows = [i + 1 for i, s in enumerate(steps) if off(s)]
+        if rows:
+            return kind, rows[0]
+    return None
+
+
+# Steps at or just above one usual value, small or above 2**53, or anywhere up
+# to 2**57: 32 of them sum to at most 2**62, so from a start in [-2**62, 0]
+# every timestamp stays in int64.
+usual_steps = st.one_of(st.integers(1, 6), st.integers(2**53 - 3, 2**57 - 3)).flatmap(
+    lambda usual: st.lists(st.one_of(st.just(usual), st.integers(usual, usual + 3), st.integers(1, 2**57)),
+                           min_size=1, max_size=32))
+
+
+class TestGapRule:
+    @settings(max_examples=500, deadline=None)
+    @given(steps=usual_steps, start=st.integers(-2**62, 0))
+    @example(steps=[2**60, 2**60 + 1], start=0)  # the exact median lies halfway between two steps
+    @example(steps=[4, 4, 4, 4], start=0)
+    def test_the_lower_median_gives_the_exact_medians_verdict_kind_and_row(self, steps, start):
+        trace = Trace("steps", start + np.cumsum([0, *steps], dtype=object).astype(np.int64),
+                      np.ones(len(steps) + 1))
+        try:
+            check_timestamp_gaps(trace)
+            got = None
+        except TimestampGap as exc:
+            found = re.match(r"timestamp (gap|step) before row (\d+): step (\d+) ", str(exc))
+            got = found[1], int(found[2])
+            assert int(found[3]) == steps[got[1] - 1]
+        assert got == median_gap_rule(steps)
+
 
 def hstacked_windows(trace: Trace, history: int, n: int) -> np.ndarray:
     """The feature matrix as it was built before the window view: each
@@ -371,6 +478,19 @@ class TestWindowMatrix:
             WindowMatrix((np.arange(5.0),), 3, 1, 3)
         with pytest.raises(IndexError):
             WindowMatrix((np.arange(5.0),), 3, 0, 3)[:, 3]
+
+    @pytest.mark.parametrize("history, start, rows", [(0, 0, 3), (2, -1, 3), (2, 0, -1)])
+    def test_rejects_bad_bounds(self, history, start, rows):
+        with pytest.raises(ValueError, match="history must be >= 1, and start and rows >= 0"):
+            WindowMatrix((np.arange(10.0),), history, start, rows)
+
+    def test_rejects_stepped_slices_and_a_shared_matrix(self):
+        view = WindowMatrix((np.arange(10.0),), 2, 0, 8)
+        with pytest.raises(IndexError, match="step 1 only"):
+            view[::2]
+        with pytest.raises(ValueError, match="holds no matrix to share"):
+            np.asarray(view, copy=False)
+        assert np.asarray(view).shape == (8, 2)
 
 
 class TestSynthetic:
@@ -444,6 +564,20 @@ class TestSynthetic:
         assert noise.quantile(0.5) == 0.0
         assert abs(noise.quantile(0.975) - 1.959963984540054 * sigma) <= 1e-12
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"base": NoNoise()}, "base must be uniform or gaussian"),
+        ({"base": UniformNoise(1.0), "period": 0.0}, "period must be positive"),
+        ({"base": UniformNoise(1.0), "depth": 1.0}, r"depth must be in \[0, 1\)"),
+        ({"base": UniformNoise(1.0), "depth": -0.1}, r"depth must be in \[0, 1\)"),
+    ], ids=["base", "period", "depth-1", "depth-negative"])
+    def test_cyclic_noise_checks_its_parameters(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            CyclicScaleNoise(**kwargs)
+
+    def test_cyclic_noise_quantile_needs_timestamps(self):
+        with pytest.raises(ValueError, match="needs timestamps"):
+            CyclicScaleNoise(UniformNoise(1.0)).quantile(0.25)
+
     def test_cyclic_noise_conditional_quantile(self):
         noise = CyclicScaleNoise(UniformNoise(30.0), period=100.0, depth=0.5)
         rng = np.random.default_rng(7)
@@ -512,6 +646,16 @@ class TestTraceInvariants:
     def test_rejects_negative_throughput(self):
         with pytest.raises(NegativeThroughput):
             Trace("bad", np.array([1, 2]), np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("timestamps, throughput, aux, message", [
+        ([1, 2, 3], [1.0, 2.0], {}, "1-D and equal length"),
+        ([[1, 2]], [[1.0, 2.0]], {}, "1-D and equal length"),
+        ([1, 2], [1.0, np.nan], {}, "throughput contains non-finite values"),
+        ([1, 2], [1.0, 2.0], {"rain_mm": [0.0, 1.0]}, "unknown aux series 'rain_mm'"),
+    ], ids=["lengths", "2-d", "non-finite", "unknown-aux"])
+    def test_rejects_malformed_series(self, timestamps, throughput, aux, message):
+        with pytest.raises(ValueError, match=message):
+            Trace("bad", np.array(timestamps), np.array(throughput), aux=aux)
 
     def test_rejects_mismatched_aux(self):
         with pytest.raises(ValueError):

@@ -11,11 +11,11 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from riskcast.errors import EmptyBatch
 from riskcast.metrics import (
     PredictionBatch,
+    SafetyReport,
     mae,
     mpe,
     over_rate,
     p95_pos_err,
-    percentile,
     rmse,
     safety_report,
     subset_mask,
@@ -97,6 +97,15 @@ class TestUnitCases:
         with pytest.raises(ValueError):
             PredictionBatch(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("preds, truths, message", [
+        ([1.0, np.nan], [1.0, 2.0], "non-finite"),
+        ([1.0, 2.0], [np.inf, 2.0], "non-finite"),
+        ([1.0, 2.0], [-0.5, 2.0], "truths must be non-negative"),
+    ], ids=["nan-pred", "inf-truth", "negative-truth"])
+    def test_rejects_non_finite_values_and_negative_truths(self, preds, truths, message):
+        with pytest.raises(ValueError, match=message):
+            batch_of(preds, truths)
+
 
 class TestOracleEquivalence:
     def test_randomized_batches(self, rng):
@@ -113,12 +122,6 @@ class TestOracleEquivalence:
             assert mpe(batch) == pytest.approx(expected["mpe"], abs=1e-9)
             assert p95_pos_err(batch) == pytest.approx(expected["p95_pos_err"], abs=1e-9)
 
-    def test_percentile_matches_sort_oracle(self, rng):
-        values = rng.uniform(0, 50, size=1000)
-        for q in (10.0, 30.0, 95.0):
-            assert percentile(values, q) == pytest.approx(
-                oracle_percentile(values.tolist(), q), abs=1e-9
-            )
 
 
 finite_errors = st.lists(
@@ -190,6 +193,11 @@ class TestSubsets:
         assert subset_mask(batch, 10.0).any()
         assert list(subsets(batch)) == ["all", "p30", "p10"]
 
+    @pytest.mark.parametrize("pct", [0.0, 100.0, -5.0, 150.0])
+    def test_percentile_outside_the_open_interval_is_rejected(self, pct):
+        with pytest.raises(ValueError, match=r"percentile must lie in \(0, 100\)"):
+            subset_mask(batch_of([1.0, 2.0], [1.0, 2.0]), pct)
+
     def test_mask_fraction_near_percentile(self, rng):
         truths = rng.uniform(0, 200, size=(100, 15))
         batch = PredictionBatch(np.zeros_like(truths), truths)
@@ -199,6 +207,17 @@ class TestSubsets:
 
 
 class TestSafetyReport:
+    @pytest.mark.parametrize("fields, message", [
+        ({"over_rate": 1.5}, r"over_rate must lie in \[0, 1\]"),
+        ({"over_rate": -0.1}, r"over_rate must lie in \[0, 1\]"),
+        ({"mpe": 3.0}, "mpe cannot exceed mae"),
+        ({"p95_pos_err": -1.0}, "p95_pos_err must be non-negative"),
+    ], ids=["over-rate-above-1", "over-rate-negative", "mpe-above-mae", "negative-p95"])
+    def test_rejects_inconsistent_metrics(self, fields, message):
+        valid = {"mae": 2.0, "rmse": 2.5, "over_rate": 0.5, "mpe": 1.0, "p95_pos_err": 4.0, "n_elements": 10}
+        with pytest.raises(ValueError, match=message):
+            SafetyReport(**{**valid, **fields})
+
     def test_perfect_predictions(self):
         truths = np.linspace(1, 50, 50).reshape(5, 10)
         report = safety_report(PredictionBatch(truths.copy(), truths))
