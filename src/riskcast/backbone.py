@@ -13,19 +13,20 @@ Trees are grown exactly, one node at a time and breadth-first, over
 (`BinnedFeatures`). A node's histograms share one float64 array: a
 quantile fit counts N, the rows, and P, the rows with a positive residual,
 since the pinball subgradient sums to (1 - tau) * N - P; a point fit
-counts N and sums its gradients. Nodes carry them running, summed within
-each feature from its bin 0, as the node's scan over every feature's bins
-reads them. Counts stay below 2**53, so they are exact, and are shared and
-subtracted without changing any sum: the root's N is counted once per
-split, a quantile fit carries its root's P from one boosting round to the
-next by counting only the rows whose residual changed sign, and a split
-whose two children both grow counts the smaller, and hands the larger its
-own running counts minus the smaller one's, in one subtraction. Only the
-other nodes are counted and summed within each feature: the root, smaller
-siblings and nodes whose sibling is a leaf. A point fit sums every node's
-G that way, as float sums do not subtract exactly. As every quantile gain
-is a function of the counts alone, equal counts give equal gains, and ties
-go to the lowest feature, then the lowest bin.
+counts N and sums G, its gradients, rounded each round to the grid on
+which every sum of them is exact (`_exact_grid`). Nodes carry them
+running, summed within each feature from its bin 0, as the node's scan
+over every feature's bins reads them. Counts stay below 2**53, so every
+sum is exact, and histograms are shared and subtracted without changing
+any sum: the root's N is counted once per split, a quantile fit carries
+its root's P from one boosting round to the next by counting only the
+rows whose residual changed sign, and a split whose two children both
+grow counts the smaller, and hands the larger its own running histograms
+minus the smaller one's, in one subtraction. Only the other nodes are
+counted and summed within each feature: the root, smaller siblings and
+nodes whose sibling is a leaf. As every gain is a function of exact sums,
+equal sums give equal gains, and ties go to the lowest feature, then the
+lowest bin.
 A split's bins are held once, as one matrix of histogram cells that every
 scan reads (`BinnedFeatures.cells`), with one cell segment per distinct
 binned column, in feature order: a column whose bin codes repeat a lower
@@ -222,26 +223,41 @@ def _running(binned: BinnedFeatures, hist: np.ndarray, out: np.ndarray) -> None:
         np.cumsum(hist[..., start:stop].reshape(by_feature), axis=-1, out=out[..., start:stop].reshape(by_feature))
 
 
+def _exact_grid(g: np.ndarray) -> np.ndarray:
+    """g rounded to the coarsest power-of-two grid on which every sum of its entries is exact in float64.
+
+    With max|g| < 2**e over n < 2**b entries, each becomes an integer of at
+    most 2**(53 - b) in size times 2**-k, k = min(53 - e - b, 1074), so any
+    sum of entries, in any order, and any difference of two sums, is exact.
+    An entry moves by at most 2**(e + b - 54) <= n * max|g| * 2**-52, and by
+    none at k = 1074, every float's grid. g is kept as it is where it is all
+    zeros, or where e + b > 1023, as its sums can overflow.
+    """
+    top = float(np.abs(g).max())
+    e, b = math.frexp(top)[1], g.size.bit_length()
+    if top == 0.0 or e + b > 1023:
+        return g
+    k = min(53 - e - b, 1074)
+    return np.ldexp(np.rint(np.ldexp(g, k)), -k)
+
+
 def _count(binned: BinnedFeatures, idx: np.ndarray, target: np.ndarray, tau: float | None, out: np.ndarray) -> None:
     """Count the running histograms of the node holding rows idx into `out`.
 
     A quantile node (tau set, `target` the rows' resid > 0) gathers its
     non-positive rows from `cells`, then its positive ones, and takes one
-    bincount over each slice; `out` gets [N, P], N being their sum. A
-    point node (`target` the rows' gradients) gathers its rows in ascending
-    order, or takes `cells` whole if it holds every row, and takes one
-    bincount weighted by its gradients, so each cell sums its rows in row
-    order: `out` gets G in its last channel, and N, from one more bincount,
-    in its first if it has two. Each channel is then summed within each
-    feature from its bin 0 (_running).
+    bincount over each slice; `out` gets [N, P], N being their sum. A point
+    node (`target` the rows' gradients, on _exact_grid) gathers its rows and
+    takes one bincount of them and one weighted by their gradients; `out`
+    gets [N, G]. Each channel is then summed within each feature from its
+    bin 0 (_running).
     """
     n_cells = binned.n_cells
     per_row = binned.cells.shape[1]
     if tau is None:
-        flat = (binned.cells if idx.size == len(binned.cells) else binned.cells[idx]).ravel()
-        _running(binned, np.bincount(flat, weights=np.repeat(target[idx], per_row), minlength=n_cells), out[-1])
-        if len(out) == 2:
-            _running(binned, np.bincount(flat, minlength=n_cells), out[0])
+        flat = binned.cells[idx].ravel()
+        g = np.bincount(flat, weights=np.repeat(target[idx], per_row), minlength=n_cells)
+        _running(binned, np.stack([np.bincount(flat, minlength=n_cells), g]), out)
     else:
         positive = target[idx]
         flat = binned.cells[np.concatenate([idx[~positive], idx[positive]])].ravel()
@@ -263,25 +279,25 @@ def _best_split(
     `hist` holds the node's histograms, one float64 array of two channels
     over the (feature, bin) cells, held running: each cell sums its
     feature's bins from bin 0 up to its own. The first channel is N, its
-    rows. For a quantile fit (tau set, `target` the rows' resid > 0) the
-    second is P, its rows with a positive residual. The pinball subgradient
-    is -tau on a positive residual and 1 - tau otherwise, so a cell's
-    gradient sum is (1 - tau) * N - P, and every gain is a function of the
-    integers (N_left, P_left) alone; counts are below 2**53, so float64
-    sums and differences of them are exact. For a point fit (`target` the
-    rows' gradients) the second is G, its gradients summed in row order
-    (_count). Either way every gain is bit-identical to a scan of the
-    node's own (feature, bin) grid.
+    rows. For a quantile fit (tau set) the second is P, its rows with a
+    positive residual. The pinball subgradient is -tau on a positive
+    residual and 1 - tau otherwise, so a cell's gradient sum is
+    (1 - tau) * N - P, and every gain is a function of the integers
+    (N_left, P_left) alone. For a point fit the second is G, its gradients
+    summed. Counts are below 2**53, and gradients lie on _exact_grid, so
+    every sum and difference of them is exact in float64, in any order:
+    every gain is bit-identical to a scan of the node's own (feature, bin)
+    grid. `target` (the rows' resid > 0, or their gradients) is not read:
+    the node's P or G total is its first feature's last cell.
 
     Every cell goes through the same float operations in the same order as
     the formula written out, and cells that are not candidates get -inf. A
     cell with no row on one side divides by zero, and min_samples_leaf >= 1,
     which BackboneParams enforces, is what keeps it from being a candidate;
     that also rules out a cell at or past its feature's last bin, which
-    sends the whole node left. A quantile node's P total is its first
-    feature's last cell. The cells lie in feature order, so one argmax sends
-    ties, as that grid's row-major argmax does, to the lowest feature, then
-    the lowest bin. The node is a leaf unless its best gain clears a
+    sends the whole node left. The cells lie in feature order, so one argmax
+    sends ties, as that grid's row-major argmax does, to the lowest feature,
+    then the lowest bin. The node is a leaf unless its best gain clears a
     threshold, which -inf (no candidate) and NaN (only where gradient sums
     overflow float64) never do. Nothing here writes into hist, which a
     larger child's subtraction reads.
@@ -291,20 +307,19 @@ def _best_split(
     n_right = size - cum_n
     ok = cum_n >= min_samples_leaf
     ok &= n_right >= min_samples_leaf
+    cum = hist[1]  # G, or P
+    total = cum[binned.groups[0][2] - 1]  # the first feature's last cell sums every row
     if tau is None:
-        total_g = target[idx].sum()
-        cum_g = hist[1]
-        g_right = total_g - cum_g
-        gain = np.square(cum_g)
+        total_g = total
+        g_right = total - cum
+        gain = np.square(cum)
     else:
-        cum_p = hist[1]
-        p_total = cum_p[binned.groups[0][2] - 1]  # the first feature's last cell counts every row
-        total_g = (1.0 - tau) * size - p_total
+        total_g = (1.0 - tau) * size - total
         gain = (1.0 - tau) * cum_n
-        gain -= cum_p
+        gain -= cum
         np.square(gain, out=gain)
         g_right = (1.0 - tau) * n_right
-        g_right -= p_total - cum_p
+        g_right -= total - cum
     base_score = total_g * total_g / size
     # cum_g**2 / cum_n + g_right**2 / n_right - base_score, in that order.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -321,19 +336,20 @@ def _best_split(
 def _root_histograms(
     binned: BinnedFeatures, target: np.ndarray, tau: float | None, last: tuple | None = None
 ) -> np.ndarray:
-    """The histograms of a root holding every row, not yet running: [N], or [N, P] for a quantile fit.
+    """The histograms of a root holding every row, not yet running: [N, G], or [N, P] for a quantile fit.
 
-    N is the split's root_counts. A quantile fit's P counts only the
-    minority sign of `target` (resid > 0), taking the majority's as N minus
-    it. Given `last`, the (target, histograms) of the same fit's previous
-    round, P instead moves by the rows whose sign flipped since: up by the
-    cells of the rows turned positive, down by those turned non-positive.
-    Rounds whose flips outnumber the minority count afresh. Either way P is
-    the same integers.
+    N is the split's root_counts. A point fit's G is one bincount of
+    `cells` weighted by `target`, its gradients. A quantile fit's P counts
+    only the minority sign of `target` (resid > 0), taking the majority's
+    as N minus it. Given `last`, the (target, histograms) of the same fit's
+    previous round, P instead moves by the rows whose sign flipped since:
+    up by the cells of the rows turned positive, down by those turned
+    non-positive. Rounds whose flips outnumber the minority count afresh.
+    Either way P is the same integers.
     """
     n = binned.root_counts
     if tau is None:
-        return n[None]
+        return np.stack([n, np.bincount(binned.cells.ravel(), np.repeat(target, binned.cells.shape[1]), n.size)])
     positive = int(np.count_nonzero(target))
     minority = min(positive, target.size - positive)
     if last is not None:
@@ -380,43 +396,36 @@ def _grow_tree(
 
     A quantile fit splits on the signs of `resid` (zero counts as
     non-positive, as in pinball_subgradient); a point fit on the gradients
-    -resid. A node grows if it lies above max_depth and holds at least
+    -resid, put on _exact_grid, while its leaves take the mean of `resid`
+    itself. A node grows if it lies above max_depth and holds at least
     2 * min_samples_leaf rows, the root only if some column is binned; it
     is queued with its running histograms and becomes a leaf unless
     _best_split finds it a split. `root` holds the root's histograms, as
     _root_histograms gives them, if the caller has them. A split routes its
     rows on X and queues its children, left then right. If both grow, the
-    smaller (the left on a tie) is counted (_count), and the larger takes N,
-    and P, as its parent's minus its sibling's; a growing child whose
-    sibling is a leaf is counted. Nodes are numbered in the order they are
-    queued, so each one's entry is made as it leaves the queue. Returns the
-    tree and the leaf of each row.
+    smaller (the left on a tie) is counted (_count), and the larger takes
+    its histograms as its parent's minus its sibling's; a growing child
+    whose sibling is a leaf is counted. Nodes are numbered in the order
+    they are queued, so each one's entry is made as it leaves the queue.
+    Returns the tree and the leaf of each row.
     """
-    target = resid > 0 if tau is not None else -resid
-    m = 1 if tau is None else 2  # the channels a node may take by subtraction: [N], or [N, P]
+    target = resid > 0 if tau is not None else _exact_grid(-resid)
     leaf_of = np.empty(len(resid), dtype=np.int64)
     nodes = []  # (feature, threshold, left, right, value) of each node, by node number
 
     def grows(depth: int, idx: np.ndarray) -> bool:
         return depth < max_depth and idx.size >= 2 * min_samples_leaf
 
-    def histograms(idx: np.ndarray, parent: np.ndarray | None = None, sibling: np.ndarray | None = None):
+    def counted(idx: np.ndarray) -> np.ndarray:
         hist = np.empty((2, binned.n_cells))
-        if sibling is None:
-            _count(binned, idx, target, tau, hist)
-        else:
-            np.subtract(parent[:m], sibling[:m], out=hist[:m])
-            if tau is None:
-                _count(binned, idx, target, tau, hist[1:])
+        _count(binned, idx, target, tau, hist)
         return hist
 
     rows = np.arange(len(resid), dtype=np.int64)
     hist = None
     if grows(0, rows) and binned.groups:
         hist = np.empty((2, binned.n_cells))
-        _running(binned, _root_histograms(binned, target, tau) if root is None else root, hist[:m])
-        if tau is None:
-            _count(binned, rows, target, tau, hist[1:])
+        _running(binned, _root_histograms(binned, target, tau) if root is None else root, hist)
     queue = deque([(0, 0, rows, hist)])
     numbered = 1
     while queue:
@@ -433,10 +442,10 @@ def _grow_tree(
         if grows(depth + 1, children[0]) and grows(depth + 1, children[1]):
             counts = [None, None]
             small = int(children[1].size < children[0].size)  # the left one on a tie
-            counts[small] = histograms(children[small])
-            counts[1 - small] = histograms(children[1 - small], hist, counts[small])
+            counts[small] = counted(children[small])
+            counts[1 - small] = hist - counts[small]
         else:
-            counts = [histograms(child) if grows(depth + 1, child) else None for child in children]
+            counts = [counted(child) if grows(depth + 1, child) else None for child in children]
         nodes.append((f, cut, numbered, numbered + 1, 0.0))
         for child, child_hist in zip(children, counts):
             queue.append((numbered, depth + 1, child, child_hist))

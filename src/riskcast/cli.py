@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
@@ -256,6 +257,8 @@ def load_config(
         # file stays pinned.
         raw = {**raw, "seed": seed}
     config = config_from_dict(raw)
+    if config.dataset.kind == "csv":  # so that config.json names the file read, from any directory
+        config = replace(config, dataset=replace(config.dataset, path=os.path.join(os.getcwd(), config.dataset.path)))
     if output_dir is not None:
         config = replace(config, output_dir=output_dir)
     if epsilon is not None:

@@ -15,7 +15,7 @@ import operator
 import re
 import statistics
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from functools import cached_property
 
 import numpy as np
@@ -589,7 +589,15 @@ def _parse_int(row: dict, column: str, line_no: int) -> int:
     try:
         value = int(raw)
     except ValueError:  # a point, an exponent, inf or nan: a float rounds above 2**53, a Decimal keeps every digit
-        value = Decimal(raw)
+        try:
+            value = Decimal(raw)
+        except InvalidOperation:  # an exponent of 10**18 or more in size, beyond Decimal's range
+            mantissa, _, exponent = raw.lower().partition("e")
+            if Decimal(mantissa):  # so the cell lies far below 1 in size, or far above the int64 range
+                message = ("timestamp is not a whole number of seconds" if exponent.startswith("-")
+                           else "timestamp outside the 64-bit integer range")
+                raise ParseError(message, row=line_no, column=column) from None
+            value = Decimal(0)
         if not value.is_finite() or value != value.to_integral_value():
             raise ParseError("timestamp is not a whole number of seconds", row=line_no, column=column)
     if not _INT64.min <= value <= _INT64.max:

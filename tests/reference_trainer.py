@@ -8,11 +8,15 @@ around it, which bins X on every call and takes training predictions from
 
 A quantile fit's gradient sums are taken as (1 - tau) * N - P from the
 integer counts N (rows) and P (rows with a positive residual), the
-arithmetic the level-wise trainer uses; a point fit sums its float
-gradients in row order.
+arithmetic the level-wise trainer uses. A point fit first rounds each
+round's gradients to the grid on which all their sums are exact
+(`on_sum_grid`), the rule the level-wise trainer follows, written out
+again here, so any order of summing gives the same float.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,6 +43,20 @@ def _bin_features(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         binned[:, j] = np.searchsorted(c, col, side="left")
         cuts.append(c)
     return binned, cuts
+
+
+def on_sum_grid(g: np.ndarray) -> np.ndarray:
+    """g rounded to the nearest multiples (ties to even) of a step of
+    2**(e + b - 53), and no less than 2**-1074, where max|g| < 2**e and
+    len(g) < 2**b, so that no sum of entries needs more than 53 bits. g is
+    left as it is when all zero, or where e + b > 1023."""
+    largest = float(np.max(np.abs(g)))
+    e = math.frexp(largest)[1]
+    b = len(g).bit_length()
+    if largest == 0.0 or e + b > 1023:
+        return g
+    step = math.ldexp(1.0, max(e + b - 53, -1074))
+    return np.rint(g / step) * step
 
 
 def route(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
@@ -75,6 +93,7 @@ def _grow_tree(
     n_bins = int(n_cuts.max(initial=0)) + 1
     offsets = np.arange(n_feat, dtype=np.int64) * n_bins
     bin_ids = np.arange(n_bins - 1, dtype=np.int64)[None, :] if n_bins > 1 else None
+    grad = on_sum_grid(-resid) if tau is None else None
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -108,7 +127,7 @@ def _grow_tree(
         if not ok.any():
             return add_leaf(idx)
         if tau is None:
-            g = -resid[idx]
+            g = grad[idx]
             total_g = g.sum()
             hist_g = np.bincount(flat, weights=np.repeat(g, n_feat), minlength=n_feat * n_bins)
             cum_g = hist_g.reshape(n_feat, n_bins).cumsum(axis=1)[:, :-1]

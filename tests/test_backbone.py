@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import re
@@ -30,6 +31,7 @@ from riskcast.backbone import (
     _fit_boosted_column,
     _best_split,
     _count,
+    _exact_grid,
     _grow_tree,
     _leaf_quantile,
     _root_histograms,
@@ -389,8 +391,7 @@ class TestBinnedFeatures:
         assert set(binned.feature.tolist()) == {0, 1}
 
     def test_a_decreasing_copy_keeps_its_segment(self):
-        # Its bins run the other way, so a point fit sums its gradients from
-        # the other end, and that float sum can differ in its last bit.
+        # Its bins run the other way, so its codes repeat no lower feature's.
         x = np.arange(40.0) % 7
         binned = BinnedFeatures.of(np.column_stack([x, 10.0 - x, 2.0 * x + 3.0]))
         assert set(binned.feature.tolist()) == {0, 1}
@@ -556,7 +557,7 @@ class TestExactTrainer:
             return best_split(binned, idx, hist, target, tau, min_samples_leaf)
 
         def count_spy(binned, idx, target, tau, out):
-            counted.append(len(out) == 2)  # N counted too, not taken by subtraction
+            counted.append(idx)
             count(binned, idx, target, tau, out)
 
         params = BackboneParams(n_trees=2, max_depth=4, learning_rate=0.5, min_samples_leaf=min_samples_leaf)
@@ -564,9 +565,9 @@ class TestExactTrainer:
             patch.setattr(riskcast.backbone, "_best_split", scan_spy)
             patch.setattr(riskcast.backbone, "_count", count_spy)
             _fit_boosted_column(binned, y, tau, params)
-        # A root holds every row and comes with its N; some other node takes its N by subtraction.
+        # A root holds every row and comes with its histograms; some other node takes them by subtraction.
         roots = sum(idx.size == n for idx, _, _ in calls)
-        assert sum(counted) < len(calls) - roots
+        assert len(counted) < len(calls) - roots
         for idx, target, running in calls:
             flat = binned.cells[idx].ravel()
             if tau is None:
@@ -721,6 +722,22 @@ class TestExactTrainer:
         assert model.base_score == 0.0  # so every residual is y itself
         assert model.trees[0].feature[0] == 0
 
+    def test_a_point_fit_on_a_negated_copy_splits_on_the_first_feature(self):
+        # x and -x split the rows alike at every cut, the children swapped,
+        # so each split's best gain ties across the two; exact gradient sums
+        # send every tie to feature 0. Summed in row order, 995 of these
+        # 2,800 splits went to the copy, as rounding decided the ties.
+        features = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=2000)
+            y = 10.0 * x + rng.normal(size=2000)
+            params = BackboneParams(n_trees=10, max_depth=3)
+            model = _fit_boosted_column(BinnedFeatures.of(np.column_stack([x, -x])), y, None, params)
+            features += [f for tree in model.trees for f in tree.feature.tolist() if f >= 0]
+        assert len(features) == 2800
+        assert set(features) == {0}
+
     def test_zero_residuals_count_as_non_positive(self):
         # The flagged rows' residuals are zero, the others' positive. Only a
         # zero's (1 - tau) gradient tells them apart; counted as positive,
@@ -731,6 +748,48 @@ class TestExactTrainer:
         tree, _ = _grow_tree(binned, resid, 0.3, 1, 1)
         assert tree.feature[0] == 0
         assert tree.value[1:].tolist() == [5.0, 0.0]
+
+
+class TestExactGrid:
+    """Point gradients on the grid where every sum of them is exact."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scale=st.sampled_from([5e-324, 1e-315, 2.0**-1022, 1e-300, 1e-150, 1e-5, 1.0, 3.7e4, 1e150, 1e300]),
+        units=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=300),
+        positive=st.booleans(),  # so that sums of many entries come near n * max|g|
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(scale=5e-324, units=[1.0, -1.0, 0.5], positive=False, seed=0)  # subnormal: every float's grid
+    @example(scale=1e300, units=[1.0, 2.0**-60, -0.25], positive=False, seed=1)  # below half a step: 0
+    # Seven entries just below 1, each an odd multiple of 2**-51, half the grid's step: on a grid
+    # one bit finer their sums would need 54 bits.
+    @example(scale=1.0, units=[1.0 - i * 2.0**-51 for i in range(1, 14, 2)], positive=True, seed=2)
+    def test_every_sum_is_exact_in_any_order(self, scale, units, positive, seed):
+        g = np.asarray(units) * scale
+        g = np.abs(g) if positive else g
+        grid = _exact_grid(g)
+        top, n = float(np.abs(g).max()), g.size
+        if top == 0.0:
+            assert grid is g
+            return
+        e = math.frexp(top)[1]
+        moved = np.abs(grid - g)
+        assert np.all(moved <= 2.0 ** (e + n.bit_length() - 54))
+        assert np.all(moved <= n * top * 2.0**-52)
+        rng = np.random.default_rng(seed)
+        shuffled = grid[rng.permutation(n)]
+        total = float(np.cumsum(grid)[-1])
+        assert float(np.cumsum(shuffled)[-1]) == float(np.cumsum(shuffled[::-1])[-1]) == total
+        assert float(grid.sum()) == math.fsum(grid) == total
+        subset = rng.random(n) < 0.5
+        assert math.fsum(grid[subset]) == total - float(grid[~subset].sum())
+
+    @pytest.mark.parametrize("g", [[0.0, -0.0], [1e308, -3.0], [2.0**1020] * 16],
+                             ids=["zeros", "near-max", "sixteen"])
+    def test_zeros_and_gradients_whose_sums_can_overflow_are_kept(self, g):
+        g = np.asarray(g)
+        assert _exact_grid(g) is g
 
 
 def regressor_bytes(model: BoostedTreesRegressor) -> list[bytes]:

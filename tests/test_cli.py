@@ -229,6 +229,23 @@ class TestRunExperiment:
         for name in ("selection.json", "reports.json", "metrics_long.csv", "config.json"):
             assert (out / name).read_bytes() == (bundle.output_dir / name).read_bytes(), name
 
+    def test_a_csv_bundle_reruns_from_another_directory(self, tmp_path, monkeypatch):
+        # The config names its trace relative to the directory of the first
+        # run; the bundle's config.json names it absolutely.
+        first, other = tmp_path / "first", tmp_path / "other"
+        first.mkdir()
+        other.mkdir()
+        monkeypatch.chdir(first)
+        assert main(["synth", "--config", write_config(tmp_path), "--output", "trace.csv"]) == 0
+        raw = {**BASE_CONFIG, "dataset": {"kind": "csv", "path": "trace.csv"}}
+        (first / "csv.yaml").write_text(yaml.safe_dump(raw))
+        assert main(["run", "--config", "csv.yaml", "--output", "run"]) == 0
+        assert json.loads((first / "run" / "config.json").read_text())["dataset"]["path"] == str(first / "trace.csv")
+        monkeypatch.chdir(other)
+        assert main(["run", "--config", str(first / "run" / "config.json"), "--output", "again"]) == 0
+        for name in ("selection.json", "reports.json", "metrics_long.csv", "metrics_long.json", "config.json"):
+            assert (other / "again" / name).read_bytes() == (first / "run" / name).read_bytes(), name
+
     def test_old_config_json_naming_subsample_repeats_the_run(self, bundle, tmp_path):
         # Bundles written while subsample was an option record it as 1.0.
         old = json.loads((bundle.output_dir / "config.json").read_text())

@@ -104,11 +104,14 @@ class TestIngest:
         ("9007199254740993.5", "not a whole number"),  # a float64 reads 2**53 + 2
         ("1e-400", "not a whole number"),  # a float64 reads 0
         ("1e-999999999", "not a whole number"),
+        ("1e-9999999999999999999", "not a whole number"),  # an exponent past Decimal's range
         ("inf", "not a whole number"),
         ("nan", "not a whole number"),
         ("9223372036854775808.0", "outside the 64-bit integer range"),
         ("1e400", "outside the 64-bit integer range"),
         ("1e999999999", "outside the 64-bit integer range"),
+        ("1e9999999999999999999", "outside the 64-bit integer range"),
+        ("-.5e+9999999999999999999", "outside the 64-bit integer range"),
         ("nan123", "not an integer"),
         ("1__0.0", "not an integer"),
         ("0x10", "not an integer"),
@@ -125,6 +128,11 @@ class TestIngest:
         with pytest.raises(ParseError, match=message) as err:
             ingest_csv(path)
         assert (err.value.row, err.value.column) == (3, "timestamp")
+
+    @pytest.mark.parametrize("cell", ["0e9999999999999999999", "-0.0e-9999999999999999999", "0e5"])
+    def test_a_zero_mantissa_is_zero_whatever_its_exponent(self, tmp_path, cell):
+        trace = ingest_csv(write_csv(tmp_path / "t.csv", ["1,10", f"{cell},20"]))
+        assert trace.timestamps.tolist() == [0, 1]
 
     @pytest.mark.parametrize("cell", ["oops", "1_0.5", "\u0663", "\uff13", "\u20037\u2003", "0x1p3", "1e", "."])
     def test_throughput_cells_that_are_not_ascii_numbers_are_rejected(self, tmp_path, cell):
