@@ -11,22 +11,23 @@ the residuals that landed in it.
 Trees are grown exactly, one node at a time and breadth-first, over
 (feature, bin) histograms of a training split that is binned once
 (`BinnedFeatures`). A node's histograms share one float64 array: a
-quantile fit counts N, the rows, and P, the rows with a positive residual,
-since the pinball subgradient sums to (1 - tau) * N - P; a point fit
-counts N and sums G, its gradients, rounded each round to the grid on
-which every sum of them is exact (`_exact_grid`). Nodes carry them
-running, summed within each feature from its bin 0, as the node's scan
-over every feature's bins reads them. Counts stay below 2**53, so every
-sum is exact, and histograms are shared and subtracted without changing
-any sum: the root's N is counted once per split, a quantile fit carries
-its root's P from one boosting round to the next by counting only the
-rows whose residual changed sign, and a split whose two children both
-grow counts the smaller, and hands the larger its own running histograms
-minus the smaller one's, in one subtraction. Only the other nodes are
-counted and summed within each feature: the root, smaller siblings and
-nodes whose sibling is a leaf. As every gain is a function of exact sums,
-equal sums give equal gains, and ties go to the lowest feature, then the
-lowest bin.
+quantile fit counts N, the rows, and P, the rows with a positive
+residual, since the pinball subgradient sums to (1 - tau) * N - P; a
+point fit counts N and sums G, its gradients, rounded each round to the
+grid on which every sum of them is exact (`_exact_grid`). Nodes carry
+them running, summed within each feature from its bin 0, as the node's
+scan over every feature's bins reads them, and the scan reads nothing
+else: a node's totals are its first feature's last cell. Counts stay
+below 2**53, so every sum is exact, and histograms are shared and
+subtracted without changing any sum: the root's N is counted once per
+split, a quantile fit carries its root's P from one boosting round to
+the next by counting only the rows whose residual changed sign, and a
+split whose two children both grow counts the smaller, and hands the
+larger its own running histograms minus the smaller one's, in one
+subtraction. Only the other nodes are counted and summed within each
+feature: the root, smaller siblings and nodes whose sibling is a leaf.
+As every gain is a function of exact sums, equal sums give equal gains,
+and ties go to the lowest feature, then the lowest bin.
 A split's bins are held once, as one matrix of histogram cells that every
 scan reads (`BinnedFeatures.cells`), with one cell segment per distinct
 binned column, in feature order: a column whose bin codes repeat a lower
@@ -215,12 +216,14 @@ class BinnedFeatures:
         )
 
 
-def _running(binned: BinnedFeatures, hist: np.ndarray, out: np.ndarray) -> None:
-    """Write hist summed within each feature from its bin 0, along its last
-    axis, into `out`, which the caller owns: one run of equal width at a time."""
+def _running(binned: BinnedFeatures, hist: np.ndarray) -> np.ndarray:
+    """hist summed within each feature from its bin 0, along its last axis,
+    in a new float64 array: one run of equal width at a time."""
+    out = np.empty(hist.shape)
     for start, stop, width in binned.groups:
         by_feature = hist.shape[:-1] + ((stop - start) // width, width)
         np.cumsum(hist[..., start:stop].reshape(by_feature), axis=-1, out=out[..., start:stop].reshape(by_feature))
+    return out
 
 
 def _exact_grid(g: np.ndarray) -> np.ndarray:
@@ -241,40 +244,32 @@ def _exact_grid(g: np.ndarray) -> np.ndarray:
     return np.ldexp(np.rint(np.ldexp(g, k)), -k)
 
 
-def _count(binned: BinnedFeatures, idx: np.ndarray, target: np.ndarray, tau: float | None, out: np.ndarray) -> None:
-    """Count the running histograms of the node holding rows idx into `out`.
+def _count(binned: BinnedFeatures, idx: np.ndarray, target: np.ndarray, tau: float | None) -> np.ndarray:
+    """The running histograms of the node holding rows idx.
 
     A quantile node (tau set, `target` the rows' resid > 0) gathers its
     non-positive rows from `cells`, then its positive ones, and takes one
-    bincount over each slice; `out` gets [N, P], N being their sum. A point
+    bincount over each slice, giving [N, P], N being their sum. A point
     node (`target` the rows' gradients, on _exact_grid) gathers its rows and
-    takes one bincount of them and one weighted by their gradients; `out`
-    gets [N, G]. Each channel is then summed within each feature from its
-    bin 0 (_running).
+    takes one bincount of them and one weighted by their gradients, giving
+    [N, G]. Each channel is then summed within each feature from its bin 0
+    (_running).
     """
     n_cells = binned.n_cells
     per_row = binned.cells.shape[1]
     if tau is None:
         flat = binned.cells[idx].ravel()
         g = np.bincount(flat, weights=np.repeat(target[idx], per_row), minlength=n_cells)
-        _running(binned, np.stack([np.bincount(flat, minlength=n_cells), g]), out)
-    else:
-        positive = target[idx]
-        flat = binned.cells[np.concatenate([idx[~positive], idx[positive]])].ravel()
-        split = (idx.size - np.count_nonzero(positive)) * per_row
-        p = np.bincount(flat[split:], minlength=n_cells)
-        _running(binned, np.stack([np.bincount(flat[:split], minlength=n_cells) + p, p]), out)
+        return _running(binned, np.stack([np.bincount(flat, minlength=n_cells), g]))
+    positive = target[idx]
+    flat = binned.cells[np.concatenate([idx[~positive], idx[positive]])].ravel()
+    split = (idx.size - np.count_nonzero(positive)) * per_row
+    p = np.bincount(flat[split:], minlength=n_cells)
+    return _running(binned, np.stack([np.bincount(flat[:split], minlength=n_cells) + p, p]))
 
 
-def _best_split(
-    binned: BinnedFeatures,
-    idx: np.ndarray,
-    hist: np.ndarray,
-    target: np.ndarray,
-    tau: float | None,
-    min_samples_leaf: int,
-) -> int | None:
-    """The cell whose split is best for the node holding rows idx, or None for a leaf.
+def _best_split(binned: BinnedFeatures, hist: np.ndarray, tau: float | None, min_samples_leaf: int) -> int | None:
+    """The cell whose split is best for the node whose histograms are `hist`, or None for a leaf.
 
     `hist` holds the node's histograms, one float64 array of two channels
     over the (feature, bin) cells, held running: each cell sums its
@@ -287,8 +282,9 @@ def _best_split(
     summed. Counts are below 2**53, and gradients lie on _exact_grid, so
     every sum and difference of them is exact in float64, in any order:
     every gain is bit-identical to a scan of the node's own (feature, bin)
-    grid. `target` (the rows' resid > 0, or their gradients) is not read:
-    the node's P or G total is its first feature's last cell.
+    grid. The histograms are all the scan reads: the node's N, and its P or
+    G, totals are its first feature's last cell, as every row lies in one
+    bin of each feature.
 
     Every cell goes through the same float operations in the same order as
     the formula written out, and cells that are not candidates get -inf. A
@@ -302,13 +298,12 @@ def _best_split(
     overflow float64) never do. Nothing here writes into hist, which a
     larger child's subtraction reads.
     """
-    size = idx.size
+    size, total = hist[:, binned.groups[0][2] - 1]  # the first feature's last cell sums every row
     cum_n = hist[0]
     n_right = size - cum_n
     ok = cum_n >= min_samples_leaf
     ok &= n_right >= min_samples_leaf
     cum = hist[1]  # G, or P
-    total = cum[binned.groups[0][2] - 1]  # the first feature's last cell sums every row
     if tau is None:
         total_g = total
         g_right = total - cum
@@ -400,14 +395,15 @@ def _grow_tree(
     itself. A node grows if it lies above max_depth and holds at least
     2 * min_samples_leaf rows, the root only if some column is binned; it
     is queued with its running histograms and becomes a leaf unless
-    _best_split finds it a split. `root` holds the root's histograms, as
-    _root_histograms gives them, if the caller has them. A split routes its
-    rows on X and queues its children, left then right. If both grow, the
-    smaller (the left on a tie) is counted (_count), and the larger takes
-    its histograms as its parent's minus its sibling's; a growing child
-    whose sibling is a leaf is counted. Nodes are numbered in the order
-    they are queued, so each one's entry is made as it leaves the queue.
-    Returns the tree and the leaf of each row.
+    _best_split, reading only those, finds it a split. `root` holds the
+    root's histograms, as _root_histograms gives them, if the caller has
+    them; _running sums them into a new array, so the caller's stay as they
+    are. A split routes its rows on X and queues its children, left then
+    right. If both grow, the smaller (the left on a tie) is counted
+    (_count), and the larger takes its histograms as its parent's minus its
+    sibling's; a growing child whose sibling is a leaf is counted. Nodes
+    are numbered in the order they are queued, so each one's entry is made
+    as it leaves the queue. Returns the tree and the leaf of each row.
     """
     target = resid > 0 if tau is not None else _exact_grid(-resid)
     leaf_of = np.empty(len(resid), dtype=np.int64)
@@ -416,21 +412,15 @@ def _grow_tree(
     def grows(depth: int, idx: np.ndarray) -> bool:
         return depth < max_depth and idx.size >= 2 * min_samples_leaf
 
-    def counted(idx: np.ndarray) -> np.ndarray:
-        hist = np.empty((2, binned.n_cells))
-        _count(binned, idx, target, tau, hist)
-        return hist
-
     rows = np.arange(len(resid), dtype=np.int64)
     hist = None
     if grows(0, rows) and binned.groups:
-        hist = np.empty((2, binned.n_cells))
-        _running(binned, _root_histograms(binned, target, tau) if root is None else root, hist)
+        hist = _running(binned, _root_histograms(binned, target, tau) if root is None else root)
     queue = deque([(0, 0, rows, hist)])
     numbered = 1
     while queue:
         node, depth, idx, hist = queue.popleft()
-        c = None if hist is None else _best_split(binned, idx, hist, target, tau, min_samples_leaf)
+        c = None if hist is None else _best_split(binned, hist, tau, min_samples_leaf)
         if c is None:
             r = resid[idx]
             nodes.append((-1, 0.0, -1, -1, _leaf_quantile(r, tau) if tau is not None else float(r.mean())))
@@ -442,10 +432,10 @@ def _grow_tree(
         if grows(depth + 1, children[0]) and grows(depth + 1, children[1]):
             counts = [None, None]
             small = int(children[1].size < children[0].size)  # the left one on a tie
-            counts[small] = counted(children[small])
+            counts[small] = _count(binned, children[small], target, tau)
             counts[1 - small] = hist - counts[small]
         else:
-            counts = [counted(child) if grows(depth + 1, child) else None for child in children]
+            counts = [_count(binned, child, target, tau) if grows(depth + 1, child) else None for child in children]
         nodes.append((f, cut, numbered, numbered + 1, 0.0))
         for child, child_hist in zip(children, counts):
             queue.append((numbered, depth + 1, child, child_hist))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .backbone import BackboneParams, QuantileModel, Workers, train_quantile_model
 from .data import Samples
-from .errors import EmptyGrid, InvalidGrid
+from .errors import EmptyGrid
 from .metrics import PredictionBatch, mae, over_rate
 
 DEFAULT_SCALE_GRID = np.linspace(0.50, 1.00, 51)
@@ -159,10 +159,14 @@ class SelectionResult:
     boundary: tuple[float, float]
     fine_grid: list[CandidateEvaluation]
     feasible: bool
-    fallback_used: bool
     n_trainings: int
     evaluations: list[CandidateEvaluation] = field(default_factory=list)
     model: QuantileModel | None = None
+
+    @property
+    def fallback_used(self) -> bool:
+        """Whether the least risky candidate was picked, as none was feasible."""
+        return not self.feasible
 
     def to_dict(self) -> dict:
         return {
@@ -188,7 +192,7 @@ def select_from_grid(
     sees the one level tau_min: any wider grid starts at a feasible level.
     """
     if not candidates:
-        raise InvalidGrid("no candidates to select from")
+        raise EmptyGrid("no candidates to select from")
     feasible = [e for e in candidates if e.over_rate <= epsilon]
     if feasible:
         return min(feasible, key=lambda e: (e.mae, -e.tau)), True
@@ -219,7 +223,6 @@ def run_selection(config: RiskBudgetConfig, evaluator: Evaluator) -> SelectionRe
         boundary=(lo, hi),
         fine_grid=fine,
         feasible=is_feasible,
-        fallback_used=not is_feasible,
         n_trainings=len(memo) if trainings_before is None else evaluator.n_trainings - trainings_before,
         evaluations=list(memo.values()),
         model=best.model,

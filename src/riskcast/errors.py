@@ -66,16 +66,12 @@ class EmptyBatch(RiskcastError):
     """A prediction batch contains no elements."""
 
 
-class InvalidGrid(RiskcastError):
-    """Grid endpoints or size are inconsistent."""
-
-
 class FitFailure(RiskcastError):
     """A point or quantile model fit raised, for example because a worker process died."""
 
 
 class EmptyGrid(RiskcastError):
-    """A scale-factor grid contains no values."""
+    """A grid to search holds no values: a list of candidate levels, or a scale-factor grid."""
 
 
 class InvalidBandwidth(RiskcastError):

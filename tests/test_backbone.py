@@ -549,26 +549,49 @@ class TestExactTrainer:
         y = np.round(rng.normal(100.0, 20.0, size=n), 1) + 40.0 * flag
         binned = BinnedFeatures.of(X)
         per_row = binned.cells.shape[1]
-        calls, counted = [], []
-        best_split, count = riskcast.backbone._best_split, riskcast.backbone._count
+        rounds, scanned, counted = [], [], []
+        grow, best_split, count = riskcast.backbone._grow_tree, riskcast.backbone._best_split, riskcast.backbone._count
 
-        def scan_spy(binned, idx, hist, target, tau, min_samples_leaf):
-            calls.append((idx, target, hist.copy()))
-            return best_split(binned, idx, hist, target, tau, min_samples_leaf)
+        def grow_spy(binned, resid, *args):
+            tree, leaf_of = grow(binned, resid, *args)
+            rounds.append((resid, tree))
+            return tree, leaf_of
 
-        def count_spy(binned, idx, target, tau, out):
+        def scan_spy(binned, hist, tau, min_samples_leaf):
+            scanned.append(hist.copy())
+            return best_split(binned, hist, tau, min_samples_leaf)
+
+        def count_spy(binned, idx, target, tau):
             counted.append(idx)
-            count(binned, idx, target, tau, out)
+            return count(binned, idx, target, tau)
 
         params = BackboneParams(n_trees=2, max_depth=4, learning_rate=0.5, min_samples_leaf=min_samples_leaf)
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(riskcast.backbone, "_grow_tree", grow_spy)
             patch.setattr(riskcast.backbone, "_best_split", scan_spy)
             patch.setattr(riskcast.backbone, "_count", count_spy)
             _fit_boosted_column(binned, y, tau, params)
+        # Each node's rows, routed on X from the root as DecisionTree.predict
+        # routes them, and its round's target; a node is scanned, in node
+        # order, if it grows: above max_depth, with 2 * min_samples_leaf rows.
+        nodes = []
+        for resid, tree in rounds:
+            target = resid > 0 if tau is not None else _exact_grid(-resid)
+            rows = {0: (0, np.arange(n))}
+            for node in range(tree.feature.size):
+                depth, idx = rows.pop(node)
+                if depth < params.max_depth and idx.size >= 2 * min_samples_leaf:
+                    nodes.append((idx, target))
+                f = tree.feature[node]
+                if f >= 0:
+                    go_left = X[idx, f] <= tree.threshold[node]
+                    rows[int(tree.left[node])] = depth + 1, idx[go_left]
+                    rows[int(tree.right[node])] = depth + 1, idx[~go_left]
+            assert not rows
         # A root holds every row and comes with its histograms; some other node takes them by subtraction.
-        roots = sum(idx.size == n for idx, _, _ in calls)
-        assert len(counted) < len(calls) - roots
-        for idx, target, running in calls:
+        roots = sum(idx.size == n for idx, _ in nodes)
+        assert len(counted) < len(scanned) - roots
+        for (idx, target), running in zip(nodes, scanned, strict=True):
             flat = binned.cells[idx].ravel()
             if tau is None:
                 second = np.bincount(flat, weights=np.repeat(target[idx], per_row), minlength=binned.n_cells)
@@ -632,9 +655,7 @@ class TestExactTrainer:
         node = np.flatnonzero((level <= 2) | (level >= 7))
         resid = np.where(level >= 7, 5.0, -5.0)
         target = resid > 0 if tau is not None else -resid
-        hist = np.empty((2, binned.n_cells))
-        _count(binned, node, target, tau, hist)
-        c = _best_split(binned, node, hist, target, tau, 1)
+        c = _best_split(binned, _count(binned, node, target, tau), tau, 1)
         assert (int(binned.feature[c]), float(binned.cut[c])) == (1, 2.5)
 
     @pytest.mark.parametrize("tau", [None, 0.3], ids=["point", "quantile"])

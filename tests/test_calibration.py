@@ -19,7 +19,7 @@ from riskcast.calibration import (
     select_from_grid,
     select_quantile,
 )
-from riskcast.errors import EmptyGrid, EmptyTrainingSet, InvalidGrid
+from riskcast.errors import EmptyGrid, EmptyTrainingSet
 from riskcast.metrics import PredictionBatch, mae, over_rate
 
 from conftest import iid_samples
@@ -182,10 +182,6 @@ class TestSelectFromGrid:
             self.grid([(0.2, 9.0, 0.40), (0.3, 5.0, 0.45), (0.4, 1.0, 0.60)]), 0.35
         )
         assert not feasible and best.tau == 0.2
-
-    def test_no_candidates_is_rejected(self):
-        with pytest.raises(InvalidGrid, match="no candidates"):
-            select_from_grid([], 0.35)
 
     def test_fallback_tie_takes_smaller_tau(self):
         best, _ = select_from_grid(
@@ -363,10 +359,17 @@ class TestBudgetScale:
         with pytest.raises(ValueError, match="scale factors must be positive"):
             budget_scale_search(PredictionBatch(truths, truths), 0.3, grid)
 
-    def test_empty_grid(self, rng):
-        truths = rng.uniform(10, 100, size=(5, 2))
-        with pytest.raises(EmptyGrid):
-            budget_scale_search(PredictionBatch(truths, truths), 0.3, [])
+
+@pytest.mark.parametrize(
+    "search, message",
+    [(lambda batch: select_from_grid([], 0.35), "no candidates to select from"),
+     (lambda batch: budget_scale_search(batch, 0.35, []), "scale-factor grid is empty")],
+    ids=["candidate levels", "scale factors"],
+)
+def test_an_empty_grid_raises_empty_grid(search, message, rng):
+    truths = rng.uniform(10, 100, size=(5, 2))
+    with pytest.raises(EmptyGrid, match=message):
+        search(PredictionBatch(truths, truths))
 
 
 class TestConfig:

@@ -846,11 +846,14 @@ class TestEmitReport:
         )
 
 
-def test_cli_import_does_not_load_scipy():
+# scipy is no dependency; the worker pool's modules are imported only when a
+# pool starts, as they take about 30 ms, which `import riskcast.cli` need not pay.
+@pytest.mark.parametrize("package", ["scipy", "multiprocessing", "concurrent.futures"])
+def test_cli_import_does_not_load(package):
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; import riskcast.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        f"print(sorted(m for m in sys.modules if m.startswith({package!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
