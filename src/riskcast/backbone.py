@@ -22,10 +22,10 @@ below 2**53, so every sum is exact, and histograms are shared and
 subtracted without changing any sum: the root's N is counted once per
 split, a quantile fit carries its root's P from one boosting round to
 the next by counting only the rows whose residual changed sign, and a
-split whose two children both grow counts the smaller, and hands the
-larger its own running histograms minus the smaller one's, in one
-subtraction. Only the other nodes are counted and summed within each
-feature: the root, smaller siblings and nodes whose sibling is a leaf.
+split with a growing child counts its smaller child, the left on a tie,
+leaf or not, and hands a growing larger child its own running histograms
+minus the smaller one's, in one subtraction. Only the root and those
+smaller children are counted and summed within each feature.
 As every gain is a function of exact sums, equal sums give equal gains,
 and ties go to the lowest feature, then the lowest bin.
 A split's bins are held once, as one matrix of histogram cells that every
@@ -340,7 +340,7 @@ def _root_histograms(
     previous round, P instead moves by the rows whose sign flipped since:
     up by the cells of the rows turned positive, down by those turned
     non-positive. Rounds whose flips outnumber the minority count afresh.
-    Either way P is the same integers.
+    Either way P is the same integers. A point fit does not read `last`.
     """
     n = binned.root_counts
     if tau is None:
@@ -382,30 +382,29 @@ def _leaf_quantile(r: np.ndarray, tau: float) -> float:
 def _grow_tree(
     binned: BinnedFeatures,
     resid: np.ndarray,
+    target: np.ndarray,
+    root: np.ndarray,
     tau: float | None,
     max_depth: int,
     min_samples_leaf: int,
-    root: np.ndarray | None = None,
 ) -> tuple[DecisionTree, np.ndarray]:
     """Grow one tree over every row, one node at a time, breadth-first.
 
-    A quantile fit splits on the signs of `resid` (zero counts as
-    non-positive, as in pinball_subgradient); a point fit on the gradients
-    -resid, put on _exact_grid, while its leaves take the mean of `resid`
-    itself. A node grows if it lies above max_depth and holds at least
-    2 * min_samples_leaf rows, the root only if some column is binned; it
-    is queued with its running histograms and becomes a leaf unless
-    _best_split, reading only those, finds it a split. `root` holds the
-    root's histograms, as _root_histograms gives them, if the caller has
-    them; _running sums them into a new array, so the caller's stay as they
-    are. A split routes its rows on X and queues its children, left then
-    right. If both grow, the smaller (the left on a tie) is counted
-    (_count), and the larger takes its histograms as its parent's minus its
-    sibling's; a growing child whose sibling is a leaf is counted. Nodes
-    are numbered in the order they are queued, so each one's entry is made
-    as it leaves the queue. Returns the tree and the leaf of each row.
+    `target` is resid > 0 for a quantile fit (zero counts as non-positive,
+    as in pinball_subgradient), and the gradients -resid on _exact_grid for
+    a point fit, whose leaves take the mean of `resid` itself. `root` holds
+    the root's histograms for `target`, as _root_histograms gives them;
+    _running sums them into a new array. A node grows if it lies above
+    max_depth and holds at least 2 * min_samples_leaf rows, the root only
+    if some column is binned; it is queued with its running histograms and
+    becomes a leaf unless _best_split, reading only those, finds it a
+    split. A split routes its rows on X and queues its children, left then
+    right. If either grows, the smaller (the left on a tie) is counted
+    (_count), leaf or not, and a growing larger one takes its parent's
+    histograms minus that; a leaf is queued without any. Nodes are numbered
+    in the order they are queued, so each one's entry is made as it leaves
+    the queue. Returns the tree and the leaf of each row.
     """
-    target = resid > 0 if tau is not None else _exact_grid(-resid)
     leaf_of = np.empty(len(resid), dtype=np.int64)
     nodes = []  # (feature, threshold, left, right, value) of each node, by node number
 
@@ -413,9 +412,7 @@ def _grow_tree(
         return depth < max_depth and idx.size >= 2 * min_samples_leaf
 
     rows = np.arange(len(resid), dtype=np.int64)
-    hist = None
-    if grows(0, rows) and binned.groups:
-        hist = _running(binned, _root_histograms(binned, target, tau) if root is None else root)
+    hist = _running(binned, root) if grows(0, rows) and binned.groups else None
     queue = deque([(0, 0, rows, hist)])
     numbered = 1
     while queue:
@@ -429,13 +426,13 @@ def _grow_tree(
         f, cut = int(binned.feature[c]), float(binned.cut[c])
         go_left = binned.X[idx, f] <= cut
         children = [idx[go_left], idx[~go_left]]
-        if grows(depth + 1, children[0]) and grows(depth + 1, children[1]):
-            counts = [None, None]
-            small = int(children[1].size < children[0].size)  # the left one on a tie
-            counts[small] = _count(binned, children[small], target, tau)
-            counts[1 - small] = hist - counts[small]
-        else:
-            counts = [_count(binned, child, target, tau) if grows(depth + 1, child) else None for child in children]
+        small = int(children[1].size < children[0].size)  # the left one on a tie
+        counts = [None, None]
+        if grows(depth + 1, children[1 - small]):  # the larger grows if either does
+            counted = _count(binned, children[small], target, tau)
+            counts[1 - small] = hist - counted
+            if grows(depth + 1, children[small]):
+                counts[small] = counted
         nodes.append((f, cut, numbered, numbered + 1, 0.0))
         for child, child_hist in zip(children, counts):
             queue.append((numbered, depth + 1, child, child_hist))
@@ -472,17 +469,15 @@ def _fit_boosted_column(
     base = float(np.quantile(y, tau)) if tau is not None else float(y.mean())
     model = BoostedTreesRegressor(base_score=base, learning_rate=params.learning_rate)
     pred = np.full(len(y), base, dtype=np.float64)
-    root = last = None
+    last = None
     for _ in range(params.n_trees):
         resid = y - pred
         if not np.any(resid):
             break
-        if tau is not None:
-            # The root's P carries from round to round: only rows whose sign flipped are counted.
-            positive = resid > 0
-            root = _root_histograms(binned, positive, tau, last)
-            last = positive, root
-        tree, leaf_of = _grow_tree(binned, resid, tau, params.max_depth, params.min_samples_leaf, root)
+        target = resid > 0 if tau is not None else _exact_grid(-resid)
+        root = _root_histograms(binned, target, tau, last)
+        last = target, root
+        tree, leaf_of = _grow_tree(binned, resid, target, root, tau, params.max_depth, params.min_samples_leaf)
         pred += params.learning_rate * tree.value[leaf_of]
         model.trees.append(tree)
     return model
@@ -528,7 +523,7 @@ def _clamped(columns: list[np.ndarray]) -> np.ndarray:
 
 @dataclass
 class QuantileModel:
-    """One regressor per horizon step, all trained at the same quantile level.
+    """One regressor per horizon step, all at quantile level tau, or on squared error where tau is None.
 
     Predictions are clamped below at zero, and X must pass the feature
     checks against the training layout. `calibration_preds` holds the
@@ -536,13 +531,14 @@ class QuantileModel:
     model, bit-equal to predicting that split.
     """
 
-    tau: float
+    tau: float | None
     feature_layout: tuple[str, ...]
     horizon_models: list[BoostedTreesRegressor]
     calibration_preds: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_tau(self.tau)
+        if self.tau is not None:
+            _check_tau(self.tau)
         if not self.horizon_models:
             raise ValueError("model needs at least one horizon step")
 
@@ -708,7 +704,7 @@ class Workers:
             failed = "point model fit failed" if tau is None else f"quantile model fit failed at tau={tau}"
             raise FitFailure(f"{failed}: {type(exc).__name__}: {exc}") from exc
         return QuantileModel(
-            tau=tau if tau is not None else 0.5,
+            tau=tau,
             feature_layout=self.layout,
             horizon_models=[regressor for regressor, _ in columns],
             calibration_preds=_clamped([predicted for _, predicted in columns]),
@@ -721,5 +717,5 @@ def train_quantile_model(workers: Workers, tau: float, params: BackboneParams) -
 
 
 def train_point_model(workers: Workers, params: BackboneParams) -> QuantileModel:
-    """Fit the squared-error point predictor (same shape as a quantile model)."""
+    """Fit the squared-error point predictor: a QuantileModel whose tau is None."""
     return workers._fit(None, params)

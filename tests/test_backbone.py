@@ -120,6 +120,13 @@ class TestPredict:
         with pytest.raises(ValueError, match="at least one horizon step"):
             QuantileModel(tau=0.5, feature_layout=("f0", "f1"), horizon_models=[])
 
+    def test_a_level_is_checked_only_where_it_is_set(self):
+        # The point model is fitted at no level, so its tau is None.
+        regressors = stump_model().horizon_models
+        assert QuantileModel(tau=None, feature_layout=("f0", "f1"), horizon_models=regressors).tau is None
+        with pytest.raises(InvalidTau):
+            QuantileModel(tau=1.2, feature_layout=("f0", "f1"), horizon_models=regressors)
+
     def test_layout_mismatch(self):
         model = stump_model()
         with pytest.raises(LayoutMismatch):
@@ -208,6 +215,7 @@ class TestTraining:
     def test_constant_target_point(self):
         train = constant_samples(value=25.0)
         model = fit_model(train, None, BackboneParams(n_trees=10))
+        assert model.tau is None
         preds = model.predict(train.X, train.layout)
         assert np.all(np.abs(preds - 25.0) < 1e-6)
 
@@ -425,6 +433,12 @@ class TestBinnedFeatures:
         assert peak < binned.cells.nbytes + 6 * n * 8
 
 
+def grow_tree(binned: BinnedFeatures, resid: np.ndarray, tau: float | None, max_depth: int, min_samples_leaf: int):
+    """_grow_tree on the target and root histograms that _fit_boosted_column derives from resid."""
+    target = resid > 0 if tau is not None else _exact_grid(-resid)
+    return _grow_tree(binned, resid, target, _root_histograms(binned, target, tau), tau, max_depth, min_samples_leaf)
+
+
 class TestExactTrainer:
     """The level-wise trainer against the recursive one it replaced."""
 
@@ -447,7 +461,7 @@ class TestExactTrainer:
     @example(seed=3, n=600, kinds=["many", "tied", "two_valued"], tau=0.5,
              max_depth=5, min_samples_leaf=1, n_trees=2)
     # min_samples_leaf makes one child a leaf at depths 2 and 3 while its
-    # sibling grows, so that sibling is counted.
+    # sibling grows, so the leaf is counted and its sibling subtracts it.
     @example(seed=4, n=500, kinds=["many", "tied"], tau=0.9,
              max_depth=4, min_samples_leaf=40, n_trees=2)
     # Roots take P from their minority sign: at tau 0.1 most residuals are
@@ -537,6 +551,10 @@ class TestExactTrainer:
     )
     @example(seed=1, n=400, kinds=["many", "tied"], tau=0.2, min_samples_leaf=1)
     @example(seed=2, n=400, kinds=["many", "tied"], tau=None, min_samples_leaf=1)
+    # Leaves are counted so that their growing siblings can subtract: three
+    # of 3 or 4 rows here, and four of 5 to 9 rows in the point fit.
+    @example(seed=4, n=400, kinds=["many", "tied"], tau=0.7, min_samples_leaf=3)
+    @example(seed=3, n=400, kinds=["many", "tied"], tau=None, min_samples_leaf=5)
     def test_every_node_carries_the_running_counts_of_its_own_rows(self, seed, n, kinds, tau, min_samples_leaf):
         # y jumps with flag, so the root splits it into two large halves
         # that both grow, and the larger takes its counts by subtraction. A
@@ -562,8 +580,9 @@ class TestExactTrainer:
             return best_split(binned, hist, tau, min_samples_leaf)
 
         def count_spy(binned, idx, target, tau):
-            counted.append(idx)
-            return count(binned, idx, target, tau)
+            hist = count(binned, idx, target, tau)
+            counted.append((idx, hist.copy()))
+            return hist
 
         params = BackboneParams(n_trees=2, max_depth=4, learning_rate=0.5, min_samples_leaf=min_samples_leaf)
         with pytest.MonkeyPatch.context() as patch:
@@ -571,34 +590,46 @@ class TestExactTrainer:
             patch.setattr(riskcast.backbone, "_best_split", scan_spy)
             patch.setattr(riskcast.backbone, "_count", count_spy)
             _fit_boosted_column(binned, y, tau, params)
+
+        def grows(depth, idx):
+            return depth < params.max_depth and idx.size >= 2 * min_samples_leaf
+
         # Each node's rows, routed on X from the root as DecisionTree.predict
-        # routes them, and its round's target; a node is scanned, in node
-        # order, if it grows: above max_depth, with 2 * min_samples_leaf rows.
-        nodes = []
+        # routes them, and its round's target. In node order, a node is
+        # scanned if it grows: above max_depth, with 2 * min_samples_leaf
+        # rows. A split with a growing child counts its smaller child, the
+        # left on a tie, whether or not that child grows; a split of two
+        # leaves counts nothing.
+        nodes, smaller = [], []
         for resid, tree in rounds:
             target = resid > 0 if tau is not None else _exact_grid(-resid)
             rows = {0: (0, np.arange(n))}
             for node in range(tree.feature.size):
                 depth, idx = rows.pop(node)
-                if depth < params.max_depth and idx.size >= 2 * min_samples_leaf:
+                if grows(depth, idx):
                     nodes.append((idx, target))
                 f = tree.feature[node]
                 if f >= 0:
                     go_left = X[idx, f] <= tree.threshold[node]
-                    rows[int(tree.left[node])] = depth + 1, idx[go_left]
-                    rows[int(tree.right[node])] = depth + 1, idx[~go_left]
+                    left, right = idx[go_left], idx[~go_left]
+                    rows[int(tree.left[node])] = depth + 1, left
+                    rows[int(tree.right[node])] = depth + 1, right
+                    if grows(depth + 1, left) or grows(depth + 1, right):
+                        smaller.append((right if right.size < left.size else left, target))
             assert not rows
+        assert [idx.tolist() for idx, _ in counted] == [idx.tolist() for idx, _ in smaller]
         # A root holds every row and comes with its histograms; some other node takes them by subtraction.
         roots = sum(idx.size == n for idx, _ in nodes)
         assert len(counted) < len(scanned) - roots
-        for (idx, target), running in zip(nodes, scanned, strict=True):
+        # What every scan reads, and what every count gives, a leaf's too, is a fresh count of the node's rows.
+        _, firsts, widths = np.unique(binned.feature, return_index=True, return_counts=True)
+        for (idx, target), running in zip(nodes + smaller, scanned + [hist for _, hist in counted], strict=True):
             flat = binned.cells[idx].ravel()
             if tau is None:
                 second = np.bincount(flat, weights=np.repeat(target[idx], per_row), minlength=binned.n_cells)
             else:
                 second = np.bincount(binned.cells[idx[target[idx]]].ravel(), minlength=binned.n_cells)
             fresh = np.stack([np.bincount(flat, minlength=binned.n_cells).astype(np.float64), second])
-            _, firsts, widths = np.unique(binned.feature, return_index=True, return_counts=True)
             for start, stop in zip(firsts.tolist(), (firsts + widths).tolist()):
                 fresh[:, start:stop] = np.cumsum(fresh[:, start:stop], axis=1)
             assert np.array_equal(running, fresh)
@@ -614,7 +645,7 @@ class TestExactTrainer:
         resid = np.where(flag > 0, 5.0, -5.0)
         binned = BinnedFeatures.of(X)
         assert sorted(width for _, _, width in binned.groups) == [2, 4]
-        tree, _ = _grow_tree(binned, resid, None, 1, 1)
+        tree, _ = grow_tree(binned, resid, None, 1, 1)
         codes, cuts = reference_trainer._bin_features(X)
         oracle = reference_trainer._grow_tree(codes, cuts, resid, None, 1, 1)
         assert tree.feature[0] == oracle.feature[0] == 0
@@ -636,7 +667,7 @@ class TestExactTrainer:
         resid = np.where(flag > 0, 5.0, -5.0)
         binned = BinnedFeatures.of(X)
         assert [width for _, _, width in binned.groups] == ([2, 4, 8] if flag_first else [8, 4, 2])
-        tree, _ = _grow_tree(binned, resid, tau, 1, 1)
+        tree, _ = grow_tree(binned, resid, tau, 1, 1)
         codes, cuts = reference_trainer._bin_features(X)
         oracle = reference_trainer._grow_tree(codes, cuts, resid, tau, 1, 1)
         assert tree.feature[0] == oracle.feature[0] == 0
@@ -676,7 +707,7 @@ class TestExactTrainer:
             raise AssertionError("a root that cannot grow was scanned")
 
         monkeypatch.setattr(riskcast.backbone, "_best_split", scan)
-        tree, leaf_of = _grow_tree(binned, resid, tau, max_depth, min_samples_leaf)
+        tree, leaf_of = grow_tree(binned, resid, tau, max_depth, min_samples_leaf)
         assert [a.tolist() for a in (tree.feature, tree.left, tree.right)] == [[-1], [-1], [-1]]
         assert tree.value.tolist() == [float(np.quantile(resid, tau)) if tau is not None else float(resid.mean())]
         assert leaf_of.tolist() == [0] * 40
@@ -687,11 +718,12 @@ class TestExactTrainer:
         # every path of the carry, and the test checks that they do.
         signs = []
 
-        def spy(binned, resid, tau, max_depth, min_samples_leaf, root=None):
+        def spy(binned, resid, target, root, tau, max_depth, min_samples_leaf):
             signs.append(resid > 0)
+            assert np.array_equal(target, resid > 0)
             assert root.dtype == np.int64
             assert np.array_equal(root, _root_histograms(binned, resid > 0, tau))
-            return grow(binned, resid, tau, max_depth, min_samples_leaf, root)
+            return grow(binned, resid, target, root, tau, max_depth, min_samples_leaf)
 
         grow = riskcast.backbone._grow_tree
         monkeypatch.setattr(riskcast.backbone, "_grow_tree", spy)
@@ -766,7 +798,7 @@ class TestExactTrainer:
         flag = np.repeat([0.0, 1.0], [30, 70])
         resid = np.where(flag > 0, 0.0, 5.0)
         binned = BinnedFeatures.of(flag[:, None])
-        tree, _ = _grow_tree(binned, resid, 0.3, 1, 1)
+        tree, _ = grow_tree(binned, resid, 0.3, 1, 1)
         assert tree.feature[0] == 0
         assert tree.value[1:].tolist() == [5.0, 0.0]
 
